@@ -23,13 +23,21 @@ is provided under series="convergent".  It decays like N^(q-1), equals 1
 identically at q = 1, and is the choice under which the reconstruction
 of the derivative converges when N and the moment cutoff grow together.
 See README for when each convention is appropriate.
+
+All three coefficients rest on one partial sum (hockey-stick identity),
+
+    S(q,N) = sum_{p=2}^{N} Gamma(p-1+q)/(Gamma(q)(p-1)!)
+           = Gamma(N+q) / (Gamma(q+1) Gamma(N)) - 1,
+
+so A = (1+S)/Gamma(1-q), the divergent B = (2+S)/Gamma(2-q) and the
+convergent B = q (1+S) / (N Gamma(2-q)).  S costs O(1) at any N: see
+series_partial_sum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 import scipy.special as sps
@@ -50,7 +58,11 @@ __all__ = [
     "reconstruct_rl_derivative",
 ]
 
-_CHUNK = 5_000_000
+#: largest truncation count summed term by term; above it the closed form
+#: is used.  Against mpmath, the direct sum is within 5e-13 relative up to
+#: here; the closed form is within 4e-16 from here on, but up to 3.5e-11
+#: off below N ~ 1.5e4.
+_DIRECT_MAX = 100_000
 
 #: drop log-space terms below this exponent (exp underflows to 0 anyway)
 _LOG_FLOOR = -745.0
@@ -63,32 +75,25 @@ def _check_order(q: float) -> float:
     return q
 
 
-@lru_cache(maxsize=64)
 def series_partial_sum(q: float, n_terms: int) -> float:
-    """sum_{p=2}^{N} Gamma(p-1+q) / (Gamma(q) (p-1)!) for N = n_terms.
+    """S(q,N) = sum_{p=2}^{N} Gamma(p-1+q) / (Gamma(q) (p-1)!), N = n_terms.
 
-    Terms are generated by the ratio recurrence
+    Up to N = _DIRECT_MAX the terms are generated by the ratio recurrence
     term(p+1) = term(p) * (p-1+q)/p, which avoids Gamma overflow, and
-    accumulated with error-free summation: chunks are summed pairwise by
-    numpy and the chunk partials combined exactly with math.fsum.
+    summed pairwise by numpy.  Above it the closed form
+    Gamma(N+q)/(Gamma(q+1) Gamma(N)) - 1 is evaluated through the
+    Pochhammer symbol (N)_q = Gamma(N+q)/Gamma(N), which stays accurate
+    where Gamma(N) itself overflows.
     """
     q = _check_order(q)
     if n_terms < 2:
         return 0.0
-    partials = []
-    term = q                      # p = 2 term: Gamma(1+q)/Gamma(q) = q
-    p_start = 2
-    while p_start <= n_terms:
-        p_stop = min(p_start + _CHUNK, n_terms + 1)
-        ps = np.arange(p_start, p_stop, dtype=float)
+    if n_terms <= _DIRECT_MAX:
+        ps = np.arange(2, n_terms + 1, dtype=float)
         ratios = (ps - 2.0 + q) / (ps - 1.0)
-        ratios[0] = 1.0           # seed carries the first term of the chunk
-        terms = term * np.cumprod(ratios)
-        partials.append(float(np.sum(terms)))
-        # seed for the next chunk: term(p_stop) from term(p_stop - 1)
-        term = terms[-1] * (p_stop - 2.0 + q) / (p_stop - 1.0)
-        p_start = p_stop
-    return math.fsum(partials)
+        ratios[0] = 1.0           # p = 2 term: Gamma(1+q)/Gamma(q) = q
+        return float(np.sum(q * np.cumprod(ratios)))
+    return float(sps.poch(float(n_terms), q) / sps.gamma(q + 1) - 1.0)
 
 
 def state_coeff(q: float, n_terms: int) -> float:
@@ -114,10 +119,18 @@ def derivative_coeff(q: float, n_terms: int,
         # 1 + sum_{p=1}^{N} = 2 + sum_{p=2}^{N}  (the p=1 term equals 1)
         return (2.0 + series_partial_sum(q, n_terms)) / sps.gamma(2 - q)
     if series == "convergent":
-        lg = (sps.gammaln(n_terms + q) - sps.gammaln(q)
-              - sps.gammaln(n_terms + 1.0))
-        return float(np.exp(lg)) / sps.gamma(2 - q)
+        # Gamma(N+q)/(Gamma(q) Gamma(N+1)) = q (1 + S(q,N)) / N
+        return (q * (1.0 + series_partial_sum(q, n_terms)) / n_terms
+                / sps.gamma(2 - q))
     raise DomainError(f"unknown derivative-coefficient series {series!r}")
+
+
+def _moment_coeffs(q: float, ps):
+    """C(q,p) and log|C(q,p)| for a moment index or an array of them,
+    given as floats >= 2."""
+    log_c = (sps.gammaln(ps - 1 + q) - sps.gammaln(2 - q)
+             - sps.gammaln(q - 1.0) - sps.gammaln(ps))
+    return sps.gammasgn(q - 1.0) * np.exp(log_c), log_c
 
 
 def moment_coeff(q: float, p: int) -> float:
@@ -125,9 +138,7 @@ def moment_coeff(q: float, p: int) -> float:
     q = _check_order(q)
     if p < 2:
         raise DomainError(f"moment index must be >= 2, got {p}")
-    lg = (sps.gammaln(p - 1 + q) - sps.gammaln(2 - q)
-          - sps.gammaln(q - 1.0) - sps.gammaln(float(p)))
-    return float(sps.gammasgn(q - 1.0) * np.exp(lg))
+    return float(_moment_coeffs(q, float(p))[0])
 
 
 @dataclass(frozen=True)
@@ -150,10 +161,8 @@ class ExpansionCoeffs:
         q = _check_order(q)
         if p_max < 2:
             raise DomainError("moment cutoff p_max must be >= 2")
-        ps = np.arange(2, p_max + 1, dtype=float)
-        log_c = (sps.gammaln(ps - 1 + q) - sps.gammaln(2 - q)
-                 - sps.gammaln(q - 1.0) - sps.gammaln(ps))
-        c_vals = sps.gammasgn(q - 1.0) * np.exp(log_c)
+        c_vals, log_c = _moment_coeffs(
+            q, np.arange(2, p_max + 1, dtype=float))
         coeffs = cls(
             q=q, n_a=int(n_a), n_b=int(n_b), p_max=int(p_max),
             b_series=b_series,

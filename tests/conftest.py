@@ -55,8 +55,8 @@ def example_parsed():
 def example_state(example_parsed):
     """Converged solve of the bundled example at full truncation.
 
-    Session-scoped: the 1e9-term coefficient summation dominates the
-    cost and is shared by every test that needs the converged run.
+    Session-scoped: the solve takes a few seconds and is shared by every
+    test that needs the converged run.
     Returns (state, wall_seconds).
     """
     import time

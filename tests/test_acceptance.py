@@ -7,7 +7,7 @@ and the documented scheme (README, "Reproduction status"), so each is
 kept as a named constant, printed beside the reference that replaces it:
 
 - the state at every node is checked against an independent mpmath
-  evaluation of the documented scheme (1e-8 relative);
+  evaluation of the documented scheme (1e-12 relative);
 - the cost is checked against an independent mpmath quadrature of the
   performance index on the same samples (1e-10 relative), and the
   converged cost must be a local minimum of the discrete cost;
@@ -60,7 +60,7 @@ V0_FIRST_FLOOR = 25.0 / math.gamma(1.4)
 # least I^0.3[x2^2] >= 0.097^2/Gamma(1.3).
 V0_CONVERGED_FLOOR = 0.097 ** 2 / math.gamma(1.3)
 
-SCHEME_RTOL = 1e-8
+SCHEME_RTOL = 1e-12
 COST_RTOL = 1e-10
 
 
@@ -80,7 +80,7 @@ def scheme_oracle(u):
     across the first cell, then explicit Euler on the transformed field
     with the moments of node k; W_p advances by the trapezoidal rule on
     (1-p) t^(p-2) with x frozen at the left node.  A and B come from the
-    closed form of the series, not from its summation.
+    closed form of the series, evaluated in mpmath (bracket_closed_form).
     """
     plant = two_state_problem().plant
     cfg = two_state_config()
@@ -179,7 +179,7 @@ def test_criterion_1_end_to_end_reproduction(example_state, example_parsed,
          PUBLISHED_V0_CONVERGED < V0_CONVERGED_FLOOR,
          f"{PUBLISHED_V0_CONVERGED} < 0.097^2/G(1.3) = "
          f"{V0_CONVERGED_FLOOR:.5g}"),
-        ("x(t_k) vs scheme oracle 1e-8", gap <= SCHEME_RTOL,
+        ("x(t_k) vs scheme oracle 1e-12", gap <= SCHEME_RTOL,
          f"max rel {gap:.1e}; x1(1) {x1:.5g}, published "
          f"{PUBLISHED_X1_CONVERGED}"),
         ("x2(1)~0.0970+-10%", within(x2, 0.0970, 0.10), f"got {x2:.5g}"),
@@ -201,7 +201,7 @@ def test_criterion_2_first_sweep_checkpoint(example_parsed, capsys):
     j_ref = cost_oracle(x, u)
     gap = scheme_gap(x, u)
     checks = [
-        ("x(t_k) vs scheme oracle 1e-8", gap <= SCHEME_RTOL,
+        ("x(t_k) vs scheme oracle 1e-12", gap <= SCHEME_RTOL,
          f"max rel {gap:.1e}; x1(1) {x1:.5g}, published "
          f"{PUBLISHED_X1_FIRST}"),
         ("x2(1)~0.097+-10%", within(x2, 0.097, 0.10), f"got {x2:.5g}"),

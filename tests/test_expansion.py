@@ -1,3 +1,5 @@
+import time
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -31,13 +33,25 @@ def test_partial_sum_small_counts_exact():
 
 
 def test_partial_sum_matches_closed_form_large_counts():
-    # the term recurrence accumulates rounding along the cumprod chain;
-    # measured drift is ~7e-14 at N=1e4 and ~1e-12 at N=1e6
+    # up to N = 1e5 the term recurrence accumulates rounding along the
+    # cumprod chain (measured <= 5e-13); above it the closed form through
+    # scipy's poch is within a few ulps
     for q in (0.2, 0.7):
-        assert series_partial_sum(q, 10 ** 4) == pytest.approx(
-            bracket_closed_form(q, 10 ** 4), rel=1e-10)
-        assert series_partial_sum(q, 10 ** 6) == pytest.approx(
-            bracket_closed_form(q, 10 ** 6), rel=1e-8)
+        for n, rel in ((10 ** 4, 1e-12), (10 ** 5, 1e-12),
+                       (10 ** 5 + 1, 1e-14), (10 ** 6, 1e-14),
+                       (10 ** 9, 1e-14), (10 ** 12, 1e-14)):
+            assert series_partial_sum(q, n) == pytest.approx(
+                bracket_closed_form(q, n), rel=rel)
+
+
+def state_coeff_oracle(q, n):
+    """A(q,N) = (1 + S(q,N)) / Gamma(1-q), S from the mpmath closed form."""
+    return (1 + bracket_closed_form(q, n)) / float(mp.gamma(1 - mp.mpf(q)))
+
+
+def derivative_coeff_oracle(q, n):
+    """Divergent B(q,N) = (2 + S(q,N)) / Gamma(2-q), S as above."""
+    return (2 + bracket_closed_form(q, n)) / float(mp.gamma(2 - mp.mpf(q)))
 
 
 def test_state_coeff_hand_value():
@@ -50,11 +64,12 @@ def test_state_coeff_monotone_in_truncation():
 
 
 def test_state_coeff_frozen_regression_values():
-    # recorded once from the summation implementation
-    assert state_coeff(0.2, 10 ** 7) == pytest.approx(23.498428200224684,
-                                                      rel=1e-12)
-    assert state_coeff(0.7, 10 ** 7) == pytest.approx(29221.98593233596,
-                                                      rel=1e-12)
+    # mpmath values at 40 digits; each pin is also held to the closed-form
+    # oracle, so a pin cannot record the drift of an approximation
+    for q, pin in ((0.2, 23.49842819972555), (0.7, 29221.98593042229)):
+        assert pin == pytest.approx(state_coeff_oracle(q, 10 ** 7),
+                                    rel=1e-12)
+        assert state_coeff(q, 10 ** 7) == pytest.approx(pin, rel=1e-12)
 
 
 def test_derivative_coeff_hand_value():
@@ -63,24 +78,36 @@ def test_derivative_coeff_hand_value():
 
 
 def test_derivative_coeff_frozen_regression_values():
-    assert derivative_coeff(0.2, 10 ** 7) == pytest.approx(
-        30.446706524311683, rel=1e-12)
-    assert derivative_coeff(0.7, 10 ** 7) == pytest.approx(
-        97407.73401696174, rel=1e-12)
+    for q, pin in ((0.2, 30.446706523687772), (0.7, 97407.734010582834)):
+        assert pin == pytest.approx(derivative_coeff_oracle(q, 10 ** 7),
+                                    rel=1e-12)
+        assert derivative_coeff(q, 10 ** 7) == pytest.approx(pin, rel=1e-12)
 
 
 def test_full_truncation_frozen_regression_values():
-    # the full-fidelity tables used by the bundled example, recorded once
-    # from the summation implementation (already cached by the acceptance
-    # run when the whole suite executes)
-    assert state_coeff(0.2, 10 ** 9) == pytest.approx(59.02538338075875,
-                                                      rel=1e-12)
-    assert state_coeff(0.7, 10 ** 9) == pytest.approx(734023.1062384361,
-                                                      rel=1e-12)
-    assert derivative_coeff(0.2, 10 ** 9) == pytest.approx(
-        74.85540049997925, rel=1e-12)
-    assert derivative_coeff(0.7, 10 ** 9) == pytest.approx(
-        2446744.801703962, rel=1e-12)
+    # the full-fidelity tables used by the bundled example (mpmath values)
+    for q, a_pin, b_pin in ((0.2, 59.025383424173741, 74.855400554248011),
+                            (0.7, 734023.107234086, 2446744.8050227948)):
+        assert a_pin == pytest.approx(state_coeff_oracle(q, 10 ** 9),
+                                      rel=1e-12)
+        assert b_pin == pytest.approx(derivative_coeff_oracle(q, 10 ** 9),
+                                      rel=1e-12)
+        assert state_coeff(q, 10 ** 9) == pytest.approx(a_pin, rel=1e-12)
+        assert derivative_coeff(q, 10 ** 9) == pytest.approx(b_pin,
+                                                             rel=1e-12)
+
+
+def test_coeff_build_cost_independent_of_truncation():
+    # the coefficients come from a closed form above N = 1e5; an O(N)
+    # summation would take tens of seconds at N = 1e9.  The budget is
+    # checked after every build so such a sum fails at the first one.
+    budget, spent = 0.5, 0.0
+    for n in (10 ** 9, 10 ** 15):
+        for q in (0.2, 0.7):
+            start = time.perf_counter()
+            ExpansionCoeffs.build(q, n, n, 150)
+            spent += time.perf_counter() - start
+            assert spent < budget, (q, n, spent)
 
 
 def test_derivative_coeff_dominates_matching_state_sum():
@@ -102,6 +129,17 @@ def test_convergent_derivative_coeff_matches_direct_sum():
                      for p in range(1, n + 1))) / mp.gamma(2 - q))
         assert derivative_coeff(q, n, "convergent") == pytest.approx(
             direct, rel=1e-12)
+
+
+def test_convergent_derivative_coeff_matches_mpmath_large_counts():
+    # Gamma(N+q) / (Gamma(q) Gamma(N+1) Gamma(2-q)) at 40 digits
+    for q in (0.2, 0.7, 0.999):
+        for n in (10 ** 4, 10 ** 6, 10 ** 9):
+            qm = mp.mpf(q)
+            ref = float(mp.gamma(qm + n) / (mp.gamma(qm) * mp.gamma(n + 1)
+                                            * mp.gamma(2 - qm)))
+            assert derivative_coeff(q, n, "convergent") == pytest.approx(
+                ref, rel=1e-12)
 
 
 def test_convergent_derivative_coeff_integer_limit():
@@ -259,15 +297,24 @@ def test_field_zero_everything_is_zero():
 
 
 def test_field_probe_frozen_value():
-    # regression constant recorded from the frozen coefficient tables
+    # regression constants from the mpmath coefficient values.  With
+    # W = 0 and x = x0 each component is
+    # (f_i - x0_i t^(-q) (A_i - 1/Gamma(1-q))) / (B_i t^(1-q)).
     plant = probe_plant()
     coeffs = tuple(ExpansionCoeffs.build(q, 10 ** 7, 10 ** 7, 150)
                    for q in plant.orders)
     field = TransformedField(plant, coeffs)
-    out = field(0.5, np.array([1.0, 0.5]), np.zeros((149, 2)),
-                np.array([0.0]))
-    assert out[0] == pytest.approx(-1.458562743502119, rel=1e-12)
-    assert out[1] == pytest.approx(-0.30000577571087034, rel=1e-12)
+    t, x0 = 0.5, np.array([1.0, 0.5])
+    out = field(t, x0, np.zeros((149, 2)), np.array([0.0]))
+    rhs = plant.rhs(t, x0, np.array([0.0]))
+    pins = (-1.4585627434992201, -0.30000577571087076)
+    for i, q in enumerate(plant.orders):
+        shift = x0[i] * t ** (-q) * (state_coeff_oracle(q, 10 ** 7)
+                                     - 1 / gamma(1 - q))
+        oracle = ((rhs[i] - shift)
+                  / (derivative_coeff_oracle(q, 10 ** 7) * t ** (1 - q)))
+        assert pins[i] == pytest.approx(oracle, rel=1e-12)
+        assert out[i] == pytest.approx(pins[i], rel=1e-12)
 
 
 def test_field_integer_order_limit_recovers_plant_rhs():
