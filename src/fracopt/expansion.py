@@ -32,6 +32,11 @@ All three coefficients rest on one partial sum (hockey-stick identity),
 so A = (1+S)/Gamma(1-q), the divergent B = (2+S)/Gamma(2-q) and the
 convergent B = q (1+S) / (N Gamma(2-q)).  S costs O(1) at any N: see
 series_partial_sum.
+
+W_p is of size (t-a)^(p-1), so it is stored normalized as
+M_p = (t-a)^(1-p) W_p, which solves (t-a) M_p' = -(p-1) (x + M_p) and
+stays within max|x|; the moment part of the expansion is then
+(t-a)^(-q) sum_p C(q,p) M_p.
 """
 
 from __future__ import annotations
@@ -63,9 +68,6 @@ __all__ = [
 #: here; the closed form is within 4e-16 from here on, but up to 3.5e-11
 #: off below N ~ 1.5e4.
 _DIRECT_MAX = 100_000
-
-#: drop log-space terms below this exponent (exp underflows to 0 anyway)
-_LOG_FLOOR = -745.0
 
 
 def _check_order(q: float) -> float:
@@ -126,11 +128,10 @@ def derivative_coeff(q: float, n_terms: int,
 
 
 def _moment_coeffs(q: float, ps):
-    """C(q,p) and log|C(q,p)| for a moment index or an array of them,
-    given as floats >= 2."""
+    """C(q,p) for a moment index or an array of them, given as floats >= 2."""
     log_c = (sps.gammaln(ps - 1 + q) - sps.gammaln(2 - q)
              - sps.gammaln(q - 1.0) - sps.gammaln(ps))
-    return sps.gammasgn(q - 1.0) * np.exp(log_c), log_c
+    return sps.gammasgn(q - 1.0) * np.exp(log_c)
 
 
 def moment_coeff(q: float, p: int) -> float:
@@ -138,7 +139,7 @@ def moment_coeff(q: float, p: int) -> float:
     q = _check_order(q)
     if p < 2:
         raise DomainError(f"moment index must be >= 2, got {p}")
-    return float(_moment_coeffs(q, float(p))[0])
+    return float(_moment_coeffs(q, float(p)))
 
 
 @dataclass(frozen=True)
@@ -153,7 +154,6 @@ class ExpansionCoeffs:
     a_val: float
     b_val: float
     c_vals: np.ndarray = field(repr=False)      # index 0 <-> p = 2
-    log_c_mag: np.ndarray = field(repr=False)   # log|C(q,p)|, same indexing
 
     @classmethod
     def build(cls, q: float, n_a: int, n_b: int, p_max: int,
@@ -161,15 +161,12 @@ class ExpansionCoeffs:
         q = _check_order(q)
         if p_max < 2:
             raise DomainError("moment cutoff p_max must be >= 2")
-        c_vals, log_c = _moment_coeffs(
-            q, np.arange(2, p_max + 1, dtype=float))
         coeffs = cls(
             q=q, n_a=int(n_a), n_b=int(n_b), p_max=int(p_max),
             b_series=b_series,
             a_val=state_coeff(q, n_a),
             b_val=derivative_coeff(q, n_b, b_series),
-            c_vals=c_vals,
-            log_c_mag=log_c,
+            c_vals=_moment_coeffs(q, np.arange(2, p_max + 1, dtype=float)),
         )
         if not (math.isfinite(coeffs.a_val) and coeffs.a_val > 0):
             raise DomainError("state coefficient must be finite and positive")
@@ -184,10 +181,12 @@ class ExpansionCoeffs:
 
 @dataclass
 class AuxiliaryStates:
-    """Moment-state trajectories W_p(t) for every state component.
+    """Normalized moment-state trajectories for every state component.
 
-    values[k, j, i] holds W_p at node k for p = j+2 and state component i.
-    All moments start at zero: W_p(a) = 0.
+    values[k, j, i] holds M_p = (t_k-a)^(1-p) W_p(t_k) for p = j+2 and
+    state component i; M_p solves (t-a) M_p' = -(p-1) (x + M_p).  Node 0
+    holds 0: its limit -x(a) is never read, since the field is singular
+    there.
     """
 
     grid: TimeGrid
@@ -210,74 +209,49 @@ class AuxiliaryStates:
         return self.values[k]
 
 
-def _moment_rates(ps: np.ndarray, t_rel: float) -> np.ndarray:
-    """(1-p) (t-a)^(p-2) with the 0^0 = 1 convention at t = a."""
-    if t_rel > 0.0:
-        return (1.0 - ps) * t_rel ** (ps - 2.0)
-    return np.where(ps == 2, -1.0, 0.0)
-
-
 def advance_moments(states: AuxiliaryStates, x: np.ndarray,
                     node: int) -> AuxiliaryStates:
     """One explicit trapezoidal step of the moment IVP from node to node+1.
 
-    The rate (1-p)(t-a)^(p-2) x is integrated over the cell with the state
-    sample frozen at the left node, which makes the stored trajectory a
-    pure function of the node samples of x (the property the residual
-    audit relies on).  Exact for constant x.
+    The rate (1-p)(t-a)^(p-2) x of W_p is integrated over the cell with
+    the state sample frozen at the left node, which makes the stored
+    trajectory a pure function of the node samples of x (the property the
+    residual audit relies on).  Exact for constant x.  Written for M_p,
+    with rho = (t_k-a)/(t_{k+1}-a) and rho^0 = 1 at the first node:
+
+        M_{k+1} = rho^(p-1) M_k
+                  + (1-p)/2 dt/(t_{k+1}-a) (rho^(p-2) + 1) x_k
     """
     if not 0 <= node < states.grid.n_steps:
         raise DomainError(f"cannot step from node {node}")
     ps = states.p_values.astype(float)
     a = states.grid.t0
-    r0 = _moment_rates(ps, states.grid.node(node) - a)
-    r1 = _moment_rates(ps, states.grid.node(node + 1) - a)
-    fac = 0.5 * states.grid.dt * (r0 + r1)
-    states.values[node + 1] = states.values[node] \
-        + np.outer(fac, np.asarray(x, dtype=float))
+    t_next = states.grid.node(node + 1) - a
+    rho = (states.grid.node(node) - a) / t_next
+    half_step = 0.5 * states.grid.dt / t_next
+    fac = half_step * (1.0 - ps) * (rho ** (ps - 2.0) + 1.0)
+    decay = rho ** (ps - 1.0)
+    states.values[node + 1] = (decay[:, None] * states.values[node]
+                               + np.outer(fac, np.asarray(x, dtype=float)))
     return states
 
 
-def _signed_log_sum(log_c: np.ndarray, ps: np.ndarray, q: float,
-                    log_t: float, w_col: np.ndarray) -> float:
-    """sum_p C(q,p) (t-a)^(1-p-q) W_p, evaluated in log space with signs.
-
-    For small t-a and large p the power factor overflows while W_p
-    underflows; combining exponents in log space keeps every term finite.
-    Terms with log-magnitude below the exp underflow threshold are
-    dropped, and C(q,p) < 0 on (0,1) is carried as an explicit sign.
-    """
-    mask = w_col != 0.0
-    if not np.any(mask):
-        return 0.0
-    logs = (log_c[mask] + (1.0 - ps[mask] - q) * log_t
-            + np.log(np.abs(w_col[mask])))
-    keep = logs > _LOG_FLOOR
-    if not np.any(keep):
-        return 0.0
-    signs = -np.sign(w_col[mask][keep])          # sign(C) = -1
-    return float(np.sum(signs * np.exp(logs[keep])))
-
-
 def memory_correction(t: float, x_i: float, coeffs: ExpansionCoeffs,
-                      w_values: np.ndarray, x0_i: float, a: float) -> float:
+                      m_values: np.ndarray, x0_i: float, a: float) -> float:
     """Correction term for one state component: initial value, state, and
     moment contributions.
 
-        -x_i(a)/Gamma(1-q) (t-a)^(-q) + A (t-a)^(-q) x_i
-        - sum_p C(q,p) (t-a)^(1-p-q) W_p(t)
+        (t-a)^(-q) (-x_i(a)/Gamma(1-q) + A x_i - sum_p C(q,p) M_p(t))
 
-    w_values holds W_p(t) for this component, p = 2..p_max.  Singular at
-    t = a: every term carries a negative power of (t-a).
+    m_values holds M_p(t) for this component, p = 2..p_max.  Singular at
+    t = a: every term carries the factor (t-a)^(-q).
     """
     t_rel = t - a
     if t_rel <= 0.0:
         raise SingularTimeError("memory correction is singular at t = a")
     q = coeffs.q
-    log_t = math.log(t_rel)
-    base = (-x0_i / sps.gamma(1 - q) + coeffs.a_val * x_i) * t_rel ** (-q)
-    ps = coeffs.p_values.astype(float)
-    return base - _signed_log_sum(coeffs.log_c_mag, ps, q, log_t, w_values)
+    return (t_rel ** (-q) * (-x0_i / sps.gamma(1 - q) + coeffs.a_val * x_i
+                             - float(np.dot(coeffs.c_vals, m_values))))
 
 
 class TransformedField:
@@ -285,7 +259,7 @@ class TransformedField:
 
     Component i evaluates to
 
-        (f_i(t, x, u) - k_i(t, x_i, W)) / (B_i (t-a)^(1-q_i)),
+        (f_i(t, x, u) - k_i(t, x_i, M)) / (B_i (t-a)^(1-q_i)),
 
     where k_i is the memory correction.  Singular at t = a; the solver
     never evaluates there (start-offset policy).
@@ -304,10 +278,10 @@ class TransformedField:
         self._q = np.asarray(plant.orders, dtype=float)
 
     def correction(self, t: float, x: np.ndarray,
-                   w_node: np.ndarray) -> np.ndarray:
+                   m_node: np.ndarray) -> np.ndarray:
         a = self.plant.t0
         return np.array([
-            memory_correction(t, x[i], self.coeffs[i], w_node[:, i],
+            memory_correction(t, x[i], self.coeffs[i], m_node[:, i],
                               self.plant.x0[i], a)
             for i in range(self.plant.n_states)
         ])
@@ -318,14 +292,14 @@ class TransformedField:
             raise SingularTimeError("transformed field is singular at t = a")
         return self._b * t_rel ** (1.0 - self._q)
 
-    def __call__(self, t: float, x: np.ndarray, w_node: np.ndarray,
+    def __call__(self, t: float, x: np.ndarray, m_node: np.ndarray,
                  u: np.ndarray) -> np.ndarray:
-        shift = self.correction(t, x, w_node)
+        shift = self.correction(t, x, m_node)
         return (self.plant.rhs(t, x, u) - shift) / self.denominator(t)
 
-    def at_state(self, t: float, x: np.ndarray, w_node: np.ndarray):
-        """Freeze (t, x, W) and return a cheap function of the control only."""
-        shift = self.correction(t, x, w_node)
+    def at_state(self, t: float, x: np.ndarray, m_node: np.ndarray):
+        """Freeze (t, x, M) and return a cheap function of the control only."""
+        shift = self.correction(t, x, m_node)
         denom = self.denominator(t)
         plant_rhs = self.plant.rhs
 
@@ -334,12 +308,12 @@ class TransformedField:
 
         return field_of_u
 
-    def jacobian_x(self, t: float, x: np.ndarray, w_node: np.ndarray,
+    def jacobian_x(self, t: float, x: np.ndarray, m_node: np.ndarray,
                    u: np.ndarray, fd_step: float = 1e-6) -> np.ndarray:
         """d(field)/dx: finite differences on the plant part, exact on the
         expansion part (the correction is linear in x with a diagonal
         coefficient A_i (t-a)^(-q_i))."""
-        del w_node  # moments are treated as exogenous data here
+        del m_node  # moments are treated as exogenous data here
         t_rel = t - self.plant.t0
         if t_rel <= 0.0:
             raise SingularTimeError("transformed field is singular at t = a")
@@ -359,20 +333,13 @@ class TransformedField:
 
 def reconstruct_rl_derivative(coeffs: ExpansionCoeffs, t: float, a: float,
                               x_val: float, xdot_val: float,
-                              w_values: np.ndarray) -> float:
+                              m_values: np.ndarray) -> float:
     """Evaluate the expansion's representation of the RL derivative.
 
-        A (t-a)^(-q) x + B (t-a)^(1-q) x' - sum_p C(q,p) (t-a)^(1-p-q) W_p
+        A (t-a)^(-q) x + B (t-a)^(1-q) x' - (t-a)^(-q) sum_p C(q,p) M_p
 
     Used by the consistency suite to compare against the quadrature-based
     operator on test functions.
     """
-    t_rel = t - a
-    if t_rel <= 0.0:
-        raise SingularTimeError("reconstruction is singular at t = a")
-    q = coeffs.q
-    total = (coeffs.a_val * t_rel ** (-q) * x_val
-             + coeffs.b_val * t_rel ** (1 - q) * xdot_val)
-    ps = coeffs.p_values.astype(float)
-    return total - _signed_log_sum(coeffs.log_c_mag, ps, q,
-                                   math.log(t_rel), w_values)
+    return (memory_correction(t, x_val, coeffs, m_values, 0.0, a)
+            + coeffs.b_val * (t - a) ** (1 - coeffs.q) * xdot_val)

@@ -3,7 +3,7 @@ residual of the fractional dynamic-programming equation.
 
 The equation under test is
 
-    -V_t(t, x) = min_u { sum_j w_j(t) g_j(t, x, u) + V_x . field(t, x, W, u) }
+    -V_t(t, x) = min_u { sum_j w_j(t) g_j(t, x, u) + V_x . field(t, x, M, u) }
 
 with w_j the running kernel weight of each cost term.  Residuals audit a
 finished sweep: the Hamiltonian at the stored data plus the reconstructed
@@ -67,17 +67,44 @@ class ValueData:
             raise DomainError("value data must be finite")
 
 
-def _running_cost(prob: HJBProblem, t_weight: float, t_operand: float,
-                  x: np.ndarray, u: np.ndarray) -> float:
+def node_times(grid: TimeGrid, k: int):
+    """(t_run, t_field) at node k: the times at which the running weights
+    and the transformed field are evaluated, with the endpoint
+    substitutions applied."""
+    n = grid.n_steps
+    t_run = grid.node(n - 1) if k == n else grid.node(k)
+    t_field = grid.node(1) if k == 0 else grid.node(k)
+    return t_run, t_field
+
+
+def _running_cost(prob: HJBProblem, t: float, x: np.ndarray,
+                  u: np.ndarray) -> float:
     total = 0.0
     for term in prob.index.running_terms:
-        w = running_weight(term.v, t_weight, prob.tf)
-        total += w * term.running(t_operand, x, u)
+        w = running_weight(term.v, t, prob.tf)
+        total += w * term.running(t, x, u)
     return total
 
 
+def _objective(prob: HJBProblem, t_run: float, t_field: float,
+               x: np.ndarray, m_node: np.ndarray,
+               v_x: np.ndarray) -> Callable[[np.ndarray], float]:
+    """h(u): the running cost weighted at t_run plus V_x . field at
+    t_field, with (x, M) frozen."""
+    if prob.field is None:
+        raise DomainError("problem carries no transformed field")
+    partial = prob.field.at_state(t_field, x, m_node)
+
+    def h(u):
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+        return _running_cost(prob, t_run, x, u) \
+            + float(np.dot(v_x, partial(u)))
+
+    return h
+
+
 def hamiltonian(prob: HJBProblem, t: float, x: np.ndarray,
-                w_node: np.ndarray, u: np.ndarray,
+                m_node: np.ndarray, u: np.ndarray,
                 v_x: np.ndarray) -> float:
     """Weighted running cost plus V_x . field at an interior time.
 
@@ -85,31 +112,14 @@ def hamiltonian(prob: HJBProblem, t: float, x: np.ndarray,
     t = tf (weight); the solver substitutes adjacent-node values there
     via node_hamiltonian.
     """
-    if prob.field is None:
-        raise DomainError("problem carries no transformed field")
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    run = _running_cost(prob, t, t, x, u)
-    return run + float(np.dot(v_x, prob.field(t, x, w_node, u)))
+    return _objective(prob, t, t, x, m_node, v_x)(u)
 
 
 def node_hamiltonian(prob: HJBProblem, grid: TimeGrid, k: int,
-                     x: np.ndarray, w_node: np.ndarray, u: np.ndarray,
+                     x: np.ndarray, m_node: np.ndarray, u: np.ndarray,
                      v_x: np.ndarray) -> float:
     """Hamiltonian at grid node k with the endpoint substitutions applied."""
-    if prob.field is None:
-        raise DomainError("problem carries no transformed field")
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    n = grid.n_steps
-    t_run = grid.node(n - 1) if k == n else grid.node(k)
-    t_field = grid.node(1) if k == 0 else grid.node(k)
-    run = _running_cost(prob, t_run, t_run, x, u)
-    return run + float(np.dot(v_x, prob.field(t_field, x, w_node, u)))
-
-
-def _field_partial(prob: HJBProblem, grid: TimeGrid, k: int,
-                   x: np.ndarray, w_node: np.ndarray):
-    t_field = grid.node(1) if k == 0 else grid.node(k)
-    return prob.field.at_state(t_field, x, w_node)
+    return _objective(prob, *node_times(grid, k), x, m_node, v_x)(u)
 
 
 def _minimize_box(h: Callable[[np.ndarray], float], lo: np.ndarray,
@@ -182,32 +192,22 @@ def _minimize_box(h: Callable[[np.ndarray], float], lo: np.ndarray,
 
 
 def minimize_hamiltonian(prob: HJBProblem, t: float, x: np.ndarray,
-                         w_node: np.ndarray, v_x: np.ndarray):
+                         m_node: np.ndarray, v_x: np.ndarray):
     """Box-constrained Hamiltonian minimizer at an interior time.
 
     Returns (u_star, h_star).
     """
-    def h(u):
-        return hamiltonian(prob, t, x, w_node, u, v_x)
-
-    return _minimize_box(h, prob.u_lower, prob.u_upper,
-                         prob.quadratic_control)
+    return _minimize_box(_objective(prob, t, t, x, m_node, v_x),
+                         prob.u_lower, prob.u_upper, prob.quadratic_control)
 
 
 def minimize_node_hamiltonian(prob: HJBProblem, grid: TimeGrid, k: int,
-                              x: np.ndarray, w_node: np.ndarray,
+                              x: np.ndarray, m_node: np.ndarray,
                               v_x: np.ndarray):
     """Node-indexed variant with endpoint substitutions (solver path)."""
-    n = grid.n_steps
-    t_run = grid.node(n - 1) if k == n else grid.node(k)
-    partial = _field_partial(prob, grid, k, x, w_node)
-
-    def h(u):
-        run = _running_cost(prob, t_run, t_run, x, u)
-        return run + float(np.dot(v_x, partial(u)))
-
-    return _minimize_box(h, prob.u_lower, prob.u_upper,
-                         prob.quadratic_control)
+    return _minimize_box(
+        _objective(prob, *node_times(grid, k), x, m_node, v_x),
+        prob.u_lower, prob.u_upper, prob.quadratic_control)
 
 
 def hjb_residual(prob: HJBProblem, value: ValueData, x: np.ndarray,

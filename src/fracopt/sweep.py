@@ -19,6 +19,7 @@ quadrature of the converged pair rather than from the value chain.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -29,7 +30,7 @@ from .errors import DomainError, SweepAbort
 from .expansion import AuxiliaryStates, advance_moments
 from .grid import TimeGrid
 from .hjb import (ValueData, aggregate_error, minimize_node_hamiltonian,
-                  node_hamiltonian)
+                  node_hamiltonian, node_times)
 from .problem import HJBProblem
 
 __all__ = ["SweepConfig", "SweepState", "forward_sweep", "backward_sweep",
@@ -56,8 +57,11 @@ class SweepConfig:
     fd_step: float = 1e-6
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise DomainError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise DomainError(f"dt must be positive and finite, got {self.dt}")
+        if not (math.isfinite(self.fd_step) and self.fd_step > 0):
+            raise DomainError(
+                f"fd_step must be positive and finite, got {self.fd_step}")
         if self.error_tol <= 0:
             raise DomainError("error_tol must be positive")
         if not 0 < self.relaxation <= 1:
@@ -160,17 +164,24 @@ def forward_sweep(prob: HJBProblem, u, cfg: SweepConfig):
     return x, states
 
 
-def _terminal_gradient(prob: HJBProblem, x_tf: np.ndarray,
-                       fd_step: float) -> np.ndarray:
-    grad = np.zeros(prob.plant.n_states)
+def _central_gradient(fn, x: np.ndarray, fd_step: float) -> np.ndarray:
+    """Central-difference gradient of a scalar function of the state, each
+    step scaled by max(1, |x_i|)."""
+    grad = np.zeros(x.shape[0])
     for i in range(grad.shape[0]):
-        h = fd_step * max(1.0, abs(x_tf[i]))
-        xp, xm = x_tf.copy(), x_tf.copy()
+        h = fd_step * max(1.0, abs(x[i]))
+        xp, xm = x.copy(), x.copy()
         xp[i] += h
         xm[i] -= h
-        grad[i] = (cost_mod.terminal_value(prob.index, prob.tf, xp)
-                   - cost_mod.terminal_value(prob.index, prob.tf, xm)) / (2 * h)
+        grad[i] = (fn(xp) - fn(xm)) / (2 * h)
     return grad
+
+
+def _terminal_gradient(prob: HJBProblem, x_tf: np.ndarray,
+                       fd_step: float) -> np.ndarray:
+    return _central_gradient(
+        lambda xv: cost_mod.terminal_value(prob.index, prob.tf, xv),
+        x_tf, fd_step)
 
 
 def _weighted_running_gradient(prob: HJBProblem, grid: TimeGrid, k: int,
@@ -178,8 +189,7 @@ def _weighted_running_gradient(prob: HJBProblem, grid: TimeGrid, k: int,
                                fd_step: float) -> np.ndarray:
     """d/dx of the weighted running cost at node k (weights substituted at
     the final node), by central differences on the user operands."""
-    n = grid.n_steps
-    t_run = grid.node(n - 1) if k == n else grid.node(k)
+    t_run, _ = node_times(grid, k)
     weights = [cost_mod.running_weight(term.v, t_run, prob.tf)
                for term in prob.index.running_terms]
 
@@ -187,14 +197,7 @@ def _weighted_running_gradient(prob: HJBProblem, grid: TimeGrid, k: int,
         return sum(w * term.running(t_run, xv, u_k)
                    for w, term in zip(weights, prob.index.running_terms))
 
-    grad = np.zeros(x_k.shape[0])
-    for i in range(grad.shape[0]):
-        h = fd_step * max(1.0, abs(x_k[i]))
-        xp, xm = x_k.copy(), x_k.copy()
-        xp[i] += h
-        xm[i] -= h
-        grad[i] = (g_of(xp) - g_of(xm)) / (2 * h)
-    return grad
+    return _central_gradient(g_of, x_k, fd_step)
 
 
 def backward_sweep(prob: HJBProblem, x: np.ndarray, states: AuxiliaryStates,

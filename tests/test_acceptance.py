@@ -81,6 +81,8 @@ def scheme_oracle(u):
     with the moments of node k; W_p advances by the trapezoidal rule on
     (1-p) t^(p-2) with x frozen at the left node.  A and B come from the
     closed form of the series, evaluated in mpmath (bracket_closed_form).
+    The oracle keeps W_p itself, which cannot underflow in mpmath; the
+    package stores the normalized M_p = t^(1-p) W_p.
     """
     plant = two_state_problem().plant
     cfg = two_state_config()
@@ -216,6 +218,16 @@ def test_criterion_2_first_sweep_checkpoint(example_parsed, capsys):
     report(capsys, 2, "first-sweep checkpoint", checks)
 
 
+def test_forward_sweep_matches_scheme_oracle_on_fine_grid():
+    # at dt = 0.005, W_p ~ t^(p-1) lies below the double range at the
+    # first nodes for large p (0.005^149 ~ 1e-343); stored unnormalized it
+    # underflowed to 0 and the sweep missed this oracle by 4e-2
+    prob = two_state_problem()
+    cfg = two_state_config(dt=0.005)
+    x, _ = forward_sweep(prob, 5.0, cfg)
+    assert scheme_gap(x, np.full(x.shape[0], 5.0)) <= SCHEME_RTOL
+
+
 def test_criterion_3_residual_gate(example_state, capsys):
     state, _ = example_state
     checks = [
@@ -310,9 +322,9 @@ def test_criterion_6_expansion_consistency(capsys):
         level = []
         for k in probe_nodes:
             t = grid.node(int(k))
-            w = (1.0 - ps) * t ** (ps + 1.0) / (ps + 1.0)
+            m = (1.0 - ps) * t ** 2 / (ps + 1.0)
             got = reconstruct_rl_derivative(coeffs, t, 0.0, t ** 2,
-                                            2 * t, w)
+                                            2 * t, m)
             level.append(abs(got - refs[k]))
         errs.append(level)
     monotone = all(errs[0][j] > errs[1][j] > errs[2][j]

@@ -71,6 +71,23 @@ def test_error_exit_one(tmp_path):
     assert run_cli("run", str(bad)) == 1
 
 
+def test_bad_step_sizes_exit_one(tmp_path, capsys):
+    # a zero difference step and a non-finite grid step are input errors,
+    # reported on stderr, not tracebacks from deep in the sweep
+    doc = yaml.safe_load(Path(EXAMPLE_FILE).read_text())
+    doc.pop("output")
+    doc["solver"].update(n_a=10000, n_b=10000, p_max=20, fd_step=0.0)
+    prob = tmp_path / "fd0.yaml"
+    prob.write_text(yaml.safe_dump(doc))
+    out = ["--csv", str(tmp_path / "t.csv"),
+           "--report", str(tmp_path / "r.json")]
+    assert run_cli("run", str(prob), *out) == 1
+    assert "error:" in capsys.readouterr().err
+    assert run_cli("run", EXAMPLE_FILE, *CHEAP,
+                   "--override", "solver.dt=nan", *out) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_verify_reproduces_run(cheap_run):
     _, csv, _ = cheap_run
     rc = run_cli("verify", EXAMPLE_FILE, *CHEAP, "--csv", str(csv))

@@ -186,10 +186,10 @@ def test_moments_p2_constant_state():
     states = AuxiliaryStates(grid, 4, 1)
     for k in range(grid.n_steps):
         advance_moments(states, np.array([1.0]), k)
-    # W_2 solves W' = -x, so W_2(t) = -(t - a) exactly
+    # W_2 solves W' = -x, so W_2(t) = -(t - a) exactly; W_2 = (t-a) M_2
     for k in (10, 25, 50):
-        assert states.values[k, 0, 0] == pytest.approx(-grid.node(k),
-                                                       rel=1e-12)
+        w = grid.node(k) * states.values[k, 0, 0]
+        assert w == pytest.approx(-grid.node(k), rel=1e-12)
 
 
 def test_moments_p3_constant_state():
@@ -197,10 +197,11 @@ def test_moments_p3_constant_state():
     states = AuxiliaryStates(grid, 3, 1)
     for k in range(grid.n_steps):
         advance_moments(states, np.array([1.0]), k)
-    # W_3' = -2(t-a): the trapezoidal step integrates linear rates exactly
+    # W_3' = -2(t-a): the trapezoidal step integrates linear rates
+    # exactly; W_3 = (t-a)^2 M_3
     for k in (40, 120, 200):
-        assert states.values[k, 1, 0] == pytest.approx(-grid.node(k) ** 2,
-                                                       rel=1e-12)
+        w = grid.node(k) ** 2 * states.values[k, 1, 0]
+        assert w == pytest.approx(-grid.node(k) ** 2, rel=1e-12)
 
 
 def test_moments_zero_state_stay_zero():
@@ -240,14 +241,14 @@ def test_correction_zero_state_zero_initial():
 
 
 def test_correction_constant_state_hand_formula():
-    # x identically c with p_max = 2: W_2(t) = -c (t-a)
+    # x identically c with p_max = 2: W_2(t) = -c (t-a), so M_2 = -c
     c, q, t = 2.0, 0.3, 0.5
     coeffs = ExpansionCoeffs.build(q, 10, 10, 2)
-    w = np.array([-c * t])
-    got = memory_correction(t, c, coeffs, w, c, 0.0)
+    w = -c * t
+    got = memory_correction(t, c, coeffs, np.array([w / t]), c, 0.0)
     expected = (-c / gamma(1 - q) * t ** (-q)
                 + coeffs.a_val * t ** (-q) * c
-                - moment_coeff(q, 2) * t ** (-1 - q) * (-c * t))
+                - moment_coeff(q, 2) * t ** (-1 - q) * w)
     assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -269,8 +270,8 @@ def test_correction_caputo_limit_with_growing_truncation():
     for n in (8, 16, 32):
         coeffs = ExpansionCoeffs.build(q, n, n, n, b_series="convergent")
         ps = np.arange(2, n + 1)
-        w = (1.0 - ps) * t ** (ps + 1.0) / (ps + 1.0)   # exact moments of t^2
-        approx = (memory_correction(t, t ** 2, coeffs, w, 0.0, 0.0)
+        m = (1.0 - ps) * t ** 2 / (ps + 1.0)   # exact moments of t^2
+        approx = (memory_correction(t, t ** 2, coeffs, m, 0.0, 0.0)
                   + coeffs.b_val * t ** (1 - q) * 2 * t)
         errs.append(abs(approx - target))
     assert errs[0] > errs[1] > errs[2]
@@ -298,7 +299,7 @@ def test_field_zero_everything_is_zero():
 
 def test_field_probe_frozen_value():
     # regression constants from the mpmath coefficient values.  With
-    # W = 0 and x = x0 each component is
+    # M = 0 and x = x0 each component is
     # (f_i - x0_i t^(-q) (A_i - 1/Gamma(1-q))) / (B_i t^(1-q)).
     plant = probe_plant()
     coeffs = tuple(ExpansionCoeffs.build(q, 10 ** 7, 10 ** 7, 150)
@@ -358,8 +359,8 @@ def test_field_singular_at_anchor():
 # ------------------------------------------------------- reconstruction
 
 def exact_moments(ps, t, m):
-    """W_p(t) for x(s) = s^m, integrated in closed form."""
-    return (1.0 - ps) * t ** (m + ps - 1.0) / (m + ps - 1.0)
+    """M_p(t) = t^(1-p) W_p(t) for x(s) = s^m, integrated in closed form."""
+    return (1.0 - ps) * t ** m / (m + ps - 1.0)
 
 
 def reconstruction_errors(q, levels, t, m, series):
@@ -414,7 +415,7 @@ def test_moment_term_tail_shrinks_with_cutoff():
     q, t = 0.4, 0.8
     coeffs = ExpansionCoeffs.build(q, 200, 200, 200)
     ps = coeffs.p_values.astype(float)
-    w = exact_moments(ps, t, 1)
-    terms = np.abs(coeffs.c_vals * t ** (1.0 - ps - q) * w)
+    m = exact_moments(ps, t, 1)
+    terms = np.abs(coeffs.c_vals * t ** (-q) * m)
     tails = np.cumsum(terms[::-1])[::-1]
     assert np.all(np.diff(tails[:100]) < 0)

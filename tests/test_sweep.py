@@ -36,6 +36,14 @@ LQ_CFG = SweepConfig(dt=0.01, u_init=0.0, n_a=4, n_b=4, p_max=4,
                      b_series="convergent", error_tol=1e-10)
 
 
+@pytest.mark.parametrize("kw", [
+    {"dt": 0.0}, {"dt": float("nan")}, {"dt": float("inf")},
+    {"fd_step": 0.0}, {"fd_step": -1e-6}, {"fd_step": float("nan")}])
+def test_config_rejects_bad_step_sizes(kw):
+    with pytest.raises(fo.DomainError):
+        SweepConfig(**kw)
+
+
 # ------------------------------------------------------------- forward
 
 def test_forward_zero_dynamics_zero_state():
