@@ -15,14 +15,14 @@ from .expansion import (AuxiliaryStates, ExpansionCoeffs, TransformedField,
                         moment_coeff, reconstruct_rl_derivative,
                         series_partial_sum, state_coeff)
 from .grid import SampledFunction, TimeGrid
-from .hjb import (ValueData, aggregate_error, hamiltonian, hjb_residual,
-                  minimize_hamiltonian)
+from .hjb import (ValueData, aggregate_error, minimize_node_hamiltonian,
+                  node_hamiltonian)
 from .operators import (caputo_derivative, gamma, rl_derivative,
                         rl_integral_left, rl_integral_right)
 from .plant import FractionalPlant
 from .problem import HJBProblem
 from .sweep import (SweepConfig, SweepState, backward_sweep, forward_sweep,
-                    solve, update_control)
+                    solve)
 
 __version__ = "0.1.0"
 
@@ -36,9 +36,8 @@ __all__ = [
     "CostTerm", "PerformanceIndex", "terminal_index_set", "terminal_value",
     "running_weight", "evaluate",
     "FractionalPlant", "HJBProblem",
-    "ValueData", "hamiltonian", "minimize_hamiltonian", "hjb_residual",
+    "ValueData", "node_hamiltonian", "minimize_node_hamiltonian",
     "aggregate_error",
-    "SweepConfig", "SweepState", "forward_sweep", "backward_sweep",
-    "update_control", "solve",
+    "SweepConfig", "SweepState", "forward_sweep", "backward_sweep", "solve",
     "DomainError", "SingularTimeError", "SweepAbort", "ConfigError",
 ]

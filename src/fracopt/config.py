@@ -99,7 +99,8 @@ def apply_overrides(doc: Dict, overrides: List[str]) -> Dict:
     """Apply dotted key=value overrides, coercing to the existing type.
 
     Example: solver.max_iters=0.  Paths must already exist in the
-    document (strict mode).
+    document (strict mode).  A number overriding an int is kept as a
+    float when it is not integral, so the schema sees it unchanged.
     """
     for item in overrides:
         if "=" not in item:
@@ -121,7 +122,8 @@ def apply_overrides(doc: Dict, overrides: List[str]) -> Dict:
                     raise ValueError
                 node[leaf] = text.lower() == "true"
             elif isinstance(current, int):
-                node[leaf] = int(float(text))
+                value = float(text)
+                node[leaf] = int(value) if value.is_integer() else value
             elif isinstance(current, float):
                 node[leaf] = float(text)
             elif isinstance(current, str):
@@ -180,10 +182,7 @@ def build_problem(doc: Dict) -> ParsedProblem:
         raise ConfigError(f"plant.dynamics: {exc}")
 
     def rhs(t, x, u):
-        env = {"t": t}
-        env.update(zip(state_names, x))
-        env.update(zip(control_names, u))
-        return np.array([fn(env) for fn in dyn_fns])
+        return np.array([fn(t, *x, *u) for fn in dyn_fns])
 
     terms_block = _need(cost_block, "terms", "cost")
     if not isinstance(terms_block, list) or not terms_block:
@@ -204,26 +203,15 @@ def build_problem(doc: Dict) -> ParsedProblem:
                 fn = compile_expression(src, ["t"] + state_names)
             except ConfigError as exc:
                 raise ConfigError(f"{where}.operand: {exc}")
-
-            def terminal(tf, x, fn=fn):
-                env = {"t": tf}
-                env.update(zip(state_names, x))
-                return fn(env)
-
-            terms.append(CostTerm(v=0.0, terminal=terminal))
+            terms.append(CostTerm(
+                v=0.0, terminal=lambda tf, x, fn=fn: fn(tf, *x)))
         else:
             try:
                 fn = compile_expression(src, dyn_vars)
             except ConfigError as exc:
                 raise ConfigError(f"{where}.operand: {exc}")
-
-            def running(t, x, u, fn=fn):
-                env = {"t": t}
-                env.update(zip(state_names, x))
-                env.update(zip(control_names, u))
-                return fn(env)
-
-            terms.append(CostTerm(v=v, running=running))
+            terms.append(CostTerm(
+                v=v, running=lambda t, x, u, fn=fn: fn(t, *x, *u)))
 
     t0 = float(solver_block.get("t0", 0.0))
     tf = _need(solver_block, "tf", "solver")

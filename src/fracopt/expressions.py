@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import ast
 import math
-from typing import Callable, Dict, Sequence
+from typing import Callable, Sequence
 
 from .errors import ConfigError
 
@@ -77,11 +77,14 @@ def _validate(node: ast.AST, variables: set, text: str) -> None:
 
 
 def compile_expression(text: str,
-                       variables: Sequence[str]) -> Callable[[Dict[str, float]], float]:
-    """Compile an arithmetic expression into env -> float.
+                       variables: Sequence[str]) -> Callable[..., float]:
+    """Compile an arithmetic expression into a function of its variables.
 
-    variables lists the names the expression may reference (e.g. "t",
-    "x1", "u1"); the returned callable takes a dict supplying them.
+    variables lists, in order, the names the expression may reference
+    (e.g. "t", "x1", "u1"); the returned function takes their values by
+    position in that order and returns a float.  It runs with no
+    builtins: its globals hold only the allowed functions and constants,
+    and float under the name _float, which no validated text can reach.
     """
     if not isinstance(text, str) or not text.strip():
         raise ExpressionError("expression must be a non-empty string")
@@ -91,14 +94,14 @@ def compile_expression(text: str,
         raise ExpressionError(
             f"cannot parse {text!r}: {exc.msg} (column {exc.offset})") from exc
     _validate(tree, set(variables), text)
-    code = compile(tree, filename="<expression>", mode="eval")
-    base_env = dict(_FUNCTIONS)
-    base_env.update(_CONSTANTS)
-
-    def evaluate(env: Dict[str, float]) -> float:
-        scope = dict(base_env)
-        scope.update(env)
-        return float(eval(code, {"__builtins__": {}}, scope))
-
+    body = ast.Call(func=ast.Name(id="_float", ctx=ast.Load()),
+                    args=[tree.body], keywords=[])
+    params = ast.arguments(posonlyargs=[],
+                           args=[ast.arg(arg=name) for name in variables],
+                           kwonlyargs=[], kw_defaults=[], defaults=[])
+    lam = ast.fix_missing_locations(
+        ast.Expression(body=ast.Lambda(args=params, body=body)))
+    scope = {"__builtins__": {}, "_float": float, **_FUNCTIONS, **_CONSTANTS}
+    evaluate = eval(compile(lam, filename="<expression>", mode="eval"), scope)
     evaluate.source = text
     return evaluate

@@ -1,13 +1,13 @@
-"""Pointwise Hamiltonian, its box-constrained minimization, and the
-residual of the fractional dynamic-programming equation.
+"""Pointwise Hamiltonian at grid nodes, its box-constrained minimization,
+and the aggregate residual of the fractional dynamic-programming equation.
 
 The equation under test is
 
     -V_t(t, x) = min_u { sum_j w_j(t) g_j(t, x, u) + V_x . field(t, x, M, u) }
 
 with w_j the running kernel weight of each cost term.  Residuals audit a
-finished sweep: the Hamiltonian at the stored data plus the reconstructed
-V_t, zero at the exact solution.
+finished sweep (fracopt.sweep): node_hamiltonian at the stored data plus
+the reconstructed V_t, zero at the exact solution.
 
 Endpoint conventions (both endpoints of the grid host singular factors):
 at the final node the running weights of orders v < 1 are evaluated at the
@@ -32,10 +32,8 @@ from .problem import HJBProblem
 
 __all__ = [
     "ValueData",
-    "hamiltonian",
     "node_hamiltonian",
-    "minimize_hamiltonian",
-    "hjb_residual",
+    "minimize_node_hamiltonian",
     "aggregate_error",
 ]
 
@@ -103,22 +101,11 @@ def _objective(prob: HJBProblem, t_run: float, t_field: float,
     return h
 
 
-def hamiltonian(prob: HJBProblem, t: float, x: np.ndarray,
-                m_node: np.ndarray, u: np.ndarray,
-                v_x: np.ndarray) -> float:
-    """Weighted running cost plus V_x . field at an interior time.
-
-    Raises SingularTimeError at t = t0 (field) and, for v < 1 terms, at
-    t = tf (weight); the solver substitutes adjacent-node values there
-    via node_hamiltonian.
-    """
-    return _objective(prob, t, t, x, m_node, v_x)(u)
-
-
 def node_hamiltonian(prob: HJBProblem, grid: TimeGrid, k: int,
                      x: np.ndarray, m_node: np.ndarray, u: np.ndarray,
                      v_x: np.ndarray) -> float:
-    """Hamiltonian at grid node k with the endpoint substitutions applied."""
+    """Weighted running cost plus V_x . field at grid node k, with the
+    endpoint substitutions of node_times applied."""
     return _objective(prob, *node_times(grid, k), x, m_node, v_x)(u)
 
 
@@ -191,34 +178,14 @@ def _minimize_box(h: Callable[[np.ndarray], float], lo: np.ndarray,
     return u, h(u)
 
 
-def minimize_hamiltonian(prob: HJBProblem, t: float, x: np.ndarray,
-                         m_node: np.ndarray, v_x: np.ndarray):
-    """Box-constrained Hamiltonian minimizer at an interior time.
-
-    Returns (u_star, h_star).
-    """
-    return _minimize_box(_objective(prob, t, t, x, m_node, v_x),
-                         prob.u_lower, prob.u_upper, prob.quadratic_control)
-
-
 def minimize_node_hamiltonian(prob: HJBProblem, grid: TimeGrid, k: int,
                               x: np.ndarray, m_node: np.ndarray,
                               v_x: np.ndarray):
-    """Node-indexed variant with endpoint substitutions (solver path)."""
+    """Box-constrained Hamiltonian minimizer at grid node k, with the
+    endpoint substitutions applied.  Returns (u_star, h_star)."""
     return _minimize_box(
         _objective(prob, *node_times(grid, k), x, m_node, v_x),
         prob.u_lower, prob.u_upper, prob.quadratic_control)
-
-
-def hjb_residual(prob: HJBProblem, value: ValueData, x: np.ndarray,
-                 u: np.ndarray, states, k: int) -> float:
-    """Residual of the dynamic-programming equation at node k.
-
-    Hamiltonian at the supplied (x, u, V_x) plus the stored V_t
-    reconstruction; zero at the exact solution.
-    """
-    return node_hamiltonian(prob, value.grid, k, x[k], states.at_node(k),
-                            u[k], value.v_x[k]) + float(value.v_t[k])
 
 
 def aggregate_error(residuals: np.ndarray) -> float:

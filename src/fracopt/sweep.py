@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Union
 
 import numpy as np
@@ -34,9 +35,14 @@ from .hjb import (ValueData, aggregate_error, minimize_node_hamiltonian,
 from .problem import HJBProblem
 
 __all__ = ["SweepConfig", "SweepState", "forward_sweep", "backward_sweep",
-           "update_control", "solve", "audit_residuals"]
+           "solve", "audit_residuals"]
 
 _MAX_HALVINGS = 20
+
+
+def _is_real(value) -> bool:
+    """A real number, not a bool (YAML true/false are not counts or steps)."""
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -57,14 +63,22 @@ class SweepConfig:
     fd_step: float = 1e-6
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise DomainError(f"dt must be positive and finite, got {self.dt}")
-        if not (math.isfinite(self.fd_step) and self.fd_step > 0):
+        for name in ("n_a", "n_b", "p_max", "max_iters"):
+            value = getattr(self, name)
+            if not (_is_real(value) and math.isfinite(value)
+                    and value == int(value)):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        for name in ("dt", "fd_step", "error_tol"):
+            value = getattr(self, name)
+            if not (_is_real(value) and math.isfinite(value) and value > 0):
+                raise DomainError(
+                    f"{name} must be positive and finite, got {value!r}")
+        u_init = np.asarray(self.u_init)
+        if u_init.dtype.kind not in "iuf" or not np.all(np.isfinite(u_init)):
             raise DomainError(
-                f"fd_step must be positive and finite, got {self.fd_step}")
-        if self.error_tol <= 0:
-            raise DomainError("error_tol must be positive")
-        if not 0 < self.relaxation <= 1:
+                f"u_init must be a finite number or array, got {self.u_init!r}")
+        if not (_is_real(self.relaxation) and 0 < self.relaxation <= 1):
             raise DomainError("relaxation must lie in (0, 1]")
         if self.stepper not in ("euler", "heun"):
             raise DomainError(f"unknown stepper {self.stepper!r}")
@@ -269,18 +283,6 @@ def _pointwise_minimizers(prob: HJBProblem, grid: TimeGrid, x: np.ndarray,
         u_star[k], _ = minimize_node_hamiltonian(
             prob, grid, k, x[k], states.at_node(k), value.v_x[k])
     return u_star
-
-
-def update_control(prob: HJBProblem, x: np.ndarray, states: AuxiliaryStates,
-                   value: ValueData, u_old, cfg: SweepConfig) -> np.ndarray:
-    """Pointwise Hamiltonian minimization blended with the old control."""
-    if prob.field is None:
-        prob = _ensure_field(prob, cfg)
-    grid = _grid_for(prob, cfg)
-    u_old = _control_array(prob, grid, u_old)
-    u_star = _pointwise_minimizers(prob, grid, x, states, value)
-    theta = cfg.relaxation
-    return theta * u_star + (1.0 - theta) * u_old
 
 
 def _evaluate(prob: HJBProblem, grid: TimeGrid, u: np.ndarray,

@@ -88,6 +88,29 @@ def test_bad_step_sizes_exit_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("solver", [
+    {"p_max": 20.5}, {"u_init": "abc"}, {"error_tol": float("nan")}])
+def test_ill_typed_solver_values_exit_one(tmp_path, capsys, solver):
+    doc = yaml.safe_load(Path(EXAMPLE_FILE).read_text())
+    doc.pop("output")
+    doc["solver"].update({"n_a": 10000, "n_b": 10000, "p_max": 20, **solver})
+    prob = tmp_path / "bad.yaml"
+    prob.write_text(yaml.safe_dump(doc))
+    assert run_cli("run", str(prob), "--csv", str(tmp_path / "t.csv"),
+                   "--report", str(tmp_path / "r.json")) == 1
+    assert "error: solver: " in capsys.readouterr().err
+
+
+def test_integral_float_counts_run(tmp_path):
+    doc = yaml.safe_load(Path(EXAMPLE_FILE).read_text())
+    doc.pop("output")
+    doc["solver"].update(n_a=1.0e4, n_b=1.0e4, p_max=20.0, max_iters=0)
+    prob = tmp_path / "floats.yaml"
+    prob.write_text(yaml.safe_dump(doc))
+    assert run_cli("run", str(prob), "--csv", str(tmp_path / "t.csv"),
+                   "--report", str(tmp_path / "r.json")) == 2
+
+
 def test_verify_reproduces_run(cheap_run):
     _, csv, _ = cheap_run
     rc = run_cli("verify", EXAMPLE_FILE, *CHEAP, "--csv", str(csv))

@@ -8,7 +8,7 @@ from fracopt.config import (apply_overrides, build_problem, load_raw,
                             parse_problem, write_problem)
 from fracopt.errors import ConfigError
 
-from conftest import EXAMPLE_FILE
+from conftest import EXAMPLE_FILE, two_state_problem
 
 
 @pytest.fixture()
@@ -31,6 +31,34 @@ def test_example_dynamics_evaluate(example_parsed):
     rhs = example_parsed.problem.plant.rhs
     out = rhs(0.3, np.array([1.0, 0.5]), np.array([2.0]))
     assert np.allclose(out, [2.5, -1.0])
+
+
+def test_example_operands_match_hand_written_problem(example_parsed):
+    # the compiled dynamics and running operands bind t, x1, x2, u1 by
+    # position and compute what the hand-written lambdas compute, bit for bit
+    parsed, ref = example_parsed.problem, two_state_problem()
+    assert len(parsed.index.running_terms) == len(ref.index.running_terms)
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        t = rng.uniform(0.0, 1.0)
+        x = rng.uniform(-3.0, 3.0, 2)
+        u = rng.uniform(-10.0, 10.0, 1)
+        assert np.array_equal(parsed.plant.rhs(t, x, u),
+                              ref.plant.rhs(t, x, u))
+        for got, want in zip(parsed.index.running_terms,
+                             ref.index.running_terms):
+            assert got.running(t, x, u) == want.running(t, x, u)
+
+
+def test_terminal_operand_matches_hand_written(doc):
+    doc["cost"]["terms"].insert(0, {"order": 0.0,
+                                    "operand": "0.5*x1**2 + t*x2"})
+    term = build_problem(doc).problem.index.terms[0]
+    rng = np.random.default_rng(6)
+    for _ in range(50):
+        tf = rng.uniform(0.5, 2.0)
+        x = rng.uniform(-3.0, 3.0, 2)
+        assert term.terminal(tf, x) == 0.5 * x[0] ** 2 + tf * x[1]
 
 
 def test_order_out_of_range_rejected(doc):
@@ -105,6 +133,20 @@ def test_overrides_type_coercion(doc):
     assert out["solver"]["dt"] == 0.005
     assert out["solver"]["stepper"] == "heun"
     assert out["solver"]["quadratic_control"] is False
+
+
+def test_override_keeps_non_integral_number_on_int_leaf(doc):
+    doc["solver"]["relaxation"] = 1
+    out = apply_overrides(copy.deepcopy(doc), ["solver.relaxation=0.5"])
+    assert out["solver"]["relaxation"] == 0.5
+    assert build_problem(out).config.relaxation == 0.5
+
+
+def test_override_non_integral_iteration_count_rejected(doc):
+    out = apply_overrides(copy.deepcopy(doc), ["solver.max_iters=2.7"])
+    assert out["solver"]["max_iters"] == 2.7
+    with pytest.raises(ConfigError, match="max_iters"):
+        build_problem(out)
 
 
 def test_override_unknown_path_rejected(doc):

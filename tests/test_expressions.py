@@ -7,17 +7,17 @@ from fracopt.expressions import ExpressionError, compile_expression
 
 def test_basic_arithmetic():
     fn = compile_expression("x1**2 + 2*x2 - u1/4", ["x1", "x2", "u1"])
-    assert fn({"x1": 3.0, "x2": 1.5, "u1": 8.0}) == pytest.approx(10.0)
+    assert fn(3.0, 1.5, 8.0) == pytest.approx(10.0)
 
 
 def test_functions_and_constants():
     fn = compile_expression("sin(pi*t) + exp(0) + sqrt(4)", ["t"])
-    assert fn({"t": 0.5}) == pytest.approx(4.0)
+    assert fn(0.5) == pytest.approx(4.0)
 
 
 def test_unary_and_power():
     fn = compile_expression("-x1**2", ["x1"])
-    assert fn({"x1": 2.0}) == pytest.approx(-4.0)
+    assert fn(2.0) == pytest.approx(-4.0)
 
 
 def test_unknown_name_rejected():
@@ -54,7 +54,7 @@ def test_empty_rejected():
 
 def test_evaluation_is_pure_float():
     fn = compile_expression("log(e)", [])
-    out = fn({})
+    out = fn()
     assert isinstance(out, float)
     assert out == pytest.approx(1.0)
 
@@ -62,14 +62,27 @@ def test_evaluation_is_pure_float():
 def test_source_attached():
     fn = compile_expression("t + 1", ["t"])
     assert fn.source == "t + 1"
-    assert fn({"t": 0.0}) == 1.0
+    assert fn(0.0) == 1.0
 
 
 def test_mod_operator():
     fn = compile_expression("t % 2", ["t"])
-    assert fn({"t": 5.0}) == pytest.approx(1.0)
+    assert fn(5.0) == pytest.approx(1.0)
 
 
 def test_nested_functions():
     fn = compile_expression("exp(-abs(t) * log10(100))", ["t"])
-    assert fn({"t": 1.0}) == pytest.approx(math.exp(-2.0))
+    assert fn(1.0) == pytest.approx(math.exp(-2.0))
+
+
+def test_arguments_bind_in_declared_order():
+    assert compile_expression("x1 - u1", ["t", "x1", "u1"])(0.0, 3.0, 1.0) \
+        == 2.0
+    assert compile_expression("x1 - u1", ["u1", "x1", "t"])(0.0, 3.0, 1.0) \
+        == 3.0
+
+
+def test_evaluator_runs_without_builtins():
+    fn = compile_expression("abs(x1) + pi", ["x1"])
+    assert fn.__globals__["__builtins__"] == {}
+    assert fn(-1.0) == pytest.approx(1.0 + math.pi)

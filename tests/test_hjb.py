@@ -3,9 +3,9 @@ import pytest
 import scipy.special as sps
 
 import fracopt as fo
-from fracopt import (aggregate_error, gamma, hamiltonian, hjb_residual,
-                     minimize_hamiltonian)
-from fracopt.hjb import _minimize_box, minimize_node_hamiltonian
+from fracopt import (aggregate_error, gamma, minimize_node_hamiltonian,
+                     node_hamiltonian)
+from fracopt.hjb import _minimize_box
 
 from conftest import two_state_problem
 
@@ -13,6 +13,12 @@ from conftest import two_state_problem
 def small_field_problem():
     prob = two_state_problem()
     return prob.with_field(10 ** 5, 10 ** 5, 40)
+
+
+def stored_residual(prob, st, u, k):
+    """Residual at node k: the Hamiltonian at the stored data plus V_t."""
+    return node_hamiltonian(prob, st.grid, k, st.x[k], st.moments.at_node(k),
+                            u[k], st.value.v_x[k]) + st.value.v_t[k]
 
 
 # --------------------------------------------------------- hamiltonian
@@ -26,8 +32,9 @@ def test_hamiltonian_zero_cost_zero_costate():
     prob = fo.HJBProblem(plant=plant, index=pi, tf=1.0,
                          u_lower=np.array([-1.0]), u_upper=np.array([1.0]))
     prob = prob.with_field(10, 10, 5)
-    h = hamiltonian(prob, 0.5, np.zeros(1), np.zeros((4, 1)),
-                    np.array([0.7]), np.zeros(1))
+    # t = 0.5 is the interior node of a two-step grid
+    h = node_hamiltonian(prob, fo.TimeGrid(0.0, 1.0, 2), 1, np.zeros(1),
+                         np.zeros((4, 1)), np.array([0.7]), np.zeros(1))
     assert h == pytest.approx(0.0, abs=1e-15)
 
 
@@ -37,14 +44,16 @@ def test_hamiltonian_matches_independent_transcription():
     coeffs = prob.field.coeffs
     a_vals = np.array([c.a_val for c in coeffs])
     b_vals = np.array([c.b_val for c in coeffs])
+    grid = fo.TimeGrid(0.0, 1.0, 100)
     rng = np.random.default_rng(7)
     for _ in range(10):
-        t = rng.uniform(0.05, 0.9)
+        k = int(rng.integers(1, 100))
+        t = grid.node(k)
         x = rng.uniform(-1, 1, 2)
         lam = rng.uniform(-1, 1, 2)
         u = rng.uniform(-2, 2, 1)
         w = np.zeros((39, 2))
-        got = hamiltonian(prob, t, x, w, u, lam)
+        got = node_hamiltonian(prob, grid, k, x, w, u, lam)
         w1 = (1 - t) ** (0.3 - 1) / gamma(0.3)
         w2 = (1 - t) ** (0.4 - 1) / gamma(0.4)
         k1 = (-1.0 / gamma(0.8) + a_vals[0] * x[0]) * t ** (-0.2)
@@ -111,8 +120,9 @@ def test_minimizer_agrees_with_analytic_update():
 
 def test_minimize_hamiltonian_public_signature():
     prob = small_field_problem()
-    u, h = minimize_hamiltonian(prob, 0.5, np.array([1.0, 0.5]),
-                                np.zeros((39, 2)), np.array([0.2, -0.1]))
+    u, h = minimize_node_hamiltonian(prob, fo.TimeGrid(0.0, 1.0, 2), 1,
+                                     np.array([1.0, 0.5]), np.zeros((39, 2)),
+                                     np.array([0.2, -0.1]))
     assert prob.u_lower[0] <= u[0] <= prob.u_upper[0]
     assert np.isfinite(h)
 
@@ -146,21 +156,19 @@ def test_hjb_residual_recomputes_stored_residuals(cheap_state):
     prob = two_state_problem().with_field(10 ** 5, 10 ** 5, 40)
     st = cheap_state
     for k in (0, 1, 50, 99, 100):
-        r = hjb_residual(prob, st.value, st.x, st.u_star, st.moments, k)
+        r = stored_residual(prob, st, st.u_star, k)
         assert r == pytest.approx(st.residuals[k], rel=1e-9, abs=1e-12)
 
 
 def test_perturbing_control_increases_aggregate_error(cheap_state):
     prob = two_state_problem().with_field(10 ** 5, 10 ** 5, 40)
     st = cheap_state
-    base = aggregate_error([
-        hjb_residual(prob, st.value, st.x, st.u_star, st.moments, k)
-        for k in range(st.grid.n_nodes)])
+    base = aggregate_error([stored_residual(prob, st, st.u_star, k)
+                            for k in range(st.grid.n_nodes)])
     u_pert = st.u_star.copy()
     u_pert[50, 0] += 1e-3
-    pert = aggregate_error([
-        hjb_residual(prob, st.value, st.x, u_pert, st.moments, k)
-        for k in range(st.grid.n_nodes)])
+    pert = aggregate_error([stored_residual(prob, st, u_pert, k)
+                            for k in range(st.grid.n_nodes)])
     assert pert > base
 
 
@@ -173,7 +181,6 @@ def test_minimizer_optimality_at_convergence(cheap_state):
     prob = two_state_problem().with_field(10 ** 5, 10 ** 5, 40)
     st = cheap_state
     grid = st.grid
-    from fracopt.hjb import node_hamiltonian
     for k in range(5, grid.n_nodes - 5, 10):
         h0 = node_hamiltonian(prob, grid, k, st.x[k], st.moments.at_node(k),
                               st.u_star[k], st.value.v_x[k])

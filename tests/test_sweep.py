@@ -4,7 +4,7 @@ from scipy.integrate import solve_ivp
 
 import fracopt as fo
 from fracopt import (SweepAbort, SweepConfig, backward_sweep, forward_sweep,
-                     solve, update_control)
+                     solve)
 
 from conftest import two_state_config, two_state_problem
 
@@ -42,6 +42,26 @@ LQ_CFG = SweepConfig(dt=0.01, u_init=0.0, n_a=4, n_b=4, p_max=4,
 def test_config_rejects_bad_step_sizes(kw):
     with pytest.raises(fo.DomainError):
         SweepConfig(**kw)
+
+
+@pytest.mark.parametrize("kw", [
+    {"p_max": 150.5}, {"max_iters": 2.7}, {"n_a": "1e9"}, {"n_b": True},
+    {"n_a": float("inf")}, {"error_tol": float("nan")},
+    {"error_tol": float("inf")}, {"error_tol": -1e-8}, {"u_init": "abc"},
+    {"u_init": float("nan")}, {"u_init": np.array([0.0, np.inf])},
+    {"dt": "0.01"}, {"fd_step": True}, {"relaxation": "abc"}])
+def test_config_rejects_ill_typed_values(kw):
+    with pytest.raises(fo.DomainError):
+        SweepConfig(**kw)
+
+
+def test_config_stores_integral_counts_as_int():
+    cfg = SweepConfig(n_a=1.0e9, n_b=np.float64(1e4), p_max=150.0,
+                      max_iters=np.int64(3))
+    assert (cfg.n_a, cfg.n_b, cfg.p_max, cfg.max_iters) == (10 ** 9, 10 ** 4,
+                                                             150, 3)
+    assert all(type(v) is int
+               for v in (cfg.n_a, cfg.n_b, cfg.p_max, cfg.max_iters))
 
 
 # ------------------------------------------------------------- forward
@@ -128,6 +148,8 @@ def test_backward_classical_limit_matches_riccati_costate():
 # ------------------------------------------------------- control update
 
 def test_update_control_fixed_point_on_trivial_problem():
+    # zero dynamics and a pure control cost: the pointwise minimizer of
+    # the zero control is the zero control
     plant = fo.FractionalPlant(
         orders=(0.5,), rhs=lambda t, x, u: np.array([u[0]]),
         x0=np.zeros(1), n_controls=1)
@@ -137,27 +159,20 @@ def test_update_control_fixed_point_on_trivial_problem():
                          u_lower=np.array([-1.0]), u_upper=np.array([1.0]),
                          quadratic_control=True)
     cfg = SweepConfig(dt=0.01, u_init=0.0, n_a=50, n_b=50, p_max=5)
-    prob = prob.with_field(cfg.n_a, cfg.n_b, cfg.p_max)
-    u = np.zeros((101, 1))
-    x, states = forward_sweep(prob, u, cfg)
-    value = backward_sweep(prob, x, states, u, cfg)
-    u_new = update_control(prob, x, states, value, u, cfg)
-    assert np.allclose(u_new, u, atol=1e-14)
+    state = solve(prob, cfg)
+    assert np.allclose(state.u_star, 0.0, atol=1e-14)
+    assert np.allclose(state.u, 0.0, atol=1e-14)
 
 
 def test_update_control_blends_with_relaxation():
-    prob = two_state_problem()
-    cfg = two_state_config(n_a=10 ** 4, n_b=10 ** 4, p_max=20,
-                           relaxation=0.25)
-    prob = prob.with_field(cfg.n_a, cfg.n_b, cfg.p_max)
-    u = np.full((101, 1), 5.0)
-    x, states = forward_sweep(prob, u, cfg)
-    value = backward_sweep(prob, x, states, u, cfg)
-    blended = update_control(prob, x, states, value, u, cfg)
-    cfg_full = two_state_config(n_a=10 ** 4, n_b=10 ** 4, p_max=20,
-                                relaxation=1.0)
-    full = update_control(prob, x, states, value, u, cfg_full)
-    assert np.allclose(blended, 0.25 * full + 0.75 * u, atol=1e-12)
+    # one accepted iteration replaces u by theta u* + (1 - theta) u, with
+    # u* the pointwise minimizers evaluated at u
+    cheap = dict(n_a=10 ** 4, n_b=10 ** 4, p_max=20, relaxation=0.25)
+    start = solve(two_state_problem(), two_state_config(max_iters=0, **cheap))
+    state = solve(two_state_problem(), two_state_config(max_iters=1, **cheap))
+    assert state.iteration == 1
+    assert np.allclose(state.u, 0.25 * start.u_star + 0.75 * start.u,
+                       atol=1e-12)
 
 
 # --------------------------------------------------------------- solve
