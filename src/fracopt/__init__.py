@@ -15,8 +15,8 @@ from .expansion import (AuxiliaryStates, ExpansionCoeffs, TransformedField,
                         moment_coeff, reconstruct_rl_derivative,
                         series_partial_sum, state_coeff)
 from .grid import SampledFunction, TimeGrid
-from .hjb import (ValueData, aggregate_error, minimize_node_hamiltonian,
-                  node_hamiltonian)
+from .hjb import (FrozenNode, ValueData, aggregate_error, freeze_node,
+                  minimize_node_hamiltonian, node_hamiltonian)
 from .operators import (caputo_derivative, gamma, rl_derivative,
                         rl_integral_left, rl_integral_right)
 from .plant import FractionalPlant
@@ -36,7 +36,8 @@ __all__ = [
     "CostTerm", "PerformanceIndex", "terminal_index_set", "terminal_value",
     "running_weight", "evaluate",
     "FractionalPlant", "HJBProblem",
-    "ValueData", "node_hamiltonian", "minimize_node_hamiltonian",
+    "ValueData", "FrozenNode", "freeze_node", "node_hamiltonian",
+    "minimize_node_hamiltonian",
     "aggregate_error",
     "SweepConfig", "SweepState", "forward_sweep", "backward_sweep", "solve",
     "DomainError", "SingularTimeError", "SweepAbort", "ConfigError",

@@ -181,8 +181,11 @@ def build_problem(doc: Dict) -> ParsedProblem:
     except ConfigError as exc:
         raise ConfigError(f"plant.dynamics: {exc}")
 
+    # Python floats in, not numpy scalars: the compiled expressions do
+    # scalar arithmetic, which is cheaper on floats and gives the same bits
     def rhs(t, x, u):
-        return np.array([fn(t, *x, *u) for fn in dyn_fns])
+        args = (float(t), *x.tolist(), *u.tolist())
+        return np.array([fn(*args) for fn in dyn_fns])
 
     terms_block = _need(cost_block, "terms", "cost")
     if not isinstance(terms_block, list) or not terms_block:
@@ -204,14 +207,16 @@ def build_problem(doc: Dict) -> ParsedProblem:
             except ConfigError as exc:
                 raise ConfigError(f"{where}.operand: {exc}")
             terms.append(CostTerm(
-                v=0.0, terminal=lambda tf, x, fn=fn: fn(tf, *x)))
+                v=0.0,
+                terminal=lambda tf, x, fn=fn: fn(float(tf), *x.tolist())))
         else:
             try:
                 fn = compile_expression(src, dyn_vars)
             except ConfigError as exc:
                 raise ConfigError(f"{where}.operand: {exc}")
             terms.append(CostTerm(
-                v=v, running=lambda t, x, u, fn=fn: fn(t, *x, *u)))
+                v=v, running=lambda t, x, u, fn=fn: fn(
+                    float(t), *x.tolist(), *u.tolist())))
 
     t0 = float(solver_block.get("t0", 0.0))
     tf = _need(solver_block, "tf", "solver")

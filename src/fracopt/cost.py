@@ -10,6 +10,7 @@ boundary value of the value function.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -67,7 +68,7 @@ class PerformanceIndex:
                 raise DomainError("terms must be CostTerm instances")
         object.__setattr__(self, "terms", terms)
 
-    @property
+    @cached_property
     def running_terms(self):
         return tuple(t for t in self.terms if t.v != 0.0)
 

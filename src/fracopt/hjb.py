@@ -9,6 +9,10 @@ with w_j the running kernel weight of each cost term.  Residuals audit a
 finished sweep (fracopt.sweep): node_hamiltonian at the stored data plus
 the reconstructed V_t, zero at the exact solution.
 
+Within one sweep evaluation x and M are fixed at every node, so each node
+is frozen once (freeze_node): its memory correction and running weights
+are computed there and shared by every Hamiltonian probe at that node.
+
 Endpoint conventions (both endpoints of the grid host singular factors):
 at the final node the running weights of orders v < 1 are evaluated at the
 adjacent interior time, and at the initial node the transformed field is
@@ -32,6 +36,8 @@ from .problem import HJBProblem
 
 __all__ = [
     "ValueData",
+    "FrozenNode",
+    "freeze_node",
     "node_hamiltonian",
     "minimize_node_hamiltonian",
     "aggregate_error",
@@ -46,19 +52,21 @@ class ValueData:
     """Value and costate data along a swept trajectory.
 
     v holds the value samples (v[-1] equals the terminal boundary value),
-    v_x the costate vector per node, and v_t the partial-time-derivative
-    reconstruction used by the residual formula.
+    v_x the costate vector per node, v_t the partial-time-derivative
+    reconstruction used by the residual formula, and nodes the frozen
+    node data (FrozenNode) the Hamiltonians of the sweep were taken at.
     """
 
     grid: TimeGrid
     v: np.ndarray = field(repr=False)
     v_x: np.ndarray = field(repr=False)
     v_t: np.ndarray = field(repr=False)
+    nodes: tuple = field(repr=False)
 
     def __post_init__(self):
         n = self.grid.n_nodes
         if self.v.shape[0] != n or self.v_x.shape[0] != n \
-                or self.v_t.shape[0] != n:
+                or self.v_t.shape[0] != n or len(self.nodes) != n:
             raise DomainError("value data must cover every grid node")
         if not (np.all(np.isfinite(self.v)) and np.all(np.isfinite(self.v_x))
                 and np.all(np.isfinite(self.v_t))):
@@ -75,38 +83,52 @@ def node_times(grid: TimeGrid, k: int):
     return t_run, t_field
 
 
-def _running_cost(prob: HJBProblem, t: float, x: np.ndarray,
-                  u: np.ndarray) -> float:
-    total = 0.0
-    for term in prob.index.running_terms:
-        w = running_weight(term.v, t, prob.tf)
-        total += w * term.running(t, x, u)
-    return total
+def _running_cost(prob: HJBProblem, t: float,
+                  x: np.ndarray) -> Callable[[np.ndarray], float]:
+    """u -> sum_j w_j(t) g_j(t, x, u) with x frozen and every running
+    weight computed once."""
+    terms = prob.index.running_terms
+    weights = [running_weight(term.v, t, prob.tf) for term in terms]
+
+    def running(u):
+        total = 0.0
+        for w, term in zip(weights, terms):
+            total += w * term.running(t, x, u)
+        return total
+
+    return running
 
 
-def _objective(prob: HJBProblem, t_run: float, t_field: float,
-               x: np.ndarray, m_node: np.ndarray,
-               v_x: np.ndarray) -> Callable[[np.ndarray], float]:
-    """h(u): the running cost weighted at t_run plus V_x . field at
-    t_field, with (x, M) frozen."""
+@dataclass(frozen=True)
+class FrozenNode:
+    """The data of one grid node that every Hamiltonian probe of a sweep
+    evaluation shares: the node times of node_times, the weighted running
+    cost at t_run and the transformed field at t_field, each frozen at
+    the node's state and moments and left a function of the control."""
+
+    t_run: float
+    t_field: float
+    running: Callable[[np.ndarray], float]
+    field: Callable[[np.ndarray], np.ndarray]
+
+
+def freeze_node(prob: HJBProblem, grid: TimeGrid, k: int, x: np.ndarray,
+                m_node: np.ndarray) -> FrozenNode:
+    """Freeze grid node k at state x and moments m_node: one memory
+    correction and one set of running weights, with the endpoint
+    substitutions of node_times applied."""
     if prob.field is None:
         raise DomainError("problem carries no transformed field")
-    partial = prob.field.at_state(t_field, x, m_node)
-
-    def h(u):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        return _running_cost(prob, t_run, x, u) \
-            + float(np.dot(v_x, partial(u)))
-
-    return h
+    t_run, t_field = node_times(grid, k)
+    return FrozenNode(t_run, t_field, _running_cost(prob, t_run, x),
+                      prob.field.at_state(t_field, x, m_node))
 
 
-def node_hamiltonian(prob: HJBProblem, grid: TimeGrid, k: int,
-                     x: np.ndarray, m_node: np.ndarray, u: np.ndarray,
+def node_hamiltonian(node: FrozenNode, u: np.ndarray,
                      v_x: np.ndarray) -> float:
-    """Weighted running cost plus V_x . field at grid node k, with the
-    endpoint substitutions of node_times applied."""
-    return _objective(prob, *node_times(grid, k), x, m_node, v_x)(u)
+    """Weighted running cost plus V_x . field at a frozen grid node."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    return node.running(u) + float(np.dot(v_x, node.field(u)))
 
 
 def _minimize_box(h: Callable[[np.ndarray], float], lo: np.ndarray,
@@ -116,7 +138,9 @@ def _minimize_box(h: Callable[[np.ndarray], float], lo: np.ndarray,
     quadratic=True uses exact 3-point probing per component (valid for
     Hamiltonians quadratic and separable in the control); otherwise
     bounded scalar minimization per component, swept until the iterate
-    stops moving.
+    stops moving.  With one control a single sweep is final: the bounded
+    search ignores its start point, and the axis function then ignores u,
+    so a second sweep would repeat the first search bit for bit.
     """
     m = lo.shape[0]
     u = np.clip(np.zeros(m), lo, hi)
@@ -173,19 +197,17 @@ def _minimize_box(h: Callable[[np.ndarray], float], lo: np.ndarray,
                                   options={"xatol": _COORD_TOL})
             moved = max(moved, abs(res.x - u[j]))
             u[j] = res.x
-        if moved <= _COORD_TOL:
+        if m == 1 or moved <= _COORD_TOL:
             break
     return u, h(u)
 
 
-def minimize_node_hamiltonian(prob: HJBProblem, grid: TimeGrid, k: int,
-                              x: np.ndarray, m_node: np.ndarray,
+def minimize_node_hamiltonian(prob: HJBProblem, node: FrozenNode,
                               v_x: np.ndarray):
-    """Box-constrained Hamiltonian minimizer at grid node k, with the
-    endpoint substitutions applied.  Returns (u_star, h_star)."""
-    return _minimize_box(
-        _objective(prob, *node_times(grid, k), x, m_node, v_x),
-        prob.u_lower, prob.u_upper, prob.quadratic_control)
+    """Minimizer of the Hamiltonian at a frozen grid node over the
+    problem's control box.  Returns (u_star, h_star)."""
+    return _minimize_box(lambda u: node_hamiltonian(node, u, v_x),
+                         prob.u_lower, prob.u_upper, prob.quadratic_control)
 
 
 def aggregate_error(residuals: np.ndarray) -> float:

@@ -30,8 +30,8 @@ from . import cost as cost_mod
 from .errors import DomainError, SweepAbort
 from .expansion import AuxiliaryStates, advance_moments
 from .grid import TimeGrid
-from .hjb import (ValueData, aggregate_error, minimize_node_hamiltonian,
-                  node_hamiltonian, node_times)
+from .hjb import (ValueData, aggregate_error, freeze_node,
+                  minimize_node_hamiltonian, node_hamiltonian, node_times)
 from .problem import HJBProblem
 
 __all__ = ["SweepConfig", "SweepState", "forward_sweep", "backward_sweep",
@@ -133,6 +133,15 @@ def _control_array(prob: HJBProblem, grid: TimeGrid, u_init) -> np.ndarray:
 
 
 def _ensure_field(prob: HJBProblem, cfg: SweepConfig) -> HJBProblem:
+    """prob with the transformed field of cfg's truncation settings: the
+    attached field when it was built for this plant with those settings
+    for every order, a new one otherwise."""
+    attached = prob.field
+    wanted = (cfg.n_a, cfg.n_b, cfg.p_max, cfg.b_series)
+    if attached is not None and attached.plant is prob.plant and all(
+            (c.n_a, c.n_b, c.p_max, c.b_series) == wanted
+            for c in attached.coeffs):
+        return prob
     return prob.with_field(cfg.n_a, cfg.n_b, cfg.p_max, cfg.b_series)
 
 
@@ -225,6 +234,10 @@ def backward_sweep(prob: HJBProblem, x: np.ndarray, states: AuxiliaryStates,
     V_t at the initial node is defined through the equation itself
     (-H at that node), the only choice that keeps the singular corner
     auditable.
+
+    Every node is frozen once (hjb.freeze_node) at its state and moments;
+    the records go out on the ValueData, for the minimization and the
+    residuals of the same evaluation.
     """
     if prob.field is None:
         prob = _ensure_field(prob, cfg)
@@ -256,9 +269,10 @@ def backward_sweep(prob: HJBProblem, x: np.ndarray, states: AuxiliaryStates,
         lam[0] = lam[1] - dt * rhs(1, lam[1])
         _check_finite(lam[0], "costate", 0)
 
-    h_gen = np.array([
-        node_hamiltonian(prob, grid, k, x[k], states.at_node(k), u[k], lam[k])
-        for k in range(grid.n_nodes)])
+    nodes = tuple(freeze_node(prob, grid, k, x[k], states.at_node(k))
+                  for k in range(grid.n_nodes))
+    h_gen = np.array([node_hamiltonian(node, u[k], lam[k])
+                      for k, node in enumerate(nodes)])
     if not np.all(np.isfinite(h_gen)):
         raise SweepAbort("non-finite Hamiltonian along the sweep")
 
@@ -272,28 +286,23 @@ def backward_sweep(prob: HJBProblem, x: np.ndarray, states: AuxiliaryStates,
     v_t[1:n] = (v[2:] - v[:-2]) / (2.0 * dt)
     v_t[n] = (v[n] - v[n - 1]) / dt
     v_t[0] = -h_gen[0]
-    return ValueData(grid, v, lam, v_t)
+    return ValueData(grid, v, lam, v_t, nodes)
 
 
-def _pointwise_minimizers(prob: HJBProblem, grid: TimeGrid, x: np.ndarray,
-                          states: AuxiliaryStates,
-                          value: ValueData) -> np.ndarray:
-    u_star = np.empty((grid.n_nodes, prob.plant.n_controls))
-    for k in range(grid.n_nodes):
-        u_star[k], _ = minimize_node_hamiltonian(
-            prob, grid, k, x[k], states.at_node(k), value.v_x[k])
+def _pointwise_minimizers(prob: HJBProblem, value: ValueData) -> np.ndarray:
+    u_star = np.empty((value.grid.n_nodes, prob.plant.n_controls))
+    for k, node in enumerate(value.nodes):
+        u_star[k], _ = minimize_node_hamiltonian(prob, node, value.v_x[k])
     return u_star
 
 
-def _evaluate(prob: HJBProblem, grid: TimeGrid, u: np.ndarray,
-              cfg: SweepConfig):
+def _evaluate(prob: HJBProblem, u: np.ndarray, cfg: SweepConfig):
     x, states = forward_sweep(prob, u, cfg)
     value = backward_sweep(prob, x, states, u, cfg)
-    u_star = _pointwise_minimizers(prob, grid, x, states, value)
+    u_star = _pointwise_minimizers(prob, value)
     residuals = np.array([
-        node_hamiltonian(prob, grid, k, x[k], states.at_node(k),
-                         u_star[k], value.v_x[k]) + value.v_t[k]
-        for k in range(grid.n_nodes)])
+        node_hamiltonian(node, u_star[k], value.v_x[k]) + value.v_t[k]
+        for k, node in enumerate(value.nodes)])
     return x, states, value, u_star, residuals, aggregate_error(residuals)
 
 
@@ -315,11 +324,10 @@ def audit_residuals(prob: HJBProblem, x: np.ndarray, u,
     for k in range(grid.n_steps):
         advance_moments(states, x[k], k)
     value = backward_sweep(prob, x, states, u, cfg)
-    u_star = _pointwise_minimizers(prob, grid, x, states, value)
+    u_star = _pointwise_minimizers(prob, value)
     residuals = np.array([
-        node_hamiltonian(prob, grid, k, x[k], states.at_node(k), u_star[k],
-                         value.v_x[k]) + value.v_t[k]
-        for k in range(grid.n_nodes)])
+        node_hamiltonian(node, u_star[k], value.v_x[k]) + value.v_t[k]
+        for k, node in enumerate(value.nodes)])
     return residuals, value
 
 
@@ -334,7 +342,7 @@ def solve(prob: HJBProblem, cfg: SweepConfig) -> SweepState:
     prob = _ensure_field(prob, cfg)
     grid = _grid_for(prob, cfg)
     u = _control_array(prob, grid, cfg.u_init)
-    x, states, value, u_star, residuals, err = _evaluate(prob, grid, u, cfg)
+    x, states, value, u_star, residuals, err = _evaluate(prob, u, cfg)
     history = [err]
     iteration = 0
     stagnated = False
@@ -344,7 +352,7 @@ def solve(prob: HJBProblem, cfg: SweepConfig) -> SweepState:
         for _ in range(_MAX_HALVINGS + 1):
             u_try = np.clip(theta * u_star + (1.0 - theta) * u,
                             prob.u_lower, prob.u_upper)
-            trial = _evaluate(prob, grid, u_try, cfg)
+            trial = _evaluate(prob, u_try, cfg)
             if trial[-1] <= history[-1]:
                 accepted = True
                 break

@@ -40,6 +40,13 @@ def test_terminal_index_set_bolza():
     assert terminal_index_set(pi) == frozenset({0})
 
 
+def test_running_terms_are_built_once():
+    g = running(1.0, lambda t, x, u: 0.0)
+    pi = PerformanceIndex((terminal(lambda tf, x: 0.0), g))
+    assert pi.running_terms == (g,)
+    assert pi.running_terms is pi.running_terms
+
+
 def test_terminal_value_empty_set_is_zero():
     pi = PerformanceIndex((running(0.3, lambda t, x, u: 1.0),))
     assert terminal_value(pi, 1.0, np.array([4.0])) == 0.0

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 import scipy.special as sps
+from scipy.optimize import minimize_scalar
 
 import fracopt as fo
-from fracopt import (aggregate_error, gamma, minimize_node_hamiltonian,
-                     node_hamiltonian)
+from fracopt import (aggregate_error, freeze_node, gamma,
+                     minimize_node_hamiltonian, node_hamiltonian,
+                     running_weight)
+from fracopt import hjb
 from fracopt.hjb import _minimize_box
 
 from conftest import two_state_problem
@@ -17,8 +20,8 @@ def small_field_problem():
 
 def stored_residual(prob, st, u, k):
     """Residual at node k: the Hamiltonian at the stored data plus V_t."""
-    return node_hamiltonian(prob, st.grid, k, st.x[k], st.moments.at_node(k),
-                            u[k], st.value.v_x[k]) + st.value.v_t[k]
+    node = freeze_node(prob, st.grid, k, st.x[k], st.moments.at_node(k))
+    return node_hamiltonian(node, u[k], st.value.v_x[k]) + st.value.v_t[k]
 
 
 # --------------------------------------------------------- hamiltonian
@@ -33,8 +36,9 @@ def test_hamiltonian_zero_cost_zero_costate():
                          u_lower=np.array([-1.0]), u_upper=np.array([1.0]))
     prob = prob.with_field(10, 10, 5)
     # t = 0.5 is the interior node of a two-step grid
-    h = node_hamiltonian(prob, fo.TimeGrid(0.0, 1.0, 2), 1, np.zeros(1),
-                         np.zeros((4, 1)), np.array([0.7]), np.zeros(1))
+    node = freeze_node(prob, fo.TimeGrid(0.0, 1.0, 2), 1, np.zeros(1),
+                       np.zeros((4, 1)))
+    h = node_hamiltonian(node, np.array([0.7]), np.zeros(1))
     assert h == pytest.approx(0.0, abs=1e-15)
 
 
@@ -53,7 +57,7 @@ def test_hamiltonian_matches_independent_transcription():
         lam = rng.uniform(-1, 1, 2)
         u = rng.uniform(-2, 2, 1)
         w = np.zeros((39, 2))
-        got = node_hamiltonian(prob, grid, k, x, w, u, lam)
+        got = node_hamiltonian(freeze_node(prob, grid, k, x, w), u, lam)
         w1 = (1 - t) ** (0.3 - 1) / gamma(0.3)
         w2 = (1 - t) ** (0.4 - 1) / gamma(0.4)
         k1 = (-1.0 / gamma(0.8) + a_vals[0] * x[0]) * t ** (-0.2)
@@ -66,7 +70,74 @@ def test_hamiltonian_matches_independent_transcription():
         assert got == pytest.approx(ref, rel=1e-12)
 
 
+def test_node_hamiltonian_on_record_equals_from_scratch():
+    # the frozen record reproduces, bit for bit, the Hamiltonian computed
+    # afresh from the weights, the operands and the full transformed field
+    prob = small_field_problem()
+    grid = fo.TimeGrid(0.0, 1.0, 100)
+    n = grid.n_steps
+    rng = np.random.default_rng(11)
+    for k in (0, 1, 37, n - 1, n):
+        x = rng.uniform(-1, 1, 2)
+        m_node = rng.uniform(-2, 2, (39, 2))
+        u = rng.uniform(-2, 2, 1)
+        lam = rng.uniform(-1, 1, 2)
+        t_run = grid.node(n - 1) if k == n else grid.node(k)
+        t_field = grid.node(1) if k == 0 else grid.node(k)
+        total = 0.0
+        for term in prob.index.running_terms:
+            total += running_weight(term.v, t_run, prob.tf) \
+                * term.running(t_run, x, u)
+        ref = total + float(np.dot(lam, prob.field(t_field, x, m_node, u)))
+        node = freeze_node(prob, grid, k, x, m_node)
+        assert (node.t_run, node.t_field) == (t_run, t_field)
+        assert node_hamiltonian(node, u, lam) == ref
+
+
 # ---------------------------------------------------------- minimizers
+
+def _counting_scalar_search(monkeypatch):
+    calls = []
+    real = hjb.minimize_scalar
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hjb, "minimize_scalar", counted)
+    return calls
+
+
+def test_minimize_box_one_control_takes_one_search(monkeypatch):
+    def h(u):
+        return (u[0] - 0.3) ** 4 + np.sin(3.0 * u[0])
+
+    lo, hi = np.array([-2.0]), np.array([2.0])
+    # reference: two full coordinate sweeps of the bounded search
+    ref = np.clip(np.zeros(1), lo, hi)
+    for _ in range(2):
+        res = minimize_scalar(lambda v: h(np.array([v])),
+                              bounds=(lo[0], hi[0]), method="bounded",
+                              options={"xatol": 1e-10})
+        ref[0] = res.x
+    calls = _counting_scalar_search(monkeypatch)
+    u, h_u = _minimize_box(h, lo, hi, False)
+    assert len(calls) == 1
+    assert u[0] == ref[0]
+    assert h_u == h(ref)
+
+
+def test_minimize_box_several_controls_sweep_until_still(monkeypatch):
+    # coupled controls: one coordinate sweep does not reach the minimum
+    def h(u):
+        return (u[0] + u[1] - 1.0) ** 2 + 0.1 * (u[0] - u[1]) ** 2
+
+    calls = _counting_scalar_search(monkeypatch)
+    u, _ = _minimize_box(h, np.array([-2.0, -2.0]), np.array([2.0, 2.0]),
+                         False)
+    assert len(calls) >= 4 and len(calls) % 2 == 0
+    assert np.allclose(u, [0.5, 0.5], atol=1e-7)
+
 
 def test_minimize_box_quadratic_interior():
     u, h = _minimize_box(lambda u: u[0] ** 2 + 2 * u[0],
@@ -109,20 +180,21 @@ def test_minimizer_agrees_with_analytic_update():
         analytic = -lam[0] * sps.gamma(0.4) * (1 - t) ** 0.6 \
             / (2 * b1 * t ** 0.8)
         analytic = min(max(analytic, -10.0), 10.0)
-        u_q, _ = minimize_node_hamiltonian(prob, grid, k, x, w, lam)
+        node = freeze_node(prob, grid, k, x, w)
+        u_q, _ = minimize_node_hamiltonian(prob, node, lam)
         assert u_q[0] == pytest.approx(analytic, rel=1e-9, abs=1e-11)
         # numeric (coordinate search) route agrees with the quadratic route
         import dataclasses
         prob_n = dataclasses.replace(prob, quadratic_control=False)
-        u_n, _ = minimize_node_hamiltonian(prob_n, grid, k, x, w, lam)
+        u_n, _ = minimize_node_hamiltonian(prob_n, node, lam)
         assert u_n[0] == pytest.approx(u_q[0], abs=1e-7)
 
 
 def test_minimize_hamiltonian_public_signature():
     prob = small_field_problem()
-    u, h = minimize_node_hamiltonian(prob, fo.TimeGrid(0.0, 1.0, 2), 1,
-                                     np.array([1.0, 0.5]), np.zeros((39, 2)),
-                                     np.array([0.2, -0.1]))
+    node = freeze_node(prob, fo.TimeGrid(0.0, 1.0, 2), 1,
+                       np.array([1.0, 0.5]), np.zeros((39, 2)))
+    u, h = minimize_node_hamiltonian(prob, node, np.array([0.2, -0.1]))
     assert prob.u_lower[0] <= u[0] <= prob.u_upper[0]
     assert np.isfinite(h)
 
@@ -182,10 +254,9 @@ def test_minimizer_optimality_at_convergence(cheap_state):
     st = cheap_state
     grid = st.grid
     for k in range(5, grid.n_nodes - 5, 10):
-        h0 = node_hamiltonian(prob, grid, k, st.x[k], st.moments.at_node(k),
-                              st.u_star[k], st.value.v_x[k])
+        node = freeze_node(prob, grid, k, st.x[k], st.moments.at_node(k))
+        h0 = node_hamiltonian(node, st.u_star[k], st.value.v_x[k])
         for delta in (1e-4, -1e-4):
-            hp = node_hamiltonian(prob, grid, k, st.x[k],
-                                  st.moments.at_node(k),
-                                  st.u_star[k] + delta, st.value.v_x[k])
+            hp = node_hamiltonian(node, st.u_star[k] + delta,
+                                  st.value.v_x[k])
             assert hp >= h0 - 1e-12

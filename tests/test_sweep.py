@@ -4,7 +4,7 @@ from scipy.integrate import solve_ivp
 
 import fracopt as fo
 from fracopt import (SweepAbort, SweepConfig, backward_sweep, forward_sweep,
-                     solve)
+                     solve, sweep)
 
 from conftest import two_state_config, two_state_problem
 
@@ -143,6 +143,61 @@ def test_backward_classical_limit_matches_riccati_costate():
         s_t = sol.sol(t)[0]
         assert state.value.v_x[k, 0] == pytest.approx(
             2 * s_t * state.x[k, 0], rel=4e-2)
+
+
+# ----------------------------------------------------------- node data
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_solve_corrects_each_node_about_twice_per_evaluation(monkeypatch):
+    # one memory correction per node in the Euler forward step and one in
+    # the node's frozen record, shared by the costate's Hamiltonian chain,
+    # the minimizer and the residual
+    cfg = two_state_config(n_a=10 ** 4, n_b=10 ** 4, p_max=20, max_iters=3)
+    corrections = _count_calls(monkeypatch, fo.TransformedField, "correction")
+    evaluations = _count_calls(monkeypatch, sweep, "forward_sweep")
+    state = solve(two_state_problem(), cfg)
+    assert len(evaluations) >= 4
+    per_node = len(corrections) / (state.grid.n_nodes * len(evaluations))
+    assert per_node <= 2.1
+
+
+@pytest.mark.parametrize("setting", [
+    {"n_a": 10 ** 3}, {"n_b": 10 ** 3}, {"p_max": 10},
+    {"b_series": "convergent"}])
+def test_mismatched_attached_field_is_rebuilt(setting):
+    cfg = two_state_config(n_a=10 ** 4, n_b=10 ** 4, p_max=20, max_iters=0)
+    other = dict(n_a=cfg.n_a, n_b=cfg.n_b, p_max=cfg.p_max,
+                 b_series=cfg.b_series)
+    other.update(setting)
+    prob = two_state_problem().with_field(**other)
+    fixed = sweep._ensure_field(prob, cfg)
+    assert [(c.n_a, c.n_b, c.p_max, c.b_series) for c in fixed.field.coeffs] \
+        == [(cfg.n_a, cfg.n_b, cfg.p_max, cfg.b_series)] * 2
+    got, ref = solve(prob, cfg), solve(two_state_problem(), cfg)
+    assert np.array_equal(got.x, ref.x)
+    assert np.array_equal(got.u_star, ref.u_star)
+
+
+def test_matching_attached_field_is_not_rebuilt(monkeypatch):
+    cfg = two_state_config(n_a=10 ** 4, n_b=10 ** 4, p_max=20, max_iters=2)
+    prob = two_state_problem().with_field(cfg.n_a, cfg.n_b, cfg.p_max,
+                                          cfg.b_series)
+    builds = _count_calls(monkeypatch, fo.HJBProblem, "with_field")
+    assert sweep._ensure_field(prob, cfg) is prob
+    state = solve(prob, cfg)
+    sweep.audit_residuals(prob, state.x, state.u, cfg)
+    assert builds == []
 
 
 # ------------------------------------------------------- control update
