@@ -71,9 +71,20 @@ def read_csv(path: str, n_states: int, n_controls: int):
         raise ConfigError(
             f"{path}: CSV schema mismatch: expected columns {expected}, "
             f"found {header}")
-    data = np.array([[float(c) for c in line.split(",")] for line in text[1:]])
-    if data.shape[1] != len(expected):
-        raise ConfigError(f"{path}: ragged CSV")
+    rows = []
+    for line_no, line in enumerate(text[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != len(expected):
+            raise ConfigError(f"{path}: line {line_no}: ragged CSV, expected "
+                              f"{len(expected)} fields, found {len(cells)}")
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError:
+            raise ConfigError(
+                f"{path}: line {line_no}: non-numeric field") from None
+    if not rows:
+        raise ConfigError(f"{path}: CSV has no data rows")
+    data = np.array(rows)
     t = data[:, 0]
     x = data[:, 1:1 + n_states]
     u = data[:, 1 + n_states:1 + n_states + n_controls]

@@ -22,7 +22,7 @@ import numpy as np
 import yaml
 
 from .cost import CostTerm, PerformanceIndex
-from .errors import ConfigError
+from .errors import ConfigError, SweepAbort
 from .expressions import compile_expression
 from .plant import FractionalPlant
 from .problem import HJBProblem
@@ -37,9 +37,13 @@ _COST_KEYS = {"terms"}
 _TERM_KEYS = {"order", "operand"}
 _SOLVER_KEYS = {"t0", "tf", "dt", "u_init", "n_a", "n_b", "p_max",
                 "max_iters", "error_tol", "relaxation", "stepper",
-                "b_series", "fd_step", "quadratic_control"}
+                "b_series", "quadratic_control"}
 _OUTPUT_KEYS = {"csv", "report"}
 _TOP_KEYS = {"plant", "cost", "solver", "output"}
+
+#: what a valid expression can raise at a bad point: division by zero,
+#: overflow, a math domain error, or float() of a complex power
+_MATH_ERRORS = (ArithmeticError, ValueError, TypeError)
 
 
 @dataclass
@@ -137,6 +141,40 @@ def apply_overrides(doc: Dict, overrides: List[str]) -> Dict:
     return doc
 
 
+def _math_abort(fns, args: tuple, exc: Exception) -> SweepAbort:
+    """The abort for exc, raised by one of the compiled fns at args
+    (t first): it names the first of them that fails there."""
+    for fn in fns:
+        try:
+            fn(*args)
+        except _MATH_ERRORS:
+            break
+    return SweepAbort(f"cannot evaluate {fn.source!r} at t = {args[0]!r}: "
+                      f"{exc}")
+
+
+def _running(fn):
+    """The compiled running operand fn as a function of (t, x, u)."""
+    def running(t, x, u):
+        args = (float(t), *x.tolist(), *u.tolist())
+        try:
+            return fn(*args)
+        except _MATH_ERRORS as exc:
+            raise _math_abort((fn,), args, exc) from None
+    return running
+
+
+def _terminal(fn):
+    """The compiled terminal operand fn as a function of (tf, x)."""
+    def terminal(tf, x):
+        args = (float(tf), *x.tolist())
+        try:
+            return fn(*args)
+        except _MATH_ERRORS as exc:
+            raise _math_abort((fn,), args, exc) from None
+    return terminal
+
+
 def build_problem(doc: Dict) -> ParsedProblem:
     """Validate a parsed document and assemble solver objects."""
     _reject_unknown(doc, _TOP_KEYS, "document")
@@ -185,7 +223,10 @@ def build_problem(doc: Dict) -> ParsedProblem:
     # scalar arithmetic, which is cheaper on floats and gives the same bits
     def rhs(t, x, u):
         args = (float(t), *x.tolist(), *u.tolist())
-        return np.array([fn(*args) for fn in dyn_fns])
+        try:
+            return np.array([fn(*args) for fn in dyn_fns])
+        except _MATH_ERRORS as exc:
+            raise _math_abort(dyn_fns, args, exc) from None
 
     terms_block = _need(cost_block, "terms", "cost")
     if not isinstance(terms_block, list) or not terms_block:
@@ -206,17 +247,13 @@ def build_problem(doc: Dict) -> ParsedProblem:
                 fn = compile_expression(src, ["t"] + state_names)
             except ConfigError as exc:
                 raise ConfigError(f"{where}.operand: {exc}")
-            terms.append(CostTerm(
-                v=0.0,
-                terminal=lambda tf, x, fn=fn: fn(float(tf), *x.tolist())))
+            terms.append(CostTerm(v=0.0, terminal=_terminal(fn)))
         else:
             try:
                 fn = compile_expression(src, dyn_vars)
             except ConfigError as exc:
                 raise ConfigError(f"{where}.operand: {exc}")
-            terms.append(CostTerm(
-                v=v, running=lambda t, x, u, fn=fn: fn(
-                    float(t), *x.tolist(), *u.tolist())))
+            terms.append(CostTerm(v=v, running=_running(fn)))
 
     t0 = float(solver_block.get("t0", 0.0))
     tf = _need(solver_block, "tf", "solver")

@@ -62,6 +62,7 @@ __all__ = [
     "AuxiliaryStates",
     "advance_moments",
     "memory_correction",
+    "central_difference",
     "TransformedField",
     "reconstruct_rl_derivative",
 ]
@@ -71,6 +72,7 @@ __all__ = [
 #: here; the closed form is within 4e-16 from here on, but up to 3.5e-11
 #: off below N ~ 1.5e4.
 _DIRECT_MAX = 100_000
+_FD_STEP = 1e-6
 
 
 def _check_order(q: float) -> float:
@@ -257,6 +259,21 @@ def memory_correction(t: float, x_i: float, coeffs: ExpansionCoeffs,
                              - float(np.dot(coeffs.c_vals, m_values))))
 
 
+def central_difference(fn, x: np.ndarray) -> np.ndarray:
+    """Central differences of fn in each component of x: entry j, or
+    column j when fn returns a vector, is (fn(x + h e_j) - fn(x - h e_j))
+    / (2h) with h = 1e-6 max(1, |x_j|).  So a scalar fn gives its
+    gradient and a vector fn its Jacobian."""
+    columns = []
+    for j in range(x.shape[0]):
+        h = _FD_STEP * max(1.0, abs(x[j]))
+        xp, xm = x.copy(), x.copy()
+        xp[j] += h
+        xm[j] -= h
+        columns.append((fn(xp) - fn(xm)) / (2 * h))
+    return np.array(columns).T
+
+
 class TransformedField:
     """Equivalent integer-order vector field for Caputo dynamics.
 
@@ -311,25 +328,15 @@ class TransformedField:
 
         return field_of_u
 
-    def jacobian_x(self, t: float, x: np.ndarray, m_node: np.ndarray,
-                   u: np.ndarray, fd_step: float = 1e-6) -> np.ndarray:
-        """d(field)/dx: finite differences on the plant part, exact on the
-        expansion part (the correction is linear in x with a diagonal
-        coefficient A_i (t-a)^(-q_i))."""
-        del m_node  # moments are treated as exogenous data here
+    def jacobian_x(self, t: float, x: np.ndarray,
+                   u: np.ndarray) -> np.ndarray:
+        """d(field)/dx with the moments held fixed: central differences on
+        the plant part, exact on the expansion part (the correction is
+        linear in x with a diagonal coefficient A_i (t-a)^(-q_i))."""
         t_rel = t - self.plant.t0
         if t_rel <= 0.0:
             raise SingularTimeError("transformed field is singular at t = a")
-        n = self.plant.n_states
-        jac = np.empty((n, n))
-        for j in range(n):
-            h = fd_step * max(1.0, abs(x[j]))
-            xp = x.copy()
-            xm = x.copy()
-            xp[j] += h
-            xm[j] -= h
-            jac[:, j] = (self.plant.rhs(t, xp, u)
-                         - self.plant.rhs(t, xm, u)) / (2 * h)
+        jac = central_difference(lambda xv: self.plant.rhs(t, xv, u), x)
         jac -= np.diag(self._a * t_rel ** (-self._q))
         return jac / self.denominator(t)[:, None]
 

@@ -142,12 +142,16 @@ def _minimize_box(h: Callable[[np.ndarray], float], lo: np.ndarray,
     search ignores its start point, and the axis function then ignores u,
     so a second sweep would repeat the first search bit for bit.
     """
+    def checked(u):
+        hv = h(u)
+        if not np.isfinite(hv):
+            raise SweepAbort("non-finite Hamiltonian during minimization")
+        return hv
+
     m = lo.shape[0]
     u = np.clip(np.zeros(m), lo, hi)
     if quadratic:
-        h0 = h(u)
-        if not np.isfinite(h0):
-            raise SweepAbort("non-finite Hamiltonian during minimization")
+        h0 = checked(u)
         out = u.copy()
         for j in range(m):
             step = max(1.0, 1e-3 * (hi[j] - lo[j]))
@@ -155,9 +159,7 @@ def _minimize_box(h: Callable[[np.ndarray], float], lo: np.ndarray,
             um = u.copy()
             up[j] += step
             um[j] -= step
-            hp, hm = h(up), h(um)
-            if not (np.isfinite(hp) and np.isfinite(hm)):
-                raise SweepAbort("non-finite Hamiltonian during minimization")
+            hp, hm = checked(up), checked(um)
             curv = (hp + hm - 2.0 * h0) / (2.0 * step * step)
             slope = (hp - hm) / (2.0 * step)
             if curv > 0.0:
@@ -167,14 +169,11 @@ def _minimize_box(h: Callable[[np.ndarray], float], lo: np.ndarray,
                 # no interior minimum along this axis: best endpoint
                 ue = u.copy()
                 ue[j] = lo[j]
-                h_lo = h(ue)
+                h_lo = checked(ue)
                 ue[j] = hi[j]
-                h_hi = h(ue)
+                h_hi = checked(ue)
                 out[j] = lo[j] if h_lo <= h_hi else hi[j]
-        h_out = h(out)
-        if not np.isfinite(h_out):
-            raise SweepAbort("non-finite Hamiltonian during minimization")
-        return out, h_out
+        return out, checked(out)
 
     u = u.copy()
     for _ in range(_COORD_SWEEPS):
@@ -187,10 +186,7 @@ def _minimize_box(h: Callable[[np.ndarray], float], lo: np.ndarray,
             def axis(val, j=j):
                 uu = u.copy()
                 uu[j] = val
-                hv = h(uu)
-                if not np.isfinite(hv):
-                    raise SweepAbort("non-finite Hamiltonian during minimization")
-                return hv
+                return checked(uu)
 
             res = minimize_scalar(axis, bounds=(lo[j], hi[j]),
                                   method="bounded",
@@ -199,7 +195,7 @@ def _minimize_box(h: Callable[[np.ndarray], float], lo: np.ndarray,
             u[j] = res.x
         if m == 1 or moved <= _COORD_TOL:
             break
-    return u, h(u)
+    return u, checked(u)
 
 
 def minimize_node_hamiltonian(prob: HJBProblem, node: FrozenNode,

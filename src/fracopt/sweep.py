@@ -28,7 +28,7 @@ import numpy as np
 
 from . import cost as cost_mod
 from .errors import DomainError, SweepAbort
-from .expansion import AuxiliaryStates, advance_moments
+from .expansion import AuxiliaryStates, advance_moments, central_difference
 from .grid import TimeGrid
 from .hjb import (ValueData, aggregate_error, freeze_node,
                   minimize_node_hamiltonian, node_hamiltonian, node_times)
@@ -60,7 +60,6 @@ class SweepConfig:
     relaxation: float = 0.5
     stepper: str = "euler"
     b_series: str = "divergent"
-    fd_step: float = 1e-6
 
     def __post_init__(self):
         for name in ("n_a", "n_b", "p_max", "max_iters"):
@@ -69,7 +68,7 @@ class SweepConfig:
                     and value == int(value)):
                 raise DomainError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
-        for name in ("dt", "fd_step", "error_tol"):
+        for name in ("dt", "error_tol"):
             value = getattr(self, name)
             if not (_is_real(value) and math.isfinite(value) and value > 0):
                 raise DomainError(
@@ -150,6 +149,17 @@ def _check_finite(arr: np.ndarray, what: str, k: int) -> None:
         raise SweepAbort(f"non-finite {what} at node {k}")
 
 
+def _step(y: np.ndarray, h: float, slope: np.ndarray, slope_at_end,
+          heun: bool) -> np.ndarray:
+    """One explicit step of size h (negative when integrating backward)
+    from y, whose slope is slope: Euler, or Heun, which averages slope
+    with slope_at_end evaluated at the Euler predictor."""
+    y_pred = y + h * slope
+    if not heun:
+        return y_pred
+    return y + 0.5 * h * (slope + slope_at_end(y_pred))
+
+
 def forward_sweep(prob: HJBProblem, u, cfg: SweepConfig):
     """Integrate states and moments forward under a control trajectory.
 
@@ -168,48 +178,25 @@ def forward_sweep(prob: HJBProblem, u, cfg: SweepConfig):
     times = grid.times()
     x = np.empty((grid.n_nodes, plant.n_states))
     states = AuxiliaryStates(grid, cfg.p_max, plant.n_states)
+    heun = cfg.stepper == "heun"
     x[0] = plant.x0
-    x[1] = x[0] + dt * np.asarray(plant.rhs(times[0], x[0], u[0]), dtype=float)
+    f_0 = np.asarray(plant.rhs(times[0], x[0], u[0]), dtype=float)
+    x[1] = _step(x[0], dt, f_0, None, heun=False)
     _check_finite(x[1], "state", 1)
     advance_moments(states, x[0], 0)
     for k in range(1, n):
         advance_moments(states, x[k], k)   # moment step is x_{k+1}-free
-        _check_finite(states.at_node(k + 1), "moment state", k + 1)
-        f_k = prob.field(times[k], x[k], states.at_node(k), u[k])
-        if cfg.stepper == "euler":
-            x[k + 1] = x[k] + dt * f_k
-        else:
-            x_pred = x[k] + dt * f_k
-            f_k1 = prob.field(times[k + 1], x_pred,
-                              states.at_node(k + 1), u[k + 1])
-            x[k + 1] = x[k] + 0.5 * dt * (f_k + f_k1)
+        m_next = states.at_node(k + 1)
+        _check_finite(m_next, "moment state", k + 1)
+        x[k + 1] = _step(
+            x[k], dt, prob.field(times[k], x[k], states.at_node(k), u[k]),
+            lambda y: prob.field(times[k + 1], y, m_next, u[k + 1]), heun)
         _check_finite(x[k + 1], "state", k + 1)
     return x, states
 
 
-def _central_gradient(fn, x: np.ndarray, fd_step: float) -> np.ndarray:
-    """Central-difference gradient of a scalar function of the state, each
-    step scaled by max(1, |x_i|)."""
-    grad = np.zeros(x.shape[0])
-    for i in range(grad.shape[0]):
-        h = fd_step * max(1.0, abs(x[i]))
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        grad[i] = (fn(xp) - fn(xm)) / (2 * h)
-    return grad
-
-
-def _terminal_gradient(prob: HJBProblem, x_tf: np.ndarray,
-                       fd_step: float) -> np.ndarray:
-    return _central_gradient(
-        lambda xv: cost_mod.terminal_value(prob.index, prob.tf, xv),
-        x_tf, fd_step)
-
-
 def _weighted_running_gradient(prob: HJBProblem, grid: TimeGrid, k: int,
-                               x_k: np.ndarray, u_k: np.ndarray,
-                               fd_step: float) -> np.ndarray:
+                               x_k: np.ndarray, u_k: np.ndarray) -> np.ndarray:
     """d/dx of the weighted running cost at node k (weights substituted at
     the final node), by central differences on the user operands."""
     t_run, _ = node_times(grid, k)
@@ -220,7 +207,7 @@ def _weighted_running_gradient(prob: HJBProblem, grid: TimeGrid, k: int,
         return sum(w * term.running(t_run, xv, u_k)
                    for w, term in zip(weights, prob.index.running_terms))
 
-    return _central_gradient(g_of, x_k, fd_step)
+    return central_difference(g_of, x_k)
 
 
 def backward_sweep(prob: HJBProblem, x: np.ndarray, states: AuxiliaryStates,
@@ -235,6 +222,11 @@ def backward_sweep(prob: HJBProblem, x: np.ndarray, states: AuxiliaryStates,
     (-H at that node), the only choice that keeps the singular corner
     auditable.
 
+    Each node 1..n is linearized once (running-cost gradient and field
+    Jacobian at its state and control), and both steppers step on those
+    linearizations; the step into node 0, where the field is singular,
+    is Euler.
+
     Every node is frozen once (hjb.freeze_node) at its state and moments;
     the records go out on the ValueData, for the minimization and the
     residuals of the same evaluation.
@@ -247,27 +239,25 @@ def backward_sweep(prob: HJBProblem, x: np.ndarray, states: AuxiliaryStates,
     dt = grid.dt
     times = grid.times()
     nx = prob.plant.n_states
+    # the costate's linearization at nodes 1..n (row 0 is never used):
+    # lambda' = -(grad[k] + jac[k]^T lambda) at node k
+    grad = np.zeros((grid.n_nodes, nx))
+    jac = np.zeros((grid.n_nodes, nx, nx))
+    for k in range(1, grid.n_nodes):
+        grad[k] = _weighted_running_gradient(prob, grid, k, x[k], u[k])
+        jac[k] = prob.field.jacobian_x(times[k], x[k], u[k])
+
     lam = np.zeros((grid.n_nodes, nx))
-    lam[n] = _terminal_gradient(prob, x[n], cfg.fd_step)
-
-    def rhs(k, lam_k):
-        gg = _weighted_running_gradient(prob, grid, k, x[k], u[k], cfg.fd_step)
-        jac = prob.field.jacobian_x(times[k], x[k], states.at_node(k),
-                                    u[k], cfg.fd_step)
-        return -(gg + jac.T @ lam_k)
-
-    if cfg.stepper == "euler":
-        for k in range(n - 1, -1, -1):
-            lam[k] = lam[k + 1] - dt * rhs(k + 1, lam[k + 1])
-            _check_finite(lam[k], "costate", k)
-    else:
-        for k in range(n - 1, 0, -1):
-            r1 = rhs(k + 1, lam[k + 1])
-            pred = lam[k + 1] - dt * r1
-            lam[k] = lam[k + 1] - 0.5 * dt * (r1 + rhs(k, pred))
-            _check_finite(lam[k], "costate", k)
-        lam[0] = lam[1] - dt * rhs(1, lam[1])
-        _check_finite(lam[0], "costate", 0)
+    lam[n] = central_difference(
+        lambda xv: cost_mod.terminal_value(prob.index, prob.tf, xv), x[n])
+    heun = cfg.stepper == "heun"
+    for k in range(n - 1, -1, -1):
+        # the field is singular at t0, so node 0 has no linearization and
+        # the step into it is Euler
+        lam[k] = _step(lam[k + 1], -dt,
+                       -(grad[k + 1] + jac[k + 1].T @ lam[k + 1]),
+                       lambda y: -(grad[k] + jac[k].T @ y), heun and k > 0)
+        _check_finite(lam[k], "costate", k)
 
     nodes = tuple(freeze_node(prob, grid, k, x[k], states.at_node(k))
                   for k in range(grid.n_nodes))

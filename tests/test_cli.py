@@ -72,12 +72,12 @@ def test_error_exit_one(tmp_path):
 
 
 def test_bad_step_sizes_exit_one(tmp_path, capsys):
-    # a zero difference step and a non-finite grid step are input errors,
-    # reported on stderr, not tracebacks from deep in the sweep
+    # a zero and a non-finite grid step are input errors, reported on
+    # stderr, not tracebacks from deep in the sweep
     doc = yaml.safe_load(Path(EXAMPLE_FILE).read_text())
     doc.pop("output")
-    doc["solver"].update(n_a=10000, n_b=10000, p_max=20, fd_step=0.0)
-    prob = tmp_path / "fd0.yaml"
+    doc["solver"].update(n_a=10000, n_b=10000, p_max=20, dt=0.0)
+    prob = tmp_path / "dt0.yaml"
     prob.write_text(yaml.safe_dump(doc))
     out = ["--csv", str(tmp_path / "t.csv"),
            "--report", str(tmp_path / "r.json")]
@@ -138,6 +138,59 @@ def test_verify_schema_mismatch(tmp_path, cheap_run):
     text[0] = "t,x_1,u_1,V,error"
     broken.write_text("\n".join(text) + "\n")
     assert run_cli("verify", EXAMPLE_FILE, *CHEAP, "--csv", str(broken)) == 1
+
+
+@pytest.mark.parametrize("damage", ["header only", "ragged", "non-numeric"])
+def test_verify_malformed_csv_exit_one(tmp_path, capsys, cheap_run, damage):
+    _, csv, _ = cheap_run
+    lines = csv.read_text().splitlines()
+    if damage == "header only":
+        lines = lines[:1]
+    elif damage == "ragged":
+        lines[7] += ",0.5"
+    else:
+        lines[7] = "abc" + lines[7][lines[7].index(","):]
+    broken = tmp_path / "broken.csv"
+    broken.write_text("\n".join(lines) + "\n")
+    assert run_cli("verify", EXAMPLE_FILE, *CHEAP, "--csv", str(broken)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(broken) in err
+    if damage != "header only":
+        assert "line 8" in err
+
+
+def _one_state_doc(dynamics="u1", x0=1.0, running="u1**2", terminal=None):
+    terms = [{"order": 1.0, "operand": running}]
+    if terminal is not None:
+        terms.insert(0, {"order": 0.0, "operand": terminal})
+    return {
+        "plant": {"orders": [0.5], "initial_state": [x0],
+                  "dynamics": [dynamics], "controls": 1,
+                  "control_lower": [-1.0], "control_upper": [1.0]},
+        "cost": {"terms": terms},
+        "solver": {"t0": 0.0, "tf": 1.0, "dt": 0.01, "u_init": 0.0,
+                   "n_a": 50, "n_b": 50, "p_max": 5,
+                   "quadratic_control": True},
+    }
+
+
+@pytest.mark.parametrize("doc, expression", [
+    (_one_state_doc(dynamics="1/(x1 - 1)"), "1/(x1 - 1)"),
+    (_one_state_doc(dynamics="log(x1 - 2)"), "log(x1 - 2)"),
+    (_one_state_doc(dynamics="exp(1000*x1)"), "exp(1000*x1)"),
+    (_one_state_doc(dynamics="x1**0.5", x0=-1.0), "x1**0.5"),
+    (_one_state_doc(running="log(x1 - 2) + u1**2"), "log(x1 - 2) + u1**2"),
+    (_one_state_doc(terminal="sqrt(x1 - 2)"), "sqrt(x1 - 2)"),
+], ids=["zero division", "log domain", "overflow", "complex power",
+        "running operand", "terminal operand"])
+def test_expression_math_error_is_solver_abort(tmp_path, capsys, doc,
+                                               expression):
+    prob = tmp_path / "bad_math.yaml"
+    prob.write_text(yaml.safe_dump(doc))
+    assert run_cli("run", str(prob), "--csv", str(tmp_path / "t.csv"),
+                   "--report", str(tmp_path / "r.json")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("solver abort: ") and repr(expression) in err
 
 
 def test_determinism_byte_identical_csv(tmp_path):

@@ -79,6 +79,14 @@ def test_unknown_keys_rejected(doc):
         build_problem(doc)
 
 
+def test_difference_step_key_rejected(doc):
+    # central differences use a fixed relative step; fd_step is no
+    # longer a solver setting
+    doc["solver"]["fd_step"] = 1e-6
+    with pytest.raises(ConfigError, match="fd_step"):
+        build_problem(doc)
+
+
 def test_unknown_top_level_block_rejected(doc):
     doc["extras"] = {}
     with pytest.raises(ConfigError, match="extras"):

@@ -4,7 +4,7 @@ import scipy.special as sps
 from scipy.optimize import minimize_scalar
 
 import fracopt as fo
-from fracopt import (aggregate_error, freeze_node, gamma,
+from fracopt import (SweepAbort, aggregate_error, freeze_node, gamma,
                      minimize_node_hamiltonian, node_hamiltonian,
                      running_weight)
 from fracopt import hjb
@@ -151,6 +151,16 @@ def test_minimize_box_clips_to_bounds():
                          np.array([0.0]), np.array([10.0]), True)
     assert u[0] == 0.0
     assert h == pytest.approx(0.0, abs=1e-12)
+
+
+def test_minimize_box_checks_endpoint_probes():
+    # h has no interior minimum, so the endpoints are probed; a NaN at the
+    # lower one must abort, not lose the comparison to the upper one
+    def h(u):
+        return np.nan if u[0] < -1.5 else -u[0] ** 2
+
+    with pytest.raises(SweepAbort, match="non-finite"):
+        _minimize_box(h, np.array([-2.0]), np.array([2.0]), True)
 
 
 def test_minimize_box_coordinate_descent_matches_quadratic():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -37,8 +39,7 @@ LQ_CFG = SweepConfig(dt=0.01, u_init=0.0, n_a=4, n_b=4, p_max=4,
 
 
 @pytest.mark.parametrize("kw", [
-    {"dt": 0.0}, {"dt": float("nan")}, {"dt": float("inf")},
-    {"fd_step": 0.0}, {"fd_step": -1e-6}, {"fd_step": float("nan")}])
+    {"dt": 0.0}, {"dt": float("nan")}, {"dt": float("inf")}])
 def test_config_rejects_bad_step_sizes(kw):
     with pytest.raises(fo.DomainError):
         SweepConfig(**kw)
@@ -49,7 +50,7 @@ def test_config_rejects_bad_step_sizes(kw):
     {"n_a": float("inf")}, {"error_tol": float("nan")},
     {"error_tol": float("inf")}, {"error_tol": -1e-8}, {"u_init": "abc"},
     {"u_init": float("nan")}, {"u_init": np.array([0.0, np.inf])},
-    {"dt": "0.01"}, {"fd_step": True}, {"relaxation": "abc"}])
+    {"dt": "0.01"}, {"dt": True}, {"relaxation": "abc"}])
 def test_config_rejects_ill_typed_values(kw):
     with pytest.raises(fo.DomainError):
         SweepConfig(**kw)
@@ -296,6 +297,82 @@ def test_classical_lq_matches_riccati_cost():
     assert state.converged
     ref = riccati_reference()
     assert state.j_star == pytest.approx(ref, rel=2e-2)
+
+
+def test_heun_bounded_search_lq_matches_riccati_cost():
+    prob = dataclasses.replace(lq_problem(), quadratic_control=False)
+    state = solve(prob, dataclasses.replace(LQ_CFG, stepper="heun"))
+    assert state.converged
+    assert state.j_star == pytest.approx(riccati_reference(), rel=2e-2)
+
+
+def _per_stage_costate(prob, grid, x, u, stepper):
+    """The costate as stepped before each node was linearized once: the
+    running-cost gradient and the field Jacobian are recomputed at every
+    stage of every step."""
+    n, dt, times = grid.n_steps, grid.dt, grid.times()
+
+    def gradient(fn, xv):
+        out = np.zeros(xv.shape[0])
+        for i in range(out.shape[0]):
+            h = 1e-6 * max(1.0, abs(xv[i]))
+            xp, xm = xv.copy(), xv.copy()
+            xp[i] += h
+            xm[i] -= h
+            out[i] = (fn(xp) - fn(xm)) / (2 * h)
+        return out
+
+    def rhs(k, lam_k):
+        t_run = times[n - 1] if k == n else times[k]
+        terms = prob.index.running_terms
+        weights = [fo.running_weight(term.v, t_run, prob.tf)
+                   for term in terms]
+        gg = gradient(lambda xv: sum(w * term.running(t_run, xv, u[k])
+                                     for w, term in zip(weights, terms)),
+                      x[k])
+        jac = prob.field.jacobian_x(times[k], x[k], u[k])
+        return -(gg + jac.T @ lam_k)
+
+    lam = np.zeros_like(x)
+    lam[n] = gradient(lambda xv: fo.terminal_value(prob.index, prob.tf, xv),
+                      x[n])
+    if stepper == "euler":
+        for k in range(n - 1, -1, -1):
+            lam[k] = lam[k + 1] - dt * rhs(k + 1, lam[k + 1])
+        return lam
+    for k in range(n - 1, 0, -1):
+        r1 = rhs(k + 1, lam[k + 1])
+        pred = lam[k + 1] - dt * r1
+        lam[k] = lam[k + 1] - 0.5 * dt * (r1 + rhs(k, pred))
+    lam[0] = lam[1] - dt * rhs(1, lam[1])
+    return lam
+
+
+@pytest.mark.parametrize("stepper", ["euler", "heun"])
+@pytest.mark.parametrize("which", ["lq", "two_state"])
+def test_costate_equals_per_stage_transcription(which, stepper):
+    if which == "lq":
+        prob = lq_problem().with_field(4, 4, 4, "convergent")
+        cfg = dataclasses.replace(LQ_CFG, stepper=stepper)
+    else:
+        prob = two_state_problem().with_field(10 ** 4, 10 ** 4, 20)
+        cfg = two_state_config(n_a=10 ** 4, n_b=10 ** 4, p_max=20,
+                               stepper=stepper)
+    u = np.linspace(-0.5, 0.3, 101)[:, None]
+    x, states = forward_sweep(prob, u, cfg)
+    value = backward_sweep(prob, x, states, u, cfg)
+    expected = _per_stage_costate(prob, value.grid, x, u, stepper)
+    assert np.array_equal(value.v_x, expected)
+
+
+@pytest.mark.parametrize("stepper", ["euler", "heun"])
+def test_backward_sweep_linearizes_each_node_once(monkeypatch, stepper):
+    prob = lq_problem().with_field(4, 4, 4, "convergent")
+    cfg = dataclasses.replace(LQ_CFG, stepper=stepper)
+    x, states = forward_sweep(prob, 0.0, cfg)
+    calls = _count_calls(monkeypatch, fo.TransformedField, "jacobian_x")
+    value = backward_sweep(prob, x, states, 0.0, cfg)
+    assert len(calls) == value.grid.n_steps
 
 
 def test_grid_refinement_consistency():
