@@ -39,7 +39,8 @@ LQ_CFG = SweepConfig(dt=0.01, u_init=0.0, n_a=4, n_b=4, p_max=4,
 
 
 @pytest.mark.parametrize("kw", [
-    {"dt": 0.0}, {"dt": float("nan")}, {"dt": float("inf")}])
+    {"dt": 0.0}, {"dt": float("nan")}, {"dt": float("inf")},
+    {"dt": -0.01}, {"dt": -1e-6}, {"dt": float("-inf")}])
 def test_config_rejects_bad_step_sizes(kw):
     with pytest.raises(fo.DomainError):
         SweepConfig(**kw)
