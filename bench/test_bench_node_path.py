@@ -22,7 +22,10 @@ the two, give a before/after table; delete the file to start a new one.
 Each row pools the rounds of every run of its side and holds the median,
 the quartiles, (Q3 - Q1) / median, and the solve's J*, Error and
 iteration count, which must agree between sides whose outputs are meant
-to be identical.
+to be identical.  It also holds peak_rss_mb, the median over the runs of
+the process's peak resident memory once the row has run (getrusage
+ru_maxrss): the rows run in order, so the dt = 1e-4 row's is the peak
+of one evaluation on 10^4 + 1 nodes.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import resource
 import statistics
 from pathlib import Path
 
@@ -57,17 +61,20 @@ def _pooled(runs: list) -> list:
     """One row per row name over every run of a side: the statistics of
     all their rounds, and the results of the last run."""
     times = {}
+    rss = {}
     last = {}
     for run in runs:
         for row in run:
             times.setdefault(row["name"], []).extend(row["times_s"])
+            rss.setdefault(row["name"], []).append(row["peak_rss_mb"])
             last[row["name"]] = row
     out = []
     for name, data in times.items():
         q1, median, q3 = statistics.quantiles(data, n=4)
         row = {k: v for k, v in last[name].items() if k != "times_s"}
         row.update(rounds=len(data), median_s=median, q1_s=q1, q3_s=q3,
-                   iqr_over_median=(q3 - q1) / median)
+                   iqr_over_median=(q3 - q1) / median,
+                   peak_rss_mb=statistics.median(rss[name]))
         out.append(row)
     return out
 
@@ -110,4 +117,6 @@ def test_node_path(benchmark, rows, name, overrides, rounds, warmup):
         "nodes": state.grid.n_nodes, "times_s": benchmark.stats.stats.data,
         "iterations": state.iteration, "j_star": state.j_star,
         "error": state.error,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        / 1024,
     })

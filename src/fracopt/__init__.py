@@ -10,10 +10,10 @@ forward-backward sweep solver for fixed-final-time problems.
 from .cost import (CostTerm, PerformanceIndex, evaluate, running_weight,
                    terminal_index_set, terminal_value)
 from .errors import ConfigError, DomainError, SingularTimeError, SweepAbort
-from .expansion import (AuxiliaryStates, ExpansionCoeffs, TransformedField,
-                        advance_moments, derivative_coeff, memory_correction,
-                        moment_coeff, reconstruct_rl_derivative,
-                        series_partial_sum, state_coeff)
+from .expansion import (ExpansionCoeffs, TransformedField, advance_moments,
+                        derivative_coeff, memory_correction, moment_coeff,
+                        reconstruct_rl_derivative, series_partial_sum,
+                        state_coeff)
 from .grid import SampledFunction, TimeGrid
 from .hjb import (FrozenNode, ValueData, aggregate_error, freeze_node,
                   minimize_node_hamiltonian, node_hamiltonian)
@@ -31,7 +31,7 @@ __all__ = [
     "gamma", "rl_integral_left", "rl_integral_right",
     "caputo_derivative", "rl_derivative",
     "series_partial_sum", "state_coeff", "derivative_coeff", "moment_coeff",
-    "ExpansionCoeffs", "AuxiliaryStates", "advance_moments",
+    "ExpansionCoeffs", "advance_moments",
     "memory_correction", "TransformedField", "reconstruct_rl_derivative",
     "CostTerm", "PerformanceIndex", "terminal_index_set", "terminal_value",
     "running_weight", "evaluate",

@@ -15,7 +15,8 @@ field; YAML syntax errors carry the parser's line/column mark.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -35,9 +36,8 @@ _PLANT_KEYS = {"orders", "initial_state", "dynamics", "controls",
                "control_lower", "control_upper"}
 _COST_KEYS = {"terms"}
 _TERM_KEYS = {"order", "operand"}
-_SOLVER_KEYS = {"t0", "tf", "dt", "u_init", "n_a", "n_b", "p_max",
-                "max_iters", "error_tol", "relaxation", "stepper",
-                "b_series", "quadratic_control"}
+_PROBLEM_SOLVER_KEYS = {"t0", "tf", "quadratic_control"}
+_SOLVER_KEYS = _PROBLEM_SOLVER_KEYS | {f.name for f in fields(SweepConfig)}
 _OUTPUT_KEYS = {"csv", "report"}
 _TOP_KEYS = {"plant", "cost", "solver", "output"}
 
@@ -70,6 +70,14 @@ def _need(block: Dict, key: str, where: str):
     if key not in block:
         raise ConfigError(f"{where}.{key}: missing required field")
     return block[key]
+
+
+def _finite_number(value, where: str) -> float:
+    """value as a float; a bool or a non-finite value is rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return float(value)
 
 
 def _float_list(value, where: str) -> List[float]:
@@ -255,14 +263,21 @@ def build_problem(doc: Dict) -> ParsedProblem:
                 raise ConfigError(f"{where}.operand: {exc}")
             terms.append(CostTerm(v=v, running=_running(fn)))
 
-    t0 = float(solver_block.get("t0", 0.0))
-    tf = _need(solver_block, "tf", "solver")
-    if isinstance(tf, bool) or not isinstance(tf, (int, float)) or tf <= t0:
+    t0 = _finite_number(solver_block.get("t0", 0.0), "solver.t0")
+    tf = _finite_number(_need(solver_block, "tf", "solver"), "solver.tf")
+    if tf <= t0:
         raise ConfigError("solver.tf: expected a number greater than t0")
-    quadratic = bool(solver_block.get("quadratic_control", False))
+    quadratic = solver_block.get("quadratic_control", False)
+    if not isinstance(quadratic, bool):
+        raise ConfigError("solver.quadratic_control: expected true or false, "
+                          f"got {quadratic!r}")
+    paths = {key: output_block.get(key) for key in _OUTPUT_KEYS}
+    for key, path in paths.items():
+        if path is not None and not isinstance(path, str):
+            raise ConfigError(f"output.{key}: expected a string, got {path!r}")
 
     cfg_fields = {k: v for k, v in solver_block.items()
-                  if k not in ("t0", "tf", "quadratic_control")}
+                  if k not in _PROBLEM_SOLVER_KEYS}
     try:
         config = SweepConfig(**cfg_fields)
     except (TypeError, ValueError) as exc:
@@ -271,11 +286,10 @@ def build_problem(doc: Dict) -> ParsedProblem:
     plant = FractionalPlant(orders=tuple(orders), rhs=rhs,
                             x0=np.array(x0), n_controls=n_controls, t0=t0)
     problem = HJBProblem(plant=plant, index=PerformanceIndex(tuple(terms)),
-                         tf=float(tf), u_lower=np.array(lo),
+                         tf=tf, u_lower=np.array(lo),
                          u_upper=np.array(hi), quadratic_control=quadratic)
     return ParsedProblem(problem=problem, config=config,
-                         csv_path=output_block.get("csv"),
-                         report_path=output_block.get("report"),
+                         csv_path=paths["csv"], report_path=paths["report"],
                          raw=doc)
 
 

@@ -33,12 +33,12 @@ so A = (1+S)/Gamma(1-q), the divergent B = (2+S)/Gamma(2-q) and the
 convergent B = q (1+S) / (N Gamma(2-q)).  S costs O(1) at any N: see
 series_partial_sum.
 
-W_p is of size (t-a)^(p-1), so it is stored normalized as
+W_p is of size (t-a)^(p-1), so it is stepped normalized as
 M_p = (t-a)^(1-p) W_p, which solves (t-a) M_p' = -(p-1) (x + M_p); the
 moment part of the expansion is then (t-a)^(-q) sum_p C(q,p) M_p.  The
 exact M_p is a weighted mean of -x and so stays within max|x|; the
-stored moments do not.  The first-cell trapezoid of advance_moments
-stores M_p(t_1) = (1-p) x0/2: on the bundled example max|M| = 74.5 at
+stepped moments do not.  The first-cell trapezoid of advance_moments
+gives M_p(t_1) = (1-p) x0/2: on the bundled example max|M| = 74.5 at
 node 1 (p = 150) while max|x| is about 1.0.
 """
 
@@ -59,7 +59,6 @@ __all__ = [
     "derivative_coeff",
     "moment_coeff",
     "ExpansionCoeffs",
-    "AuxiliaryStates",
     "advance_moments",
     "memory_correction",
     "central_difference",
@@ -184,61 +183,32 @@ class ExpansionCoeffs:
         return np.arange(2, self.p_max + 1)
 
 
-@dataclass
-class AuxiliaryStates:
-    """Normalized moment-state trajectories for every state component.
-
-    values[k, j, i] holds M_p = (t_k-a)^(1-p) W_p(t_k) for p = j+2 and
-    state component i; M_p solves (t-a) M_p' = -(p-1) (x + M_p).  Node 0
-    holds 0: its limit -x(a) is never read, since the field is singular
-    there.
-    """
-
-    grid: TimeGrid
-    p_max: int
-    n_states: int
-    values: np.ndarray = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.p_max < 2:
-            raise DomainError("moment cutoff p_max must be >= 2")
-        if self.values is None:
-            self.values = np.zeros(
-                (self.grid.n_nodes, self.p_max - 1, self.n_states))
-
-    @property
-    def p_values(self) -> np.ndarray:
-        return np.arange(2, self.p_max + 1)
-
-    def at_node(self, k: int) -> np.ndarray:
-        return self.values[k]
-
-
-def advance_moments(states: AuxiliaryStates, x: np.ndarray,
-                    node: int) -> AuxiliaryStates:
+def advance_moments(grid: TimeGrid, m: np.ndarray, x: np.ndarray,
+                    node: int) -> np.ndarray:
     """One explicit trapezoidal step of the moment IVP from node to node+1.
 
-    The rate (1-p)(t-a)^(p-2) x of W_p is integrated over the cell with
-    the state sample frozen at the left node, which makes the stored
-    trajectory a pure function of the node samples of x (the property the
-    residual audit relies on).  Exact for constant x.  Written for M_p,
-    with rho = (t_k-a)/(t_{k+1}-a) and rho^0 = 1 at the first node:
+    m[j, i] holds M_p(t_node) for p = j+2 and state component i (zero at
+    node 0: its limit -x(a) is never read, since the field is singular
+    there); the return value holds M_p(t_{node+1}).  The rate
+    (1-p)(t-a)^(p-2) x of W_p is integrated over the cell with the state
+    sample frozen at the left node, which makes the moments a pure
+    function of the node samples of x (the property the residual audit
+    relies on).  Exact for constant x.  Written for M_p, with
+    rho = (t_k-a)/(t_{k+1}-a) and rho^0 = 1 at the first node:
 
         M_{k+1} = rho^(p-1) M_k
                   + (1-p)/2 dt/(t_{k+1}-a) (rho^(p-2) + 1) x_k
     """
-    if not 0 <= node < states.grid.n_steps:
+    if not 0 <= node < grid.n_steps:
         raise DomainError(f"cannot step from node {node}")
-    ps = states.p_values.astype(float)
-    a = states.grid.t0
-    t_next = states.grid.node(node + 1) - a
-    rho = (states.grid.node(node) - a) / t_next
-    half_step = 0.5 * states.grid.dt / t_next
+    ps = np.arange(2, m.shape[0] + 2).astype(float)
+    a = grid.t0
+    t_next = grid.node(node + 1) - a
+    rho = (grid.node(node) - a) / t_next
+    half_step = 0.5 * grid.dt / t_next
     fac = half_step * (1.0 - ps) * (rho ** (ps - 2.0) + 1.0)
     decay = rho ** (ps - 1.0)
-    states.values[node + 1] = (decay[:, None] * states.values[node]
-                               + np.outer(fac, np.asarray(x, dtype=float)))
-    return states
+    return decay[:, None] * m + np.outer(fac, np.asarray(x, dtype=float))
 
 
 def memory_correction(t: float, x_i: float, coeffs: ExpansionCoeffs,

@@ -4,7 +4,8 @@ Expressions are Python-syntax arithmetic over declared variable names,
 numeric literals, the constants pi and e, and a fixed set of elementary
 functions.  Anything else (attributes, comprehensions, calls to unknown
 names, comparisons, ...) is rejected at compile time, so evaluating a
-compiled expression can execute only arithmetic.
+compiled expression can execute only arithmetic, in floats: every
+literal is made a float, so 9**9**9 overflows instead of running on.
 """
 
 from __future__ import annotations
@@ -56,6 +57,12 @@ def _validate(node: ast.AST, variables: set, text: str) -> None:
             if not isinstance(child.value, (int, float)):
                 raise ExpressionError(
                     f"literal {child.value!r} not allowed in {text!r}")
+            try:   # in place: the compiled lambda sees a float literal
+                child.value = float(child.value)
+            except OverflowError:
+                raise ExpressionError(
+                    f"integer literal too large for a float in {text!r}"
+                ) from None
             continue
         if isinstance(child, ast.Call):
             if not isinstance(child.func, ast.Name) \

@@ -1,9 +1,10 @@
 """Forward-backward sweep solver.
 
 One iteration evaluates the current control trajectory end to end:
-integrate the transformed dynamics and moment states forward, integrate
-the costate and value backward, minimize the Hamiltonian pointwise, and
-score the iterate by the root-sum-square residual of the
+integrate the transformed dynamics and moment states forward, freezing
+each node (hjb.freeze_node) as the sweep reaches it, integrate the
+costate and value backward on those records, minimize the Hamiltonian
+pointwise, and score the iterate by the root-sum-square residual of the
 dynamic-programming equation.  The control update is relaxed and accepted
 only when the aggregate residual does not increase; on rejection the
 relaxation factor is halved and the update retried.
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import cost as cost_mod
 from .errors import DomainError, SweepAbort
-from .expansion import AuxiliaryStates, advance_moments, central_difference
+from .expansion import advance_moments, central_difference
 from .grid import TimeGrid
 from .hjb import (ValueData, aggregate_error, freeze_node,
                   minimize_node_hamiltonian, node_hamiltonian, node_times)
@@ -97,7 +98,6 @@ class SweepState:
     iteration: int
     u: np.ndarray = field(repr=False)
     x: np.ndarray = field(repr=False)
-    moments: AuxiliaryStates = field(repr=False)
     value: ValueData = field(repr=False)
     u_star: np.ndarray = field(repr=False)
     residuals: np.ndarray = field(repr=False)
@@ -166,10 +166,12 @@ def forward_sweep(prob: HJBProblem, u, cfg: SweepConfig):
     The transformed field is singular at t0, so the first cell is crossed
     with one explicit Euler step of the original Caputo right-hand side
     (which is regular); stepping then proceeds on the transformed system
-    with the configured scheme.  Returns (x, moments).
+    with the configured scheme.  Only the current moment state M_k is
+    kept: node k is frozen (hjb.freeze_node) at x_k and M_k as the sweep
+    reaches it, and the step out of it takes that record's field.
+    Returns (x, nodes), one FrozenNode per grid node.
     """
-    if prob.field is None:
-        prob = _ensure_field(prob, cfg)
+    prob = _ensure_field(prob, cfg)
     grid = _grid_for(prob, cfg)
     u = _control_array(prob, grid, u)
     plant = prob.plant
@@ -177,22 +179,22 @@ def forward_sweep(prob: HJBProblem, u, cfg: SweepConfig):
     dt = grid.dt
     times = grid.times()
     x = np.empty((grid.n_nodes, plant.n_states))
-    states = AuxiliaryStates(grid, cfg.p_max, plant.n_states)
     heun = cfg.stepper == "heun"
     x[0] = plant.x0
-    f_0 = np.asarray(plant.rhs(times[0], x[0], u[0]), dtype=float)
-    x[1] = _step(x[0], dt, f_0, None, heun=False)
-    _check_finite(x[1], "state", 1)
-    advance_moments(states, x[0], 0)
-    for k in range(1, n):
-        advance_moments(states, x[k], k)   # moment step is x_{k+1}-free
-        m_next = states.at_node(k + 1)
-        _check_finite(m_next, "moment state", k + 1)
+    m = np.zeros((cfg.p_max - 1, plant.n_states))
+    nodes = []
+    for k in range(n):
+        nodes.append(freeze_node(prob, grid, k, x[k], m))
+        m = advance_moments(grid, m, x[k], k)   # x_{k+1}-free
+        _check_finite(m, "moment state", k + 1)
+        slope = nodes[k].field(u[k]) if k else np.asarray(
+            plant.rhs(times[0], x[0], u[0]), dtype=float)
         x[k + 1] = _step(
-            x[k], dt, prob.field(times[k], x[k], states.at_node(k), u[k]),
-            lambda y: prob.field(times[k + 1], y, m_next, u[k + 1]), heun)
+            x[k], dt, slope,
+            lambda y: prob.field(times[k + 1], y, m, u[k + 1]), heun and k > 0)
         _check_finite(x[k + 1], "state", k + 1)
-    return x, states
+    nodes.append(freeze_node(prob, grid, n, x[n], m))
+    return x, tuple(nodes)
 
 
 def _weighted_running_gradient(prob: HJBProblem, grid: TimeGrid, k: int,
@@ -210,7 +212,7 @@ def _weighted_running_gradient(prob: HJBProblem, grid: TimeGrid, k: int,
     return central_difference(g_of, x_k)
 
 
-def backward_sweep(prob: HJBProblem, x: np.ndarray, states: AuxiliaryStates,
+def backward_sweep(prob: HJBProblem, x: np.ndarray, nodes: tuple,
                    u, cfg: SweepConfig) -> ValueData:
     """Integrate costates backward and build the value chain.
 
@@ -227,12 +229,12 @@ def backward_sweep(prob: HJBProblem, x: np.ndarray, states: AuxiliaryStates,
     linearizations; the step into node 0, where the field is singular,
     is Euler.
 
-    Every node is frozen once (hjb.freeze_node) at its state and moments;
-    the records go out on the ValueData, for the minimization and the
+    nodes are x's frozen node records (forward_sweep's, or
+    audit_residuals'); the value chain's Hamiltonians are taken on them,
+    and they go out on the ValueData for the minimization and the
     residuals of the same evaluation.
     """
-    if prob.field is None:
-        prob = _ensure_field(prob, cfg)
+    prob = _ensure_field(prob, cfg)
     grid = _grid_for(prob, cfg)
     u = _control_array(prob, grid, u)
     n = grid.n_steps
@@ -259,8 +261,6 @@ def backward_sweep(prob: HJBProblem, x: np.ndarray, states: AuxiliaryStates,
                        lambda y: -(grad[k] + jac[k].T @ y), heun and k > 0)
         _check_finite(lam[k], "costate", k)
 
-    nodes = tuple(freeze_node(prob, grid, k, x[k], states.at_node(k))
-                  for k in range(grid.n_nodes))
     h_gen = np.array([node_hamiltonian(node, u[k], lam[k])
                       for k, node in enumerate(nodes)])
     if not np.all(np.isfinite(h_gen)):
@@ -287,33 +287,37 @@ def _pointwise_minimizers(prob: HJBProblem, value: ValueData) -> np.ndarray:
 
 
 def _evaluate(prob: HJBProblem, u: np.ndarray, cfg: SweepConfig):
-    x, states = forward_sweep(prob, u, cfg)
-    value = backward_sweep(prob, x, states, u, cfg)
+    x, nodes = forward_sweep(prob, u, cfg)
+    value = backward_sweep(prob, x, nodes, u, cfg)
     u_star = _pointwise_minimizers(prob, value)
     residuals = np.array([
         node_hamiltonian(node, u_star[k], value.v_x[k]) + value.v_t[k]
         for k, node in enumerate(value.nodes)])
-    return x, states, value, u_star, residuals, aggregate_error(residuals)
+    return x, value, u_star, residuals, aggregate_error(residuals)
 
 
 def audit_residuals(prob: HJBProblem, x: np.ndarray, u,
                     cfg: SweepConfig):
     """Recompute residuals and value data from stored trajectories alone.
 
-    Rebuilds the moment states from the node samples of x, reruns the
-    backward sweep under the supplied control, and evaluates the
-    residuals at the pointwise minimizers: the audit path behind the
-    command-line verify.  Returns (residuals, value).
+    Steps the moment states over the node samples of x, freezing each
+    node as forward_sweep does, reruns the backward sweep on those
+    records under the supplied control, and evaluates the residuals at
+    the pointwise minimizers: the audit path behind the command-line
+    verify.  Returns (residuals, value).
     """
     prob = _ensure_field(prob, cfg)
     grid = _grid_for(prob, cfg)
     u = _control_array(prob, grid, u)
     if x.shape != (grid.n_nodes, prob.plant.n_states):
         raise DomainError("state trajectory does not match the grid")
-    states = AuxiliaryStates(grid, cfg.p_max, prob.plant.n_states)
-    for k in range(grid.n_steps):
-        advance_moments(states, x[k], k)
-    value = backward_sweep(prob, x, states, u, cfg)
+    m = np.zeros((cfg.p_max - 1, prob.plant.n_states))
+    nodes = []
+    for k in range(grid.n_nodes):
+        nodes.append(freeze_node(prob, grid, k, x[k], m))
+        if k < grid.n_steps:
+            m = advance_moments(grid, m, x[k], k)
+    value = backward_sweep(prob, x, tuple(nodes), u, cfg)
     u_star = _pointwise_minimizers(prob, value)
     residuals = np.array([
         node_hamiltonian(node, u_star[k], value.v_x[k]) + value.v_t[k]
@@ -332,7 +336,7 @@ def solve(prob: HJBProblem, cfg: SweepConfig) -> SweepState:
     prob = _ensure_field(prob, cfg)
     grid = _grid_for(prob, cfg)
     u = _control_array(prob, grid, cfg.u_init)
-    x, states, value, u_star, residuals, err = _evaluate(prob, u, cfg)
+    x, value, u_star, residuals, err = _evaluate(prob, u, cfg)
     history = [err]
     iteration = 0
     stagnated = False
@@ -351,12 +355,12 @@ def solve(prob: HJBProblem, cfg: SweepConfig) -> SweepState:
             stagnated = True
             break
         u = u_try
-        x, states, value, u_star, residuals, err = trial
+        x, value, u_star, residuals, err = trial
         history.append(err)
         iteration += 1
     j_star = cost_mod.evaluate(prob.index, grid, x, u, 0)
     return SweepState(
-        grid=grid, iteration=iteration, u=u, x=x, moments=states,
+        grid=grid, iteration=iteration, u=u, x=x,
         value=value, u_star=u_star, residuals=residuals, error=err,
         error_history=history, j_star=j_star,
         converged=bool(err <= cfg.error_tol), stagnated=stagnated)

@@ -20,6 +20,17 @@ def bracket_closed_form(q, n):
         return float(mp.gamma(q + n) / (mp.gamma(q + 1) * mp.gamma(n)) - 1)
 
 
+def moment_trajectory(grid, p_max, xs):
+    """M_k at every node of grid for the state samples xs (one row per
+    node), stepped by advance_moments from zero at node 0: array of shape
+    (n_nodes, p_max - 1, n_states)."""
+    xs = np.asarray(xs, dtype=float)
+    out = np.zeros((grid.n_nodes, p_max - 1, xs.shape[1]))
+    for k in range(grid.n_steps):
+        out[k + 1] = fo.advance_moments(grid, out[k], xs[k], k)
+    return out
+
+
 def two_state_problem():
     """The bundled two-state problem, built programmatically."""
     plant = fo.FractionalPlant(

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 
+import fracopt
 from fracopt.cli import main, read_csv
 
 from conftest import EXAMPLE_FILE
@@ -99,6 +103,46 @@ def test_ill_typed_solver_values_exit_one(tmp_path, capsys, solver):
     assert run_cli("run", str(prob), "--csv", str(tmp_path / "t.csv"),
                    "--report", str(tmp_path / "r.json")) == 1
     assert "error: solver: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("block, key, value", [
+    ("solver", "quadratic_control", "false"),
+    ("solver", "quadratic_control", 1),
+    ("solver", "t0", "abc"),
+    ("solver", "t0", True),
+    ("solver", "tf", float("inf")),
+    ("output", "csv", 123),
+    ("output", "report", ["r.json"]),
+], ids=["quoted boolean", "integer boolean", "text t0", "boolean t0",
+        "infinite tf", "numeric csv", "list report"])
+def test_ill_typed_problem_values_exit_one(tmp_path, capsys, block, key,
+                                           value):
+    doc = yaml.safe_load(Path(EXAMPLE_FILE).read_text())
+    doc["solver"].update(n_a=10000, n_b=10000, p_max=20)
+    doc[block][key] = value
+    prob = tmp_path / "bad.yaml"
+    prob.write_text(yaml.safe_dump(doc))
+    assert run_cli("run", str(prob), "--csv", str(tmp_path / "t.csv"),
+                   "--report", str(tmp_path / "r.json")) == 1
+    assert f"error: {block}.{key}: " in capsys.readouterr().err
+
+
+def test_integer_power_aborts_within_seconds(tmp_path):
+    # in a subprocess with a timeout, so that a run computing the exact
+    # integer 9**9**9 fails instead of hanging the suite
+    doc = _one_state_doc(dynamics="x1 + 9**9**9")
+    prob = tmp_path / "power.yaml"
+    prob.write_text(yaml.safe_dump(doc))
+    src = str(Path(fracopt.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fracopt", "run", str(prob),
+         "--csv", str(tmp_path / "t.csv"),
+         "--report", str(tmp_path / "r.json")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=30)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("solver abort: ")
+    assert repr("x1 + 9**9**9") in proc.stderr
 
 
 def test_integral_float_counts_run(tmp_path):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import yaml
 from fracopt.config import (apply_overrides, build_problem, load_raw,
                             parse_problem, write_problem)
 from fracopt.errors import ConfigError
+from fracopt.sweep import SweepConfig
 
 from conftest import EXAMPLE_FILE, two_state_problem
 
@@ -85,6 +87,15 @@ def test_difference_step_key_rejected(doc):
     doc["solver"]["fd_step"] = 1e-6
     with pytest.raises(ConfigError, match="fd_step"):
         build_problem(doc)
+
+
+def test_every_sweep_config_field_is_a_solver_key(doc):
+    defaults = SweepConfig()
+    for f in dataclasses.fields(SweepConfig):
+        trial = copy.deepcopy(doc)
+        trial["solver"][f.name] = getattr(defaults, f.name)
+        assert getattr(build_problem(trial).config, f.name) \
+            == getattr(defaults, f.name)
 
 
 def test_unknown_top_level_block_rejected(doc):

@@ -7,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracopt as fo
-from fracopt import (AuxiliaryStates, DomainError, ExpansionCoeffs,
+from fracopt import (DomainError, ExpansionCoeffs,
                      SampledFunction, SingularTimeError, TimeGrid,
                      TransformedField, advance_moments, caputo_derivative,
                      derivative_coeff, gamma, memory_correction, moment_coeff,
                      reconstruct_rl_derivative, rl_derivative,
                      series_partial_sum, state_coeff)
 
-from conftest import bracket_closed_form
+from conftest import bracket_closed_form, moment_trajectory
 
 mp.mp.dps = 40
 
@@ -183,33 +183,27 @@ def test_coeff_build_validates():
 
 def test_moments_p2_constant_state():
     grid = TimeGrid(0.0, 1.0, 50)
-    states = AuxiliaryStates(grid, 4, 1)
-    for k in range(grid.n_steps):
-        advance_moments(states, np.array([1.0]), k)
+    moments = moment_trajectory(grid, 4, np.ones((grid.n_nodes, 1)))
     # W_2 solves W' = -x, so W_2(t) = -(t - a) exactly; W_2 = (t-a) M_2
     for k in (10, 25, 50):
-        w = grid.node(k) * states.values[k, 0, 0]
+        w = grid.node(k) * moments[k, 0, 0]
         assert w == pytest.approx(-grid.node(k), rel=1e-12)
 
 
 def test_moments_p3_constant_state():
     grid = TimeGrid(0.0, 1.0, 200)
-    states = AuxiliaryStates(grid, 3, 1)
-    for k in range(grid.n_steps):
-        advance_moments(states, np.array([1.0]), k)
+    moments = moment_trajectory(grid, 3, np.ones((grid.n_nodes, 1)))
     # W_3' = -2(t-a): the trapezoidal step integrates linear rates
     # exactly; W_3 = (t-a)^2 M_3
     for k in (40, 120, 200):
-        w = grid.node(k) ** 2 * states.values[k, 1, 0]
+        w = grid.node(k) ** 2 * moments[k, 1, 0]
         assert w == pytest.approx(-grid.node(k) ** 2, rel=1e-12)
 
 
 def test_moments_zero_state_stay_zero():
     grid = TimeGrid(0.0, 1.0, 20)
-    states = AuxiliaryStates(grid, 10, 2)
-    for k in range(grid.n_steps):
-        advance_moments(states, np.zeros(2), k)
-    assert np.all(states.values == 0.0)
+    moments = moment_trajectory(grid, 10, np.zeros((grid.n_nodes, 2)))
+    assert np.all(moments == 0.0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -222,10 +216,7 @@ def test_moment_advance_is_linear_in_state(a, b, seed):
     ys = rng.uniform(-1, 1, (grid.n_nodes, 1))
 
     def run(traj):
-        st_ = AuxiliaryStates(grid, 6, 1)
-        for k in range(grid.n_steps):
-            advance_moments(st_, traj[k], k)
-        return st_.values.copy()
+        return moment_trajectory(grid, 6, traj)
 
     combo = run(a * xs + b * ys)
     split = a * run(xs) + b * run(ys)
@@ -331,18 +322,18 @@ def test_field_integer_order_limit_recovers_plant_rhs():
                    for q in plant.orders)
     field = TransformedField(plant, coeffs)
     grid = TimeGrid(0.0, 1.0, 100)
-    states = AuxiliaryStates(grid, n, 2)
+    moments = np.zeros((grid.n_nodes, n - 1, 2))
     x = np.empty((grid.n_nodes, 2))
     x[0] = plant.x0
     u = np.array([0.3])
     x[1] = x[0] + grid.dt * plant.rhs(0.0, x[0], u)
-    advance_moments(states, x[0], 0)
+    moments[1] = advance_moments(grid, moments[0], x[0], 0)
     for k in range(1, grid.n_steps):
         x[k + 1] = x[k] + grid.dt * field(grid.node(k), x[k],
-                                          states.at_node(k), u)
-        advance_moments(states, x[k], k)
+                                          moments[k], u)
+        moments[k + 1] = advance_moments(grid, moments[k], x[k], k)
     for k in (20, 50, 80):
-        ft = field(grid.node(k), x[k], states.at_node(k), u)
+        ft = field(grid.node(k), x[k], moments[k], u)
         f0 = plant.rhs(grid.node(k), x[k], u)
         assert np.max(np.abs(ft - f0)) <= 0.05 * max(1.0, np.max(np.abs(f0)))
 

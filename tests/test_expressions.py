@@ -52,6 +52,19 @@ def test_empty_rejected():
         compile_expression("   ", ["t"])
 
 
+def test_integer_literals_are_floats():
+    # in exact integer arithmetic 10**400 / 10**399 is 10; in floats the
+    # power overflows, as 9**9**9 does at once instead of running on
+    assert compile_expression("7 % 3 + 2**-1", [])() == 1.5
+    with pytest.raises(OverflowError):
+        compile_expression("x1 + 10**400 / 10**399", ["x1"])(1.0)
+
+
+def test_integer_literal_too_large_for_a_float_rejected():
+    with pytest.raises(ExpressionError, match="too large"):
+        compile_expression("x1 + 1" + "0" * 400, ["x1"])
+
+
 def test_evaluation_is_pure_float():
     fn = compile_expression("log(e)", [])
     out = fn()

@@ -10,7 +10,7 @@ from fracopt import (SweepAbort, aggregate_error, freeze_node, gamma,
 from fracopt import hjb
 from fracopt.hjb import _minimize_box
 
-from conftest import two_state_problem
+from conftest import moment_trajectory, two_state_problem
 
 
 def small_field_problem():
@@ -20,7 +20,8 @@ def small_field_problem():
 
 def stored_residual(prob, st, u, k):
     """Residual at node k: the Hamiltonian at the stored data plus V_t."""
-    node = freeze_node(prob, st.grid, k, st.x[k], st.moments.at_node(k))
+    node = freeze_node(prob, st.grid, k, st.x[k],
+                       moment_trajectory(st.grid, 40, st.x)[k])
     return node_hamiltonian(node, u[k], st.value.v_x[k]) + st.value.v_t[k]
 
 
@@ -263,8 +264,9 @@ def test_minimizer_optimality_at_convergence(cheap_state):
     prob = two_state_problem().with_field(10 ** 5, 10 ** 5, 40)
     st = cheap_state
     grid = st.grid
+    moments = moment_trajectory(grid, 40, st.x)
     for k in range(5, grid.n_nodes - 5, 10):
-        node = freeze_node(prob, grid, k, st.x[k], st.moments.at_node(k))
+        node = freeze_node(prob, grid, k, st.x[k], moments[k])
         h0 = node_hamiltonian(node, st.u_star[k], st.value.v_x[k])
         for delta in (1e-4, -1e-4):
             hp = node_hamiltonian(node, st.u_star[k] + delta,

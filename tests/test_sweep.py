@@ -8,7 +8,7 @@ import fracopt as fo
 from fracopt import (SweepAbort, SweepConfig, backward_sweep, forward_sweep,
                      solve, sweep)
 
-from conftest import two_state_config, two_state_problem
+from conftest import moment_trajectory, two_state_config, two_state_problem
 
 
 def lq_problem(a=-1.0, b=1.0, cx=1.0, cu=1.0, sf=0.5):
@@ -77,9 +77,9 @@ def test_forward_zero_dynamics_zero_state():
     prob = fo.HJBProblem(plant=plant, index=pi, tf=1.0,
                          u_lower=np.array([-1.0]), u_upper=np.array([1.0]))
     cfg = SweepConfig(dt=0.02, n_a=50, n_b=50, p_max=10)
-    x, states = forward_sweep(prob, 0.0, cfg)
+    x, nodes = forward_sweep(prob, 0.0, cfg)
     assert np.all(x == 0.0)
-    assert np.all(states.values == 0.0)
+    assert all(np.all(node.field(np.zeros(1)) == 0.0) for node in nodes)
 
 
 def test_forward_pins_initial_condition():
@@ -128,8 +128,8 @@ def test_backward_zero_costs_give_zero_value_and_costate():
     cfg = SweepConfig(dt=0.01, n_a=20, n_b=20, p_max=5)
     prob = prob.with_field(cfg.n_a, cfg.n_b, cfg.p_max)
     u = np.zeros((101, 1))
-    x, states = forward_sweep(prob, u, cfg)
-    value = backward_sweep(prob, x, states, u, cfg)
+    x, nodes = forward_sweep(prob, u, cfg)
+    value = backward_sweep(prob, x, nodes, u, cfg)
     assert np.all(value.v == 0.0)
     assert np.all(value.v_x == 0.0)
 
@@ -174,9 +174,65 @@ def test_solve_corrects_each_node_about_twice_per_evaluation(monkeypatch):
     assert per_node <= 2.1
 
 
-@pytest.mark.parametrize("setting", [
+@pytest.mark.parametrize("stepper", ["euler", "heun"])
+def test_evaluation_corrects_each_node_once_per_stage(monkeypatch, stepper):
+    # the forward sweep freezes each of the 101 nodes once and only Heun's
+    # predictor corrects again; the backward sweep, the minimizer and the
+    # residual reuse the records
+    cfg = two_state_config(n_a=10 ** 4, n_b=10 ** 4, p_max=20,
+                           stepper=stepper)
+    prob = two_state_problem().with_field(cfg.n_a, cfg.n_b, cfg.p_max)
+    corrections = _count_calls(monkeypatch, fo.TransformedField, "correction")
+    sweep._evaluate(prob, 5.0, cfg)
+    if stepper == "euler":
+        assert len(corrections) == 101
+    else:
+        assert len(corrections) <= 2 * 101
+
+
+@pytest.mark.parametrize("stepper", ["euler", "heun"])
+def test_forward_records_equal_records_frozen_from_scratch(stepper):
+    cfg = two_state_config(n_a=10 ** 4, n_b=10 ** 4, p_max=20,
+                           stepper=stepper)
+    prob = two_state_problem().with_field(cfg.n_a, cfg.n_b, cfg.p_max)
+    x, nodes = forward_sweep(prob, np.linspace(-0.5, 0.3, 101), cfg)
+    grid = fo.TimeGrid(0.0, 1.0, 100)
+    moments = moment_trajectory(grid, cfg.p_max, x)
+    for k in (0, 1, 37, 99, 100):
+        fresh = fo.freeze_node(prob, grid, k, x[k], moments[k])
+        assert (nodes[k].t_run, nodes[k].t_field) \
+            == (fresh.t_run, fresh.t_field)
+        for u in (np.array([-2.0]), np.array([0.0]), np.array([3.5])):
+            assert np.array_equal(nodes[k].field(u), fresh.field(u))
+            assert nodes[k].running(u) == fresh.running(u)
+
+
+_MISMATCHED_SETTINGS = [
     {"n_a": 10 ** 3}, {"n_b": 10 ** 3}, {"p_max": 10},
-    {"b_series": "convergent"}])
+    {"b_series": "convergent"}]
+
+
+@pytest.mark.parametrize("setting", _MISMATCHED_SETTINGS)
+def test_mismatched_attached_field_is_rebuilt_by_each_sweep(setting):
+    cfg = two_state_config(n_a=10 ** 4, n_b=10 ** 4, p_max=20)
+    other = dict(n_a=cfg.n_a, n_b=cfg.n_b, p_max=cfg.p_max,
+                 b_series=cfg.b_series)
+    other.update(setting)
+    stale = two_state_problem().with_field(**other)
+    u = np.linspace(-0.5, 0.3, 101)
+    results = []
+    for prob in (stale, two_state_problem()):
+        x, nodes = forward_sweep(prob, u, cfg)
+        results.append((x, [node.field(np.array([1.0])) for node in nodes],
+                        backward_sweep(prob, x, nodes, u, cfg)))
+    (x, fields, value), (x_ref, fields_ref, value_ref) = results
+    assert np.array_equal(x, x_ref)
+    assert np.array_equal(fields, fields_ref)
+    for name in ("v", "v_x", "v_t"):
+        assert np.array_equal(getattr(value, name), getattr(value_ref, name))
+
+
+@pytest.mark.parametrize("setting", _MISMATCHED_SETTINGS)
 def test_mismatched_attached_field_is_rebuilt(setting):
     cfg = two_state_config(n_a=10 ** 4, n_b=10 ** 4, p_max=20, max_iters=0)
     other = dict(n_a=cfg.n_a, n_b=cfg.n_b, p_max=cfg.p_max,
@@ -360,8 +416,8 @@ def test_costate_equals_per_stage_transcription(which, stepper):
         cfg = two_state_config(n_a=10 ** 4, n_b=10 ** 4, p_max=20,
                                stepper=stepper)
     u = np.linspace(-0.5, 0.3, 101)[:, None]
-    x, states = forward_sweep(prob, u, cfg)
-    value = backward_sweep(prob, x, states, u, cfg)
+    x, nodes = forward_sweep(prob, u, cfg)
+    value = backward_sweep(prob, x, nodes, u, cfg)
     expected = _per_stage_costate(prob, value.grid, x, u, stepper)
     assert np.array_equal(value.v_x, expected)
 
@@ -370,9 +426,9 @@ def test_costate_equals_per_stage_transcription(which, stepper):
 def test_backward_sweep_linearizes_each_node_once(monkeypatch, stepper):
     prob = lq_problem().with_field(4, 4, 4, "convergent")
     cfg = dataclasses.replace(LQ_CFG, stepper=stepper)
-    x, states = forward_sweep(prob, 0.0, cfg)
+    x, nodes = forward_sweep(prob, 0.0, cfg)
     calls = _count_calls(monkeypatch, fo.TransformedField, "jacobian_x")
-    value = backward_sweep(prob, x, states, 0.0, cfg)
+    value = backward_sweep(prob, x, nodes, 0.0, cfg)
     assert len(calls) == value.grid.n_steps
 
 
