@@ -14,7 +14,10 @@ compares, per problem file:
 - the exit status of both commands;
 - the verify output, which must also report a difference of 0.
 
-It prints one line per problem file and exits 1 on any difference.
+It prints one line per problem file and exits 1 on any difference.  Each
+difference follows on its own indented line: for differing CSVs, every
+column that differs with its largest absolute difference; for differing
+reports, every field that differs with both values.
 """
 
 from __future__ import annotations
@@ -56,11 +59,42 @@ def _outputs(src: Path, problem: Path, out: Path) -> dict:
     }
 
 
+def _columns(csv: bytes) -> dict:
+    """Column name -> list of values of a trajectory CSV."""
+    header, *rows = csv.decode().split()
+    values = [[float(c) for c in row.split(",")] for row in rows]
+    return {name: [row[i] for row in values]
+            for i, name in enumerate(header.split(","))}
+
+
+def _csv_diffs(ours: bytes, theirs: bytes) -> list:
+    """One entry per differing column, with its largest difference."""
+    a, b = _columns(ours), _columns(theirs)
+    if a.keys() != b.keys() \
+            or any(len(a[name]) != len(b[name]) for name in a):
+        return ["csv: columns or row counts differ"]
+    return [f"csv column {name}: max |difference| = "
+            f"{max(abs(x - y) for x, y in zip(a[name], b[name])):.3e}"
+            for name in a if a[name] != b[name]]
+
+
 def compare(problem: Path, other_src: Path, tmp: Path) -> list:
     """Differences between this checkout and other_src on one problem."""
     ours = _outputs(ROOT / "src", problem, tmp / "ours")
     theirs = _outputs(other_src, problem, tmp / "theirs")
-    diffs = [key for key in ours if ours[key] != theirs[key]]
+    diffs = []
+    for key in ours:
+        if ours[key] == theirs[key]:
+            continue
+        if key == "csv" and None not in (ours[key], theirs[key]):
+            diffs += _csv_diffs(ours[key], theirs[key])
+        elif key == "report":
+            diffs += [f"report {field}: {ours[key].get(field)!r} (this "
+                      f"checkout) vs {theirs[key].get(field)!r} (other)"
+                      for field in sorted(ours[key].keys() | theirs[key].keys())
+                      if ours[key].get(field) != theirs[key].get(field)]
+        else:
+            diffs.append(key)
     if ours["csv"] is None:
         diffs.append("no CSV written")
     if "|difference|     = 0.000e+00" not in ours["verify output"]:
@@ -81,8 +115,9 @@ def main(argv=None) -> int:
         with tempfile.TemporaryDirectory() as tmp:
             diffs = compare(problem, other_src, Path(tmp))
         name = problem.relative_to(ROOT)
-        print(f"{name}: " + ("identical" if not diffs
-                             else "DIFFERENT: " + ", ".join(diffs)))
+        print(f"{name}: " + ("DIFFERENT" if diffs else "identical"))
+        for diff in diffs:
+            print(f"    {diff}")
         failed |= bool(diffs)
     return 1 if failed else 0
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -78,10 +79,13 @@ def read_csv(path: str, n_states: int, n_controls: int):
             raise ConfigError(f"{path}: line {line_no}: ragged CSV, expected "
                               f"{len(expected)} fields, found {len(cells)}")
         try:
-            rows.append([float(c) for c in cells])
+            row = [float(c) for c in cells]
         except ValueError:
             raise ConfigError(
                 f"{path}: line {line_no}: non-numeric field") from None
+        if not all(map(math.isfinite, row)):
+            raise ConfigError(f"{path}: line {line_no}: non-finite field")
+        rows.append(row)
     if not rows:
         raise ConfigError(f"{path}: CSV has no data rows")
     data = np.array(rows)

@@ -1,11 +1,12 @@
 """A small, safe arithmetic expression grammar for problem files.
 
 Expressions are Python-syntax arithmetic over declared variable names,
-numeric literals, the constants pi and e, and a fixed set of elementary
-functions.  Anything else (attributes, comprehensions, calls to unknown
-names, comparisons, ...) is rejected at compile time, so evaluating a
-compiled expression can execute only arithmetic, in floats: every
-literal is made a float, so 9**9**9 overflows instead of running on.
+numeric literals that fit a float (not True or False), the constants pi
+and e, and a fixed set of elementary functions.  Anything else
+(attributes, comprehensions, calls to unknown names, comparisons, ...) is
+rejected at compile time, so evaluating a compiled expression can execute
+only arithmetic, in floats: every literal is made a float, so 9**9**9
+overflows instead of running on.
 """
 
 from __future__ import annotations
@@ -54,15 +55,16 @@ def _validate(node: ast.AST, variables: set, text: str) -> None:
         if isinstance(child, _ALLOWED_BINOPS + _ALLOWED_UNARY):
             continue
         if isinstance(child, ast.Constant):
-            if not isinstance(child.value, (int, float)):
+            if type(child.value) not in (int, float):   # not bool either
                 raise ExpressionError(
                     f"literal {child.value!r} not allowed in {text!r}")
             try:   # in place: the compiled lambda sees a float literal
                 child.value = float(child.value)
             except OverflowError:
+                child.value = math.inf
+            if not math.isfinite(child.value):   # 10**400 or 1e999
                 raise ExpressionError(
-                    f"integer literal too large for a float in {text!r}"
-                ) from None
+                    f"literal too large for a float in {text!r}")
             continue
         if isinstance(child, ast.Call):
             if not isinstance(child.func, ast.Name) \

@@ -5,9 +5,10 @@ The equation under test is
 
     -V_t(t, x) = min_u { sum_j w_j(t) g_j(t, x, u) + V_x . field(t, x, M, u) }
 
-with w_j the running kernel weight of each cost term.  Residuals audit a
-finished sweep (fracopt.sweep): node_hamiltonian at the stored data plus
-the reconstructed V_t, zero at the exact solution.
+with w_j the running kernel weight of each cost term.  A sweep
+(fracopt.sweep) integrates V backward from the Hamiltonian at its own
+control, so V_t = -H_k(u_k), and the residual at node k is the Hamiltonian
+gap H_k(u*_k) - H_k(u_k) at the pointwise minimizer u*_k.
 
 Within one sweep evaluation x and M are fixed at every node, so each node
 is frozen once (freeze_node): its memory correction and running weights
@@ -16,9 +17,7 @@ are computed there and shared by every Hamiltonian probe at that node.
 Endpoint conventions (both endpoints of the grid host singular factors):
 at the final node the running weights of orders v < 1 are evaluated at the
 adjacent interior time, and at the initial node the transformed field is
-evaluated at the adjacent interior time.  The V_t entry of the initial
-node is defined through the equation itself (see sweep.backward_sweep),
-since no usable one-sided difference exists at the singular corner.
+evaluated at the adjacent interior time.
 """
 
 from __future__ import annotations
@@ -51,25 +50,25 @@ _COORD_SWEEPS = 60
 class ValueData:
     """Value and costate data along a swept trajectory.
 
-    v holds the value samples (v[-1] equals the terminal boundary value),
-    v_x the costate vector per node, v_t the partial-time-derivative
-    reconstruction used by the residual formula, and nodes the frozen
-    node data (FrozenNode) the Hamiltonians of the sweep were taken at.
+    Per node: v the value chain (the leapfrog integral of h back from the
+    terminal value v[-1], not the cost-to-go), v_x the costate, h the
+    Hamiltonian at the sweep's own control, and nodes the FrozenNode
+    records the Hamiltonians were taken at.
     """
 
     grid: TimeGrid
     v: np.ndarray = field(repr=False)
     v_x: np.ndarray = field(repr=False)
-    v_t: np.ndarray = field(repr=False)
+    h: np.ndarray = field(repr=False)
     nodes: tuple = field(repr=False)
 
     def __post_init__(self):
         n = self.grid.n_nodes
         if self.v.shape[0] != n or self.v_x.shape[0] != n \
-                or self.v_t.shape[0] != n or len(self.nodes) != n:
+                or self.h.shape[0] != n or len(self.nodes) != n:
             raise DomainError("value data must cover every grid node")
         if not (np.all(np.isfinite(self.v)) and np.all(np.isfinite(self.v_x))
-                and np.all(np.isfinite(self.v_t))):
+                and np.all(np.isfinite(self.h))):
             raise DomainError("value data must be finite")
 
 
@@ -131,16 +130,29 @@ def node_hamiltonian(node: FrozenNode, u: np.ndarray,
     return node.running(u) + float(np.dot(v_x, node.field(u)))
 
 
+def _parabola_min(axis: Callable, c: float, lo: float, hi: float) -> float:
+    """Minimizer over [lo, hi] of a function quadratic along one axis,
+    from probes at c and c +- step: the parabola's vertex clipped to the
+    interval when it curves upward, otherwise the better endpoint."""
+    step = max(1.0, 1e-3 * (hi - lo))
+    h0, hp, hm = axis(c), axis(c + step), axis(c - step)
+    curv = (hp + hm - 2.0 * h0) / (2.0 * step * step)
+    slope = (hp - hm) / (2.0 * step)
+    if curv > 0.0:
+        return min(max(c - slope / (2.0 * curv), lo), hi)
+    # no interior minimum along this axis: best endpoint
+    return lo if axis(lo) <= axis(hi) else hi
+
+
 def _minimize_box(h: Callable[[np.ndarray], float], lo: np.ndarray,
                   hi: np.ndarray, quadratic: bool):
-    """Box-constrained minimizer of a scalar function of the control.
-
-    quadratic=True uses exact 3-point probing per component (valid for
-    Hamiltonians quadratic and separable in the control); otherwise
-    bounded scalar minimization per component, swept until the iterate
-    stops moving.  With one control a single sweep is final: the bounded
-    search ignores its start point, and the axis function then ignores u,
-    so a second sweep would repeat the first search bit for bit.
+    """Box-constrained minimizer of a scalar function of the control by
+    coordinate sweeps from the clipped origin.  A degenerate axis is set to
+    lo; otherwise _parabola_min (quadratic=True: exact for Hamiltonians
+    quadratic and separable in the control) or bounded scalar search
+    minimizes along it.  Sweeps repeat until the iterate stops moving, but
+    one is final in quadratic mode and with one control (the bounded
+    search ignores its start point, so a second sweep would repeat it).
     """
     def checked(u):
         hv = h(u)
@@ -150,50 +162,25 @@ def _minimize_box(h: Callable[[np.ndarray], float], lo: np.ndarray,
 
     m = lo.shape[0]
     u = np.clip(np.zeros(m), lo, hi)
-    if quadratic:
-        h0 = checked(u)
-        out = u.copy()
-        for j in range(m):
-            step = max(1.0, 1e-3 * (hi[j] - lo[j]))
-            up = u.copy()
-            um = u.copy()
-            up[j] += step
-            um[j] -= step
-            hp, hm = checked(up), checked(um)
-            curv = (hp + hm - 2.0 * h0) / (2.0 * step * step)
-            slope = (hp - hm) / (2.0 * step)
-            if curv > 0.0:
-                cand = u[j] - slope / (2.0 * curv)
-                out[j] = min(max(cand, lo[j]), hi[j])
-            else:
-                # no interior minimum along this axis: best endpoint
-                ue = u.copy()
-                ue[j] = lo[j]
-                h_lo = checked(ue)
-                ue[j] = hi[j]
-                h_hi = checked(ue)
-                out[j] = lo[j] if h_lo <= h_hi else hi[j]
-        return out, checked(out)
-
-    u = u.copy()
     for _ in range(_COORD_SWEEPS):
         moved = 0.0
         for j in range(m):
-            if hi[j] - lo[j] <= _COORD_TOL:
-                u[j] = lo[j]
-                continue
-
             def axis(val, j=j):
                 uu = u.copy()
                 uu[j] = val
                 return checked(uu)
 
-            res = minimize_scalar(axis, bounds=(lo[j], hi[j]),
-                                  method="bounded",
-                                  options={"xatol": _COORD_TOL})
-            moved = max(moved, abs(res.x - u[j]))
-            u[j] = res.x
-        if m == 1 or moved <= _COORD_TOL:
+            if hi[j] - lo[j] <= _COORD_TOL:
+                new = lo[j]
+            elif quadratic:
+                new = _parabola_min(axis, u[j], lo[j], hi[j])
+            else:
+                new = minimize_scalar(axis, bounds=(lo[j], hi[j]),
+                                      method="bounded",
+                                      options={"xatol": _COORD_TOL}).x
+            moved = max(moved, abs(new - u[j]))
+            u[j] = new
+        if quadratic or m == 1 or moved <= _COORD_TOL:
             break
     return u, checked(u)
 
@@ -207,6 +194,7 @@ def minimize_node_hamiltonian(prob: HJBProblem, node: FrozenNode,
 
 
 def aggregate_error(residuals: np.ndarray) -> float:
-    """Root-sum-square of the per-node residuals."""
+    """Root-sum-square of the per-node residuals: a run's Error,
+    ||H(u*) - H(u)||_2 over the grid nodes."""
     r = np.asarray(residuals, dtype=float)
     return float(np.sqrt(np.sum(r * r)))

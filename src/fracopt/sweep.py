@@ -9,13 +9,12 @@ dynamic-programming equation.  The control update is relaxed and accepted
 only when the aggregate residual does not increase; on rejection the
 relaxation factor is halved and the update retried.
 
-The value samples are generated by the exact discrete inverse of the
-residual's time-derivative stencil (centered differences inside the grid,
-one-sided at the final node), so a converged control makes every residual
-vanish to rounding.  Because of that inversion the value chain integrates
-the full Hamiltonian, which along a trajectory is NOT the cost-to-go
-derivative; the optimal cost is therefore reported from the cost
-quadrature of the converged pair rather than from the value chain.
+The residual at node k is the Hamiltonian gap H_k(u*_k) - H_k(u_k), so
+Error = ||H(u*) - H(u)||_2 measures how far u is from pointwise optimal
+along its own trajectory, not whether that trajectory solves the stated
+Caputo problem.  The value chain V is the leapfrog integral of the full
+Hamiltonian H(u), which is NOT the cost-to-go; the optimal cost is
+reported from the cost quadrature of the converged pair instead.
 """
 
 from __future__ import annotations
@@ -217,12 +216,10 @@ def backward_sweep(prob: HJBProblem, x: np.ndarray, nodes: tuple,
     """Integrate costates backward and build the value chain.
 
     The costate solves lambda' = -(dg/dx + (dfield/dx)^T lambda) with
-    lambda(tf) set to the terminal-value gradient.  The value samples are
-    produced by inverting the residual stencil: one backward-difference
-    seed at the final node, then the centered-difference chain inward.
-    V_t at the initial node is defined through the equation itself
-    (-H at that node), the only choice that keeps the singular corner
-    auditable.
+    lambda(tf) set to the terminal-value gradient.  h is the Hamiltonian
+    at u and lambda per node, and the value chain integrates it backward
+    from the terminal value: one Euler step from the final node, then
+    V_{k-1} = V_{k+1} + 2 dt h_k (leapfrog).  It is not the cost-to-go.
 
     Each node 1..n is linearized once (running-cost gradient and field
     Jacobian at its state and control), and both steppers step on those
@@ -261,22 +258,17 @@ def backward_sweep(prob: HJBProblem, x: np.ndarray, nodes: tuple,
                        lambda y: -(grad[k] + jac[k].T @ y), heun and k > 0)
         _check_finite(lam[k], "costate", k)
 
-    h_gen = np.array([node_hamiltonian(node, u[k], lam[k])
-                      for k, node in enumerate(nodes)])
-    if not np.all(np.isfinite(h_gen)):
+    h = np.array([node_hamiltonian(node, u[k], lam[k])
+                  for k, node in enumerate(nodes)])
+    if not np.all(np.isfinite(h)):
         raise SweepAbort("non-finite Hamiltonian along the sweep")
 
     v = np.empty(grid.n_nodes)
     v[n] = cost_mod.terminal_value(prob.index, prob.tf, x[n])
-    v[n - 1] = v[n] + dt * h_gen[n]
+    v[n - 1] = v[n] + dt * h[n]
     for k in range(n - 1, 0, -1):
-        v[k - 1] = v[k + 1] + 2.0 * dt * h_gen[k]
-
-    v_t = np.empty(grid.n_nodes)
-    v_t[1:n] = (v[2:] - v[:-2]) / (2.0 * dt)
-    v_t[n] = (v[n] - v[n - 1]) / dt
-    v_t[0] = -h_gen[0]
-    return ValueData(grid, v, lam, v_t, nodes)
+        v[k - 1] = v[k + 1] + 2.0 * dt * h[k]
+    return ValueData(grid, v, lam, h, nodes)
 
 
 def _pointwise_minimizers(prob: HJBProblem, value: ValueData) -> np.ndarray:
@@ -291,7 +283,7 @@ def _evaluate(prob: HJBProblem, u: np.ndarray, cfg: SweepConfig):
     value = backward_sweep(prob, x, nodes, u, cfg)
     u_star = _pointwise_minimizers(prob, value)
     residuals = np.array([
-        node_hamiltonian(node, u_star[k], value.v_x[k]) + value.v_t[k]
+        node_hamiltonian(node, u_star[k], value.v_x[k]) - value.h[k]
         for k, node in enumerate(value.nodes)])
     return x, value, u_star, residuals, aggregate_error(residuals)
 
@@ -320,7 +312,7 @@ def audit_residuals(prob: HJBProblem, x: np.ndarray, u,
     value = backward_sweep(prob, x, tuple(nodes), u, cfg)
     u_star = _pointwise_minimizers(prob, value)
     residuals = np.array([
-        node_hamiltonian(node, u_star[k], value.v_x[k]) + value.v_t[k]
+        node_hamiltonian(node, u_star[k], value.v_x[k]) - value.h[k]
         for k, node in enumerate(value.nodes)])
     return residuals, value
 

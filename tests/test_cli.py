@@ -184,7 +184,8 @@ def test_verify_schema_mismatch(tmp_path, cheap_run):
     assert run_cli("verify", EXAMPLE_FILE, *CHEAP, "--csv", str(broken)) == 1
 
 
-@pytest.mark.parametrize("damage", ["header only", "ragged", "non-numeric"])
+@pytest.mark.parametrize("damage", ["header only", "ragged", "non-numeric",
+                                    "nan", "inf"])
 def test_verify_malformed_csv_exit_one(tmp_path, capsys, cheap_run, damage):
     _, csv, _ = cheap_run
     lines = csv.read_text().splitlines()
@@ -192,8 +193,12 @@ def test_verify_malformed_csv_exit_one(tmp_path, capsys, cheap_run, damage):
         lines = lines[:1]
     elif damage == "ragged":
         lines[7] += ",0.5"
-    else:
+    elif damage == "non-numeric":
         lines[7] = "abc" + lines[7][lines[7].index(","):]
+    else:   # a non-finite x_1
+        cells = lines[7].split(",")
+        cells[1] = damage
+        lines[7] = ",".join(cells)
     broken = tmp_path / "broken.csv"
     broken.write_text("\n".join(lines) + "\n")
     assert run_cli("verify", EXAMPLE_FILE, *CHEAP, "--csv", str(broken)) == 1

@@ -41,6 +41,8 @@ def test_disallowed_constructs_rejected():
         "'text'",
         "sin(x=1)",
         "min(x1, 2)",
+        "x1 + True",
+        "False * x1",
     ]
     for text in bad:
         with pytest.raises(ExpressionError):
@@ -61,8 +63,9 @@ def test_integer_literals_are_floats():
 
 
 def test_integer_literal_too_large_for_a_float_rejected():
-    with pytest.raises(ExpressionError, match="too large"):
-        compile_expression("x1 + 1" + "0" * 400, ["x1"])
+    for text in ("x1 + 1" + "0" * 400, "x1 + 1e999"):
+        with pytest.raises(ExpressionError, match="too large"):
+            compile_expression(text, ["x1"])
 
 
 def test_evaluation_is_pure_float():

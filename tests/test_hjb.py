@@ -9,8 +9,9 @@ from fracopt import (SweepAbort, aggregate_error, freeze_node, gamma,
                      running_weight)
 from fracopt import hjb
 from fracopt.hjb import _minimize_box
+from fracopt.sweep import audit_residuals
 
-from conftest import moment_trajectory, two_state_problem
+from conftest import moment_trajectory, two_state_config, two_state_problem
 
 
 def small_field_problem():
@@ -19,10 +20,11 @@ def small_field_problem():
 
 
 def stored_residual(prob, st, u, k):
-    """Residual at node k: the Hamiltonian at the stored data plus V_t."""
+    """Residual at node k: the Hamiltonian at the stored data minus the
+    sweep's own Hamiltonian h."""
     node = freeze_node(prob, st.grid, k, st.x[k],
                        moment_trajectory(st.grid, 40, st.x)[k])
-    return node_hamiltonian(node, u[k], st.value.v_x[k]) + st.value.v_t[k]
+    return node_hamiltonian(node, u[k], st.value.v_x[k]) - st.value.h[k]
 
 
 # --------------------------------------------------------- hamiltonian
@@ -164,6 +166,21 @@ def test_minimize_box_checks_endpoint_probes():
         _minimize_box(h, np.array([-2.0]), np.array([2.0]), True)
 
 
+def test_minimize_box_quadratic_fixed_axis_is_never_probed():
+    # axis 0 is pinned (lo == hi); axis 1 still reaches its vertex
+    probes = []
+
+    def h(u):
+        probes.append(u.copy())
+        return (u[0] - 0.3) ** 2 + 2 * (u[1] + 0.4) ** 2
+
+    u, _ = _minimize_box(h, np.array([0.7, -1.0]), np.array([0.7, 1.0]),
+                         True)
+    assert u[0] == 0.7
+    assert u[1] == pytest.approx(-0.4, abs=1e-12)
+    assert all(probe[0] == 0.7 for probe in probes)
+
+
 def test_minimize_box_coordinate_descent_matches_quadratic():
     def h(u):
         return (u[0] - 0.3) ** 2 + 2 * (u[1] + 0.4) ** 2
@@ -253,6 +270,23 @@ def test_perturbing_control_increases_aggregate_error(cheap_state):
     pert = aggregate_error([stored_residual(prob, st, u_pert, k)
                             for k in range(st.grid.n_nodes)])
     assert pert > base
+
+
+def test_residual_is_the_hamiltonian_gap(cheap_state):
+    # the residual is H(u*) - H(u), both taken on the evaluation's records
+    prob = two_state_problem().with_field(10 ** 5, 10 ** 5, 40)
+    cfg = two_state_config(n_a=10 ** 5, n_b=10 ** 5, p_max=40)
+    st = cheap_state
+    audited, value = audit_residuals(prob, st.x, st.u, cfg)
+    runs = [(st.residuals, st.value, st.u_star),
+            (audited, value,
+             [minimize_node_hamiltonian(prob, node, value.v_x[k])[0]
+              for k, node in enumerate(value.nodes)])]
+    for residuals, value, u_star in runs:
+        for k, node in enumerate(value.nodes):
+            gap = (node_hamiltonian(node, u_star[k], value.v_x[k])
+                   - node_hamiltonian(node, st.u[k], value.v_x[k]))
+            assert residuals[k] == gap
 
 
 def test_value_terminal_condition(cheap_state):

@@ -228,7 +228,7 @@ def test_mismatched_attached_field_is_rebuilt_by_each_sweep(setting):
     (x, fields, value), (x_ref, fields_ref, value_ref) = results
     assert np.array_equal(x, x_ref)
     assert np.array_equal(fields, fields_ref)
-    for name in ("v", "v_x", "v_t"):
+    for name in ("v", "v_x", "h"):
         assert np.array_equal(getattr(value, name), getattr(value_ref, name))
 
 
