@@ -17,12 +17,16 @@ compares, per problem file:
 It prints one line per problem file and exits 1 on any difference.  Each
 difference follows on its own indented line: for differing CSVs, every
 column that differs with its largest absolute difference; for differing
-reports, every field that differs with both values.
+reports, every field that differs with both values.  A column whose
+field texts differ is listed even when its values are equal (``-0``
+against ``0`` reads 0.000e+00), and CSVs that differ only between fields
+(line endings, spacing) are reported as such.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -59,23 +63,33 @@ def _outputs(src: Path, problem: Path, out: Path) -> dict:
     }
 
 
-def _columns(csv: bytes) -> dict:
-    """Column name -> list of values of a trajectory CSV."""
-    header, *rows = csv.decode().split()
-    values = [[float(c) for c in row.split(",")] for row in rows]
-    return {name: [row[i] for row in values]
-            for i, name in enumerate(header.split(","))}
+def _table(csv: bytes) -> list:
+    """Rows of a trajectory CSV, header first, as lists of field texts."""
+    return [line.split(",")
+            for line in csv.decode(errors="replace").splitlines()]
 
 
 def _csv_diffs(ours: bytes, theirs: bytes) -> list:
-    """One entry per differing column, with its largest difference."""
-    a, b = _columns(ours), _columns(theirs)
-    if a.keys() != b.keys() \
-            or any(len(a[name]) != len(b[name]) for name in a):
-        return ["csv: columns or row counts differ"]
-    return [f"csv column {name}: max |difference| = "
-            f"{max(abs(x - y) for x, y in zip(a[name], b[name])):.3e}"
-            for name in a if a[name] != b[name]]
+    """Differences between two CSVs whose bytes differ: one entry per
+    column whose field texts differ, with its largest absolute difference,
+    and one entry saying so when only the bytes between fields differ."""
+    a, b = _table(ours), _table(theirs)
+    if not a or not b or a[0] != b[0] or len(a) != len(b) \
+            or any(len(row) != len(a[0]) for row in a + b):
+        return ["csv: header, row count or row length differs"]
+    diffs = []
+    for i, name in enumerate(a[0]):
+        pairs = [(x[i], y[i]) for x, y in zip(a[1:], b[1:]) if x[i] != y[i]]
+        if not pairs:
+            continue
+        try:
+            size = max((abs(float(x) - float(y)) for x, y in pairs),
+                       key=lambda d: math.inf if math.isnan(d) else d)
+        except ValueError:
+            diffs.append(f"csv column {name}: unparsable field")
+            continue
+        diffs.append(f"csv column {name}: max |difference| = {size:.3e}")
+    return diffs or ["csv: bytes differ (every field equal)"]
 
 
 def compare(problem: Path, other_src: Path, tmp: Path) -> list:

@@ -181,6 +181,24 @@ def test_minimize_box_quadratic_fixed_axis_is_never_probed():
     assert all(probe[0] == 0.7 for probe in probes)
 
 
+def test_minimize_box_quadratic_coupled_axes_are_probed_in_turn():
+    # one sweep, each axis probed from the point the earlier axes reached:
+    # u0 minimizes h(., 0) -> 0.5, then u1 minimizes h(0.5, .) -> -0.25;
+    # three probes per axis and one final evaluation
+    probes = []
+
+    def h(u):
+        probes.append(u.copy())
+        return u[0] ** 2 + u[1] ** 2 + u[0] * u[1] - u[0]
+
+    u, hu = _minimize_box(h, np.array([-2.0, -2.0]), np.array([2.0, 2.0]),
+                          True)
+    assert u == pytest.approx([0.5, -0.25], abs=1e-12)
+    assert hu == pytest.approx(-0.3125, abs=1e-12)
+    assert len(probes) == 3 * 2 + 1
+    assert all(probe[0] == u[0] for probe in probes[3:])
+
+
 def test_minimize_box_coordinate_descent_matches_quadratic():
     def h(u):
         return (u[0] - 0.3) ** 2 + 2 * (u[1] + 0.4) ** 2
