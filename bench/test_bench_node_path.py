@@ -30,22 +30,18 @@ of one evaluation on 10^4 + 1 nodes.
 
 from __future__ import annotations
 
-import json
-import os
-import platform
 import resource
-import statistics
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bench_file import append_run
 from fracopt.config import parse_problem
 from fracopt.sweep import solve
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_node_path.json"
-SIDE = os.environ.get("BENCH_SIDE", "change")
 
 #: (row name, overrides, rounds, warm-up rounds); the warm-up round of the
 #: first row also warms the process for the rows after it
@@ -57,48 +53,12 @@ ROWS = [
 ]
 
 
-def _pooled(runs: list) -> list:
-    """One row per row name over every run of a side: the statistics of
-    all their rounds, and the results of the last run."""
-    times = {}
-    rss = {}
-    last = {}
-    for run in runs:
-        for row in run:
-            times.setdefault(row["name"], []).extend(row["times_s"])
-            rss.setdefault(row["name"], []).append(row["peak_rss_mb"])
-            last[row["name"]] = row
-    out = []
-    for name, data in times.items():
-        q1, median, q3 = statistics.quantiles(data, n=4)
-        row = {k: v for k, v in last[name].items() if k != "times_s"}
-        row.update(rounds=len(data), median_s=median, q1_s=q1, q3_s=q3,
-                   iqr_over_median=(q3 - q1) / median,
-                   peak_rss_mb=statistics.median(rss[name]))
-        out.append(row)
-    return out
-
-
 @pytest.fixture(scope="module")
 def rows():
     out = []
     yield out
-    doc = json.loads(OUT.read_text(encoding="utf-8")) if OUT.exists() else {}
-    doc["topic"] = "node_path"
-    doc["workload"] = "problems/example.yaml solved by fracopt.sweep.solve"
-    side = doc.setdefault("sides", {}).setdefault(SIDE, {"runs": []})
-    side["machine"] = {"cpus": os.cpu_count(), "machine": platform.machine(),
-                       "python": platform.python_version(),
-                       "numpy": np.__version__}
-    side["runs"].append(out)
-    side["rows"] = _pooled(side["runs"])
-    sides = doc["sides"]
-    if "parent" in sides and "change" in sides:
-        parent = {r["name"]: r for r in sides["parent"]["rows"]}
-        doc["change_over_parent"] = {
-            r["name"]: r["median_s"] / parent[r["name"]]["median_s"]
-            for r in sides["change"]["rows"] if r["name"] in parent}
-    OUT.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    append_run(OUT, "node_path",
+               "problems/example.yaml solved by fracopt.sweep.solve", out)
 
 
 @pytest.mark.parametrize("name, overrides, rounds, warmup", ROWS,

@@ -14,11 +14,10 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.special as sps
 
 from .errors import DomainError, SingularTimeError
 from .grid import TimeGrid
-from .operators import singular_kernel_weights
+from .operators import gamma, singular_kernel_weights
 
 __all__ = [
     "CostTerm",
@@ -101,7 +100,7 @@ def running_weight(v: float, t: float, tf: float) -> float:
     rem = tf - t
     if rem == 0.0 and v < 1.0:
         raise SingularTimeError("running weight is singular at t = tf for v < 1")
-    return rem ** (v - 1.0) / float(sps.gamma(v))
+    return rem ** (v - 1.0) / gamma(v)
 
 
 def evaluate(pi: PerformanceIndex, grid: TimeGrid, x: np.ndarray,

@@ -22,11 +22,11 @@ evaluated at the adjacent interior time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .cost import running_weight
 from .errors import DomainError, SweepAbort
@@ -39,11 +39,15 @@ __all__ = [
     "freeze_node",
     "node_hamiltonian",
     "minimize_node_hamiltonian",
+    "minimize_scalar",
     "aggregate_error",
 ]
 
 _COORD_TOL = 1e-10
 _COORD_SWEEPS = 60
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
+_MAX_EVALS = 500
 
 
 @dataclass(frozen=True)
@@ -144,6 +148,75 @@ def _parabola_min(axis: Callable, c: float, lo: float, hi: float) -> float:
     return lo if axis(lo) <= axis(hi) else hi
 
 
+def minimize_scalar(func: Callable[[float], float], lo: float, hi: float,
+                    xatol: float) -> float:
+    """Minimizer of func over [lo, hi] by Brent's bounded search: golden
+    sections and parabolic steps until the bracket is within xatol (plus
+    a relative sqrt(eps)) of the best point, or after 500 evaluations.
+
+    A plain-float transcription of scipy's
+    minimize_scalar(method="bounded"), returning the same x.
+    """
+    # [a, b] brackets the minimum; xf, nfc and fulc are the best, second
+    # and third best points so far, fx, fnfc and ffulc their values
+    a, b = float(lo), float(hi)
+    xf = nfc = fulc = a + _GOLDEN * (b - a)
+    fx = ffulc = fnfc = func(xf)
+    num = 1
+    rat = e = 0.0
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = _GOLDEN * e
+        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _MAX_EVALS:
+            break
+    return xf
+
+
 def _minimize_box(h: Callable[[np.ndarray], float], lo: np.ndarray,
                   hi: np.ndarray, quadratic: bool):
     """Box-constrained minimizer of a scalar function of the control by
@@ -175,9 +248,7 @@ def _minimize_box(h: Callable[[np.ndarray], float], lo: np.ndarray,
             elif quadratic:
                 new = _parabola_min(axis, u[j], lo[j], hi[j])
             else:
-                new = minimize_scalar(axis, bounds=(lo[j], hi[j]),
-                                      method="bounded",
-                                      options={"xatol": _COORD_TOL}).x
+                new = minimize_scalar(axis, lo[j], hi[j], _COORD_TOL)
             moved = max(moved, abs(new - u[j]))
             u[j] = new
         if quadratic or m == 1 or moved <= _COORD_TOL:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.special as sps
 
 from .errors import DomainError
 from .grid import SampledFunction
@@ -28,16 +27,20 @@ __all__ = [
 
 
 def gamma(v: float) -> float:
-    """Gamma function with explicit pole rejection.
+    """Gamma function with explicit pole and overflow rejection.
 
     Negative non-integer arguments are allowed (they arise in the moment
-    coefficients of the expansion module); poles at 0, -1, -2, ... raise
-    DomainError instead of returning inf/nan.
+    coefficients of the expansion module).  Poles at 0, -1, -2, ... and
+    arguments whose Gamma overflows a float (v > 171.62, or 0 < |v| <
+    5.6e-309) raise DomainError instead of returning inf/nan.
     """
     v = float(v)
     if v <= 0 and v == math.floor(v):
         raise DomainError(f"gamma pole at non-positive integer {v}")
-    return float(sps.gamma(v))
+    try:
+        return math.gamma(v)
+    except OverflowError:
+        raise DomainError(f"gamma overflows at {v}") from None
 
 
 def _scalar_samples(f: SampledFunction) -> np.ndarray:

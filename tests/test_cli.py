@@ -145,6 +145,28 @@ def test_integer_power_aborts_within_seconds(tmp_path):
     assert repr("x1 + 9**9**9") in proc.stderr
 
 
+def test_import_and_solve_load_no_scipy(tmp_path):
+    # scipy is a test-only dependency: importing the package and solving
+    # the bounded-search workload must not load any of it
+    script = (
+        "import sys\n"
+        "import fracopt, fracopt.cli\n"
+        "rc = fracopt.cli.main(['run', sys.argv[1], '--csv', sys.argv[2],\n"
+        "                      '--report', sys.argv[3]])\n"
+        "print(rc, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    root = Path(__file__).resolve().parent.parent
+    src = str(Path(fracopt.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", script,
+         str(root / "perfbench" / "lq_bounded.yaml"),
+         str(tmp_path / "t.csv"), str(tmp_path / "r.json")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
 def test_integral_float_counts_run(tmp_path):
     doc = yaml.safe_load(Path(EXAMPLE_FILE).read_text())
     doc.pop("output")

@@ -3,6 +3,7 @@ import time
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.special as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from fracopt import (DomainError, ExpansionCoeffs,
                      derivative_coeff, gamma, memory_correction, moment_coeff,
                      reconstruct_rl_derivative, rl_derivative,
                      series_partial_sum, state_coeff)
+from fracopt.expansion import _poch
 
 from conftest import bracket_closed_form, moment_trajectory
 
@@ -35,13 +37,23 @@ def test_partial_sum_small_counts_exact():
 def test_partial_sum_matches_closed_form_large_counts():
     # up to N = 1e5 the term recurrence accumulates rounding along the
     # cumprod chain (measured <= 5e-13); above it the closed form through
-    # scipy's poch is within a few ulps
+    # the large-argument Pochhammer series is within a few ulps
     for q in (0.2, 0.7):
         for n, rel in ((10 ** 4, 1e-12), (10 ** 5, 1e-12),
                        (10 ** 5 + 1, 1e-14), (10 ** 6, 1e-14),
                        (10 ** 9, 1e-14), (10 ** 12, 1e-14)):
             assert series_partial_sum(q, n) == pytest.approx(
                 bracket_closed_form(q, n), rel=rel)
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_n=st.floats(5, 12, exclude_min=True),
+       q=st.floats(0, 1, exclude_min=True, exclude_max=True))
+def test_poch_series_matches_scipy_poch(log_n, q):
+    # the range series_partial_sum takes the closed form on: integer N in
+    # (1e5, 1e12], q in (0, 1)
+    n = float(int(10.0 ** log_n))
+    assert _poch(n, q) == sps.poch(n, q)
 
 
 def state_coeff_oracle(q, n):

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.optimize as sopt
 import scipy.special as sps
-from scipy.optimize import minimize_scalar
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fracopt as fo
 from fracopt import (SweepAbort, aggregate_error, freeze_node, gamma,
@@ -111,6 +115,48 @@ def _counting_scalar_search(monkeypatch):
     return calls
 
 
+def _scipy_bounded(func, lo, hi, xatol=1e-10):
+    return sopt.minimize_scalar(func, bounds=(lo, hi), method="bounded",
+                                options={"xatol": xatol}).x
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=st.lists(st.floats(-3, 3), min_size=5, max_size=5),
+       lo=st.floats(-10, 10), width=st.floats(1e-6, 20))
+def test_scalar_search_matches_scipy_bounded(c, lo, width):
+    # a smooth function with up to several local minima in the box
+    def f(v):
+        return (c[0] * (v - c[1]) ** 2 + c[2] * math.sin(c[3] * v)
+                + 0.01 * c[4] * v ** 3)
+
+    hi = lo + width
+    assert hjb.minimize_scalar(f, lo, hi, 1e-10) == _scipy_bounded(f, lo, hi)
+
+
+def test_scalar_search_minimum_at_a_bound():
+    # increasing on the box: the search closes in on lo, but never probes
+    # nearer to it than its step floor sqrt(eps) |x| + xatol / 3
+    f = math.exp
+    x = hjb.minimize_scalar(f, -1.0, 2.0, 1e-10)
+    assert x == _scipy_bounded(f, -1.0, 2.0)
+    assert -1.0 < x < -1.0 + 3e-8
+
+
+def test_scalar_search_stops_at_the_evaluation_cap():
+    # sqrt|v| has a cusp at 0 and xatol is below every step the search
+    # can take there, so only the cap of 500 evaluations stops it
+    calls = []
+
+    def f(v):
+        calls.append(v)
+        return math.sqrt(abs(v))
+
+    x = hjb.minimize_scalar(f, -1.0, 1.0, 1e-300)
+    assert len(calls) == 500
+    assert x == _scipy_bounded(lambda v: math.sqrt(abs(v)), -1.0, 1.0,
+                               1e-300)
+
+
 def test_minimize_box_one_control_takes_one_search(monkeypatch):
     def h(u):
         return (u[0] - 0.3) ** 4 + np.sin(3.0 * u[0])
@@ -119,9 +165,10 @@ def test_minimize_box_one_control_takes_one_search(monkeypatch):
     # reference: two full coordinate sweeps of the bounded search
     ref = np.clip(np.zeros(1), lo, hi)
     for _ in range(2):
-        res = minimize_scalar(lambda v: h(np.array([v])),
-                              bounds=(lo[0], hi[0]), method="bounded",
-                              options={"xatol": 1e-10})
+        res = sopt.minimize_scalar(lambda v: h(np.array([v])),
+                                   bounds=(lo[0], hi[0]),
+                                   method="bounded",
+                                   options={"xatol": 1e-10})
         ref[0] = res.x
     calls = _counting_scalar_search(monkeypatch)
     u, h_u = _minimize_box(h, lo, hi, False)

@@ -42,6 +42,13 @@ def test_gamma_pole_rejected():
             gamma(v)
 
 
+def test_gamma_overflow_rejected():
+    # Gamma(200) and Gamma(1e-320) exceed the largest float
+    for v in (200.0, 1e-320):
+        with pytest.raises(DomainError, match=f"overflows at {v}"):
+            gamma(v)
+
+
 def test_gamma_negative_noninteger_allowed():
     # Gamma(-0.5) = -2 sqrt(pi)
     assert gamma(-0.5) == pytest.approx(-2 * math.sqrt(math.pi), rel=1e-12)
