@@ -26,6 +26,9 @@ to be identical.  It also holds peak_rss_mb, the median over the runs of
 the process's peak resident memory once the row has run (getrusage
 ru_maxrss): the rows run in order, so the dt = 1e-4 row's is the peak
 of one evaluation on 10^4 + 1 nodes.
+
+ROWS and solve_row are imported by the other harnesses that time these
+rows under their own topic (test_bench_node_cost.py).
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from fracopt.sweep import solve
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_node_path.json"
+WORKLOAD = "problems/example.yaml solved by fracopt.sweep.solve"
 
 #: (row name, overrides, rounds, warm-up rounds); the warm-up round of the
 #: first row also warms the process for the rows after it
@@ -53,17 +57,9 @@ ROWS = [
 ]
 
 
-@pytest.fixture(scope="module")
-def rows():
-    out = []
-    yield out
-    append_run(OUT, "node_path",
-               "problems/example.yaml solved by fracopt.sweep.solve", out)
-
-
-@pytest.mark.parametrize("name, overrides, rounds, warmup", ROWS,
-                         ids=[r[0] for r in ROWS])
-def test_node_path(benchmark, rows, name, overrides, rounds, warmup):
+def solve_row(benchmark, name, overrides, rounds, warmup) -> dict:
+    """Time solve on problems/example.yaml under overrides and return the
+    row: its name, grid, round times, results and peak_rss_mb."""
     parsed = parse_problem(str(ROOT / "problems" / "example.yaml"),
                            overrides)
     cfg = parsed.config
@@ -72,11 +68,24 @@ def test_node_path(benchmark, rows, name, overrides, rounds, warmup):
     state = benchmark.pedantic(solve, args=(prob, cfg), rounds=rounds,
                                iterations=1, warmup_rounds=warmup)
     assert np.isfinite(state.error)
-    rows.append({
+    return {
         "name": name, "dt": cfg.dt, "max_iters": cfg.max_iters,
         "nodes": state.grid.n_nodes, "times_s": benchmark.stats.stats.data,
         "iterations": state.iteration, "j_star": state.j_star,
         "error": state.error,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         / 1024,
-    })
+    }
+
+
+@pytest.fixture(scope="module")
+def rows():
+    out = []
+    yield out
+    append_run(OUT, "node_path", WORKLOAD, out)
+
+
+@pytest.mark.parametrize("name, overrides, rounds, warmup", ROWS,
+                         ids=[r[0] for r in ROWS])
+def test_node_path(benchmark, rows, name, overrides, rounds, warmup):
+    rows.append(solve_row(benchmark, name, overrides, rounds, warmup))

@@ -9,6 +9,12 @@ Problem files are YAML with four blocks:
     solver:  t0, tf plus any SweepConfig field, and quadratic_control
     output:  csv, report paths (optional)
 
+Every dynamics expression and cost operand is compiled together with its
+partial derivatives in x1..xn (expressions.compile_gradient): the plant
+carries the Jacobian of its dynamics and each cost term its gradient, so
+the solver takes no difference quotients of a problem file.  A math
+error in an expression or a derivative aborts the sweep naming it.
+
 Unknown keys anywhere are rejected.  Validation errors name the offending
 field; YAML syntax errors carry the parser's line/column mark.
 """
@@ -24,7 +30,7 @@ import yaml
 
 from .cost import CostTerm, PerformanceIndex
 from .errors import ConfigError, SweepAbort
-from .expressions import compile_expression
+from .expressions import compile_expression, compile_gradient
 from .plant import FractionalPlant
 from .problem import HJBProblem
 from .sweep import SweepConfig
@@ -149,37 +155,45 @@ def apply_overrides(doc: Dict, overrides: List[str]) -> Dict:
     return doc
 
 
-def _math_abort(fns, args: tuple, exc: Exception) -> SweepAbort:
+#: what _math_abort names when a compiled derivative fails
+_DERIVATIVE = "the x-derivative of "
+
+
+def _math_abort(fns, args: tuple, exc: Exception,
+                what: str = "") -> SweepAbort:
     """The abort for exc, raised by one of the compiled fns at args
-    (t first): it names the first of them that fails there."""
+    (t first): it names the first of them that fails there, prefixed by
+    what."""
     for fn in fns:
         try:
             fn(*args)
         except _MATH_ERRORS:
             break
-    return SweepAbort(f"cannot evaluate {fn.source!r} at t = {args[0]!r}: "
-                      f"{exc}")
+    return SweepAbort(f"cannot evaluate {what}{fn.source!r} at "
+                      f"t = {args[0]!r}: {exc}")
 
 
-def _running(fn):
-    """The compiled running operand fn as a function of (t, x, u)."""
+def _running(fn, what: str = ""):
+    """The compiled running operand fn, or its gradient, as a function
+    of (t, x, u)."""
     def running(t, x, u):
         args = (float(t), *x.tolist(), *u.tolist())
         try:
             return fn(*args)
         except _MATH_ERRORS as exc:
-            raise _math_abort((fn,), args, exc) from None
+            raise _math_abort((fn,), args, exc, what) from None
     return running
 
 
-def _terminal(fn):
-    """The compiled terminal operand fn as a function of (tf, x)."""
+def _terminal(fn, what: str = ""):
+    """The compiled terminal operand fn, or its gradient, as a function
+    of (tf, x)."""
     def terminal(tf, x):
         args = (float(tf), *x.tolist())
         try:
             return fn(*args)
         except _MATH_ERRORS as exc:
-            raise _math_abort((fn,), args, exc) from None
+            raise _math_abort((fn,), args, exc, what) from None
     return terminal
 
 
@@ -224,6 +238,8 @@ def build_problem(doc: Dict) -> ParsedProblem:
     dyn_vars = ["t"] + state_names + control_names
     try:
         dyn_fns = [compile_expression(src, dyn_vars) for src in dynamics_src]
+        jac_fns = [compile_gradient(src, dyn_vars, state_names)
+                   for src in dynamics_src]
     except ConfigError as exc:
         raise ConfigError(f"plant.dynamics: {exc}")
 
@@ -235,6 +251,13 @@ def build_problem(doc: Dict) -> ParsedProblem:
             return np.array([fn(*args) for fn in dyn_fns])
         except _MATH_ERRORS as exc:
             raise _math_abort(dyn_fns, args, exc) from None
+
+    def rhs_jacobian(t, x, u):
+        args = (float(t), *x.tolist(), *u.tolist())
+        try:
+            return np.array([fn(*args) for fn in jac_fns])
+        except _MATH_ERRORS as exc:
+            raise _math_abort(jac_fns, args, exc, _DERIVATIVE) from None
 
     terms_block = _need(cost_block, "terms", "cost")
     if not isinstance(terms_block, list) or not terms_block:
@@ -250,18 +273,18 @@ def build_problem(doc: Dict) -> ParsedProblem:
         if not 0.0 <= v <= 2.0:
             raise ConfigError(f"{where}.order: must lie in [0,2], got {v}")
         src = _need(entry, "operand", where)
+        variables = ["t"] + state_names if v == 0.0 else dyn_vars
+        try:
+            fn = compile_expression(src, variables)
+            grad = compile_gradient(src, variables, state_names)
+        except ConfigError as exc:
+            raise ConfigError(f"{where}.operand: {exc}")
         if v == 0.0:
-            try:
-                fn = compile_expression(src, ["t"] + state_names)
-            except ConfigError as exc:
-                raise ConfigError(f"{where}.operand: {exc}")
-            terms.append(CostTerm(v=0.0, terminal=_terminal(fn)))
+            terms.append(CostTerm(v=0.0, terminal=_terminal(fn),
+                                  gradient=_terminal(grad, _DERIVATIVE)))
         else:
-            try:
-                fn = compile_expression(src, dyn_vars)
-            except ConfigError as exc:
-                raise ConfigError(f"{where}.operand: {exc}")
-            terms.append(CostTerm(v=v, running=_running(fn)))
+            terms.append(CostTerm(v=v, running=_running(fn),
+                                  gradient=_running(grad, _DERIVATIVE)))
 
     t0 = _finite_number(solver_block.get("t0", 0.0), "solver.t0")
     tf = _finite_number(_need(solver_block, "tf", "solver"), "solver.tf")
@@ -284,7 +307,8 @@ def build_problem(doc: Dict) -> ParsedProblem:
         raise ConfigError(f"solver: {exc}")
 
     plant = FractionalPlant(orders=tuple(orders), rhs=rhs,
-                            x0=np.array(x0), n_controls=n_controls, t0=t0)
+                            x0=np.array(x0), n_controls=n_controls, t0=t0,
+                            rhs_jacobian=rhs_jacobian)
     problem = HJBProblem(plant=plant, index=PerformanceIndex(tuple(terms)),
                          tf=tf, u_lower=np.array(lo),
                          u_upper=np.array(hi), quadratic_control=quadratic)

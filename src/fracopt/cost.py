@@ -16,6 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, SingularTimeError
+from .expansion import central_difference
 from .grid import TimeGrid
 from .operators import gamma, singular_kernel_weights
 
@@ -34,12 +35,14 @@ class CostTerm:
     """One (tuning order, operand) pair of the performance index.
 
     Zero-order terms carry a terminal operand g(tf, x) only; nonzero-order
-    terms carry a running operand g(t, x, u) only.
+    terms carry a running operand g(t, x, u) only.  gradient, when given,
+    is the operand's x-gradient, with the operand's arguments.
     """
 
     v: float
     running: Optional[Callable[[float, np.ndarray, np.ndarray], float]] = None
     terminal: Optional[Callable[[float, np.ndarray], float]] = None
+    gradient: Optional[Callable[..., np.ndarray]] = None
 
     def __post_init__(self):
         if not 0.0 <= self.v <= 2.0:
@@ -70,6 +73,34 @@ class PerformanceIndex:
     @cached_property
     def running_terms(self):
         return tuple(t for t in self.terms if t.v != 0.0)
+
+    def running_gradient(self, weights, t: float, x: np.ndarray,
+                         u: np.ndarray) -> np.ndarray:
+        """d/dx of sum_j weights[j] g_j(t, x, u) over the running terms:
+        from their gradients when every term has one, by central
+        differences of the weighted sum otherwise."""
+        terms = self.running_terms
+        if any(term.gradient is None for term in terms):
+            return central_difference(
+                lambda xv: sum(w * term.running(t, xv, u)
+                               for w, term in zip(weights, terms)), x)
+        grad = np.zeros(x.shape[0])
+        for w, term in zip(weights, terms):
+            grad += w * np.asarray(term.gradient(t, x, u), dtype=float)
+        return grad
+
+    def terminal_gradient(self, tf: float, x_tf: np.ndarray) -> np.ndarray:
+        """d/dx of terminal_value at x_tf: from the terminal terms'
+        gradients when every one has one, by central differences of
+        terminal_value otherwise."""
+        terms = [self.terms[i] for i in terminal_index_set(self)]
+        if any(term.gradient is None for term in terms):
+            return central_difference(
+                lambda xv: terminal_value(self, tf, xv), x_tf)
+        grad = np.zeros(x_tf.shape[0])
+        for term in terms:
+            grad += np.asarray(term.gradient(tf, x_tf), dtype=float)
+        return grad
 
 
 def terminal_index_set(pi: PerformanceIndex) -> frozenset:

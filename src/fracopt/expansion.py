@@ -44,6 +44,7 @@ node 1 (p = 150) while max|x| is about 1.0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -71,6 +72,8 @@ __all__ = [
 #: for q near 0, where S is smallest).
 _DIRECT_MAX = 100_000
 _FD_STEP = 1e-6
+#: most times whose denominators a TransformedField keeps
+_MEMO_TIMES = 1 << 11
 
 
 def _poch(a: float, m: float) -> float:
@@ -198,6 +201,19 @@ class ExpansionCoeffs:
         return np.arange(2, self.p_max + 1)
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@functools.lru_cache(maxsize=8)
+def _moment_p_vectors(n_moments: int) -> tuple:
+    """(p - 2, p - 1, 1 - p) as read-only float vectors over
+    p = 2..n_moments+1."""
+    ps = np.arange(2, n_moments + 2).astype(float)
+    return tuple(_read_only(v) for v in (ps - 2.0, ps - 1.0, 1.0 - ps))
+
+
 def advance_moments(grid: TimeGrid, m: np.ndarray, x: np.ndarray,
                     node: int) -> np.ndarray:
     """One explicit trapezoidal step of the moment IVP from node to node+1.
@@ -216,14 +232,21 @@ def advance_moments(grid: TimeGrid, m: np.ndarray, x: np.ndarray,
     """
     if not 0 <= node < grid.n_steps:
         raise DomainError(f"cannot step from node {node}")
-    ps = np.arange(2, m.shape[0] + 2).astype(float)
+    p_minus_2, p_minus_1, one_minus_p = _moment_p_vectors(m.shape[0])
     a = grid.t0
     t_next = grid.node(node + 1) - a
     rho = (grid.node(node) - a) / t_next
     half_step = 0.5 * grid.dt / t_next
-    fac = half_step * (1.0 - ps) * (rho ** (ps - 2.0) + 1.0)
-    decay = rho ** (ps - 1.0)
+    fac = half_step * one_minus_p * (rho ** p_minus_2 + 1.0)
+    decay = rho ** p_minus_1
     return decay[:, None] * m + np.outer(fac, np.asarray(x, dtype=float))
+
+
+def _correction(t_pow: float, x0_term: float, a_val: float, x_i: float,
+                c_vals: np.ndarray, m_values: np.ndarray) -> float:
+    """The memory correction t_pow (x0_term + A x_i - sum_p C M_p), with
+    t_pow = (t-a)^(-q) and x0_term = -x_i(a)/Gamma(1-q)."""
+    return t_pow * (x0_term + a_val * x_i - float(np.dot(c_vals, m_values)))
 
 
 def memory_correction(t: float, x_i: float, coeffs: ExpansionCoeffs,
@@ -240,8 +263,8 @@ def memory_correction(t: float, x_i: float, coeffs: ExpansionCoeffs,
     if t_rel <= 0.0:
         raise SingularTimeError("memory correction is singular at t = a")
     q = coeffs.q
-    return (t_rel ** (-q) * (-x0_i / math.gamma(1 - q) + coeffs.a_val * x_i
-                             - float(np.dot(coeffs.c_vals, m_values))))
+    return _correction(t_rel ** (-q), -x0_i / math.gamma(1 - q), coeffs.a_val,
+                       x_i, coeffs.c_vals, m_values)
 
 
 def central_difference(fn, x: np.ndarray) -> np.ndarray:
@@ -268,6 +291,13 @@ class TransformedField:
 
     where k_i is the memory correction.  Singular at t = a; the solver
     never evaluates there (start-offset policy).
+
+    The denominator depends on t alone.  It is computed once per time and
+    kept, keyed by the value of t, so grids that share a time share it and
+    no grid can read another's.  At most _MEMO_TIMES times are kept (every
+    node of a grid of up to 2048 nodes); past that the memo starts over.
+    The powers (t-a)^(-q_i) of the correction and of the Jacobian's
+    diagonal are taken per call: they cost less than keeping them.
     """
 
     def __init__(self, plant, coeffs: tuple):
@@ -281,21 +311,34 @@ class TransformedField:
         self._a = np.array([c.a_val for c in coeffs])
         self._b = np.array([c.b_val for c in coeffs])
         self._q = np.asarray(plant.orders, dtype=float)
+        self._x0_terms = [-x0_i / math.gamma(1 - c.q)
+                          for x0_i, c in zip(plant.x0.tolist(), coeffs)]
+        self._denominators = {}
+
+    def denominator(self, t: float) -> np.ndarray:
+        """B_i (t-a)^(1-q_i), read-only."""
+        denom = self._denominators.get(t)
+        if denom is None:
+            t_rel = t - self.plant.t0
+            if t_rel <= 0.0:
+                raise SingularTimeError("transformed field is singular at t = a")
+            if len(self._denominators) >= _MEMO_TIMES:
+                self._denominators.clear()
+            denom = self._denominators[t] = _read_only(
+                self._b * t_rel ** (1.0 - self._q))
+        return denom
 
     def correction(self, t: float, x: np.ndarray,
                    m_node: np.ndarray) -> np.ndarray:
-        a = self.plant.t0
-        return np.array([
-            memory_correction(t, x[i], self.coeffs[i], m_node[:, i],
-                              self.plant.x0[i], a)
-            for i in range(self.plant.n_states)
-        ])
-
-    def denominator(self, t: float) -> np.ndarray:
         t_rel = t - self.plant.t0
         if t_rel <= 0.0:
-            raise SingularTimeError("transformed field is singular at t = a")
-        return self._b * t_rel ** (1.0 - self._q)
+            raise SingularTimeError("memory correction is singular at t = a")
+        return np.array([
+            _correction(t_rel ** (-c.q), x0_term, c.a_val, x_i, c.c_vals,
+                        m_node[:, i])
+            for i, (c, x0_term, x_i) in enumerate(
+                zip(self.coeffs, self._x0_terms, x.tolist()))
+        ])
 
     def __call__(self, t: float, x: np.ndarray, m_node: np.ndarray,
                  u: np.ndarray) -> np.ndarray:
@@ -315,15 +358,13 @@ class TransformedField:
 
     def jacobian_x(self, t: float, x: np.ndarray,
                    u: np.ndarray) -> np.ndarray:
-        """d(field)/dx with the moments held fixed: central differences on
+        """d(field)/dx with the moments held fixed: the plant's rhs_x on
         the plant part, exact on the expansion part (the correction is
         linear in x with a diagonal coefficient A_i (t-a)^(-q_i))."""
-        t_rel = t - self.plant.t0
-        if t_rel <= 0.0:
-            raise SingularTimeError("transformed field is singular at t = a")
-        jac = central_difference(lambda xv: self.plant.rhs(t, xv, u), x)
-        jac -= np.diag(self._a * t_rel ** (-self._q))
-        return jac / self.denominator(t)[:, None]
+        denom = self.denominator(t)
+        diag = np.diag(self._a * (t - self.plant.t0) ** (-self._q))
+        jac = np.asarray(self.plant.rhs_x(t, x, u), dtype=float) - diag
+        return jac / denom[:, None]
 
 
 def reconstruct_rl_derivative(coeffs: ExpansionCoeffs, t: float, a: float,

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import ast
 import math
+import operator
 from typing import Callable, Sequence
 
 from .errors import ConfigError
 
-__all__ = ["ExpressionError", "compile_expression"]
+__all__ = ["ExpressionError", "compile_expression", "compile_gradient",
+           "derivative"]
 
 _FUNCTIONS = {
     "sin": math.sin, "cos": math.cos, "tan": math.tan,
@@ -85,6 +87,40 @@ def _validate(node: ast.AST, variables: set, text: str) -> None:
             f"syntax element {type(child).__name__} not allowed in {text!r}")
 
 
+def _parse(text: str, variables: Sequence[str]) -> ast.expr:
+    """The validated body of text, every literal a float."""
+    if not isinstance(text, str) or not text.strip():
+        raise ExpressionError("expression must be a non-empty string")
+    try:
+        tree = ast.parse(text, mode="eval")
+    except SyntaxError as exc:
+        raise ExpressionError(
+            f"cannot parse {text!r}: {exc.msg} (column {exc.offset})") from exc
+    _validate(tree, set(variables), text)
+    return tree.body
+
+
+def _lambda(body: ast.expr, variables: Sequence[str], text: str):
+    """body compiled into a function of variables, by position, that runs
+    with no builtins: its globals hold only the allowed functions and
+    constants and the helpers below, whose underscore names no validated
+    text can reach."""
+    params = ast.arguments(posonlyargs=[],
+                           args=[ast.arg(arg=name) for name in variables],
+                           kwonlyargs=[], kw_defaults=[], defaults=[])
+    lam = ast.fix_missing_locations(
+        ast.Expression(body=ast.Lambda(args=params, body=body)))
+    evaluate = eval(compile(lam, filename="<expression>", mode="eval"),
+                    dict(_SCOPE))
+    evaluate.source = text
+    return evaluate
+
+
+def _as_float(node: ast.expr) -> ast.expr:
+    return ast.Call(func=ast.Name(id="_float", ctx=ast.Load()),
+                    args=[node], keywords=[])
+
+
 def compile_expression(text: str,
                        variables: Sequence[str]) -> Callable[..., float]:
     """Compile an arithmetic expression into a function of its variables.
@@ -95,22 +131,195 @@ def compile_expression(text: str,
     builtins: its globals hold only the allowed functions and constants,
     and float under the name _float, which no validated text can reach.
     """
-    if not isinstance(text, str) or not text.strip():
-        raise ExpressionError("expression must be a non-empty string")
+    return _lambda(_as_float(_parse(text, variables)), variables, text)
+
+
+def compile_gradient(text: str, variables: Sequence[str],
+                     wrt: Sequence[str]) -> Callable[..., tuple]:
+    """Compile the partial derivatives of an expression in the names wrt.
+
+    The returned function takes the values of variables by position, as
+    compile_expression's does, and returns the tuple of floats
+    (d text/d wrt[0], d text/d wrt[1], ...), differentiated symbolically
+    by derivative.
+    """
+    body = _parse(text, variables)
+    return _lambda(ast.Tuple(elts=[_as_float(derivative(body, name))
+                                   for name in wrt], ctx=ast.Load()),
+                   variables, text)
+
+
+# ------------------------------------------------------------ derivatives
+
+
+def _num(node: ast.expr):
+    """The value of a literal node, None for any other node."""
+    return node.value if isinstance(node, ast.Constant) else None
+
+
+def _const(value: float) -> ast.expr:
+    return ast.Constant(value=float(value))
+
+
+def _fold(node: ast.expr) -> ast.expr:
+    """node as a literal when every operand is one and evaluating it
+    gives a finite float; node itself otherwise."""
+    if isinstance(node, ast.Call):
+        fn, operands = _SCOPE[node.func.id], node.args
+    elif isinstance(node, ast.UnaryOp):        # _neg builds USub only
+        fn, operands = operator.neg, [node.operand]
+    else:
+        fn, operands = _BINOPS[type(node.op)], [node.left, node.right]
+    values = [_num(op) for op in operands]
+    if None in values:
+        return node
     try:
-        tree = ast.parse(text, mode="eval")
-    except SyntaxError as exc:
+        value = float(fn(*values))
+    except (ArithmeticError, ValueError, TypeError):
+        return node
+    return _const(value) if math.isfinite(value) else node
+
+
+def _binop(left: ast.expr, op: ast.operator, right: ast.expr) -> ast.expr:
+    return _fold(ast.BinOp(left=left, op=op, right=right))
+
+
+def _add(a: ast.expr, b: ast.expr) -> ast.expr:
+    if _num(a) == 0.0:
+        return b
+    if _num(b) == 0.0:
+        return a
+    return _binop(a, ast.Add(), b)
+
+
+def _neg(a: ast.expr) -> ast.expr:
+    if _num(a) == 0.0:
+        return _const(0.0)
+    return _fold(ast.UnaryOp(op=ast.USub(), operand=a))
+
+
+def _sub(a: ast.expr, b: ast.expr) -> ast.expr:
+    if _num(b) == 0.0:
+        return a
+    if _num(a) == 0.0:
+        return _neg(b)
+    return _binop(a, ast.Sub(), b)
+
+
+def _mul(a: ast.expr, b: ast.expr) -> ast.expr:
+    if _num(a) == 0.0 or _num(b) == 0.0:
+        return _const(0.0)
+    if _num(a) == 1.0:
+        return b
+    if _num(b) == 1.0:
+        return a
+    return _binop(a, ast.Mult(), b)
+
+
+def _div(a: ast.expr, b: ast.expr) -> ast.expr:
+    if _num(a) == 0.0:
+        return _const(0.0)
+    if _num(b) == 1.0:
+        return a
+    return _binop(a, ast.Div(), b)
+
+
+def _pow(a: ast.expr, b: ast.expr) -> ast.expr:
+    if _num(b) == 1.0:
+        return a
+    if _num(b) == 0.0:
+        return _const(1.0)
+    return _binop(a, ast.Pow(), b)
+
+
+def _call(name: str, *args: ast.expr) -> ast.expr:
+    return _fold(ast.Call(func=ast.Name(id=name, ctx=ast.Load()),
+                          args=list(args), keywords=[]))
+
+
+#: f'(a) for each function f of one argument a, as text in a
+_OUTER = {"sin": "cos(a)", "cos": "-sin(a)", "tan": "1 + tan(a)**2",
+          "asin": "1/sqrt(1 - a**2)", "acos": "-1/sqrt(1 - a**2)",
+          "atan": "1/(1 + a**2)", "sinh": "cosh(a)", "cosh": "sinh(a)",
+          "tanh": "1 - tanh(a)**2", "exp": "exp(a)", "log": "1/a",
+          "log10": "1/(a*log(10))", "sqrt": "0.5/sqrt(a)",
+          "abs": "_sign(a)"}
+
+
+class _Substitute(ast.NodeTransformer):
+    """Replaces the name a by a given tree."""
+
+    def __init__(self, arg: ast.expr):
+        self.arg = arg
+
+    def visit_Name(self, node: ast.Name) -> ast.expr:
+        return self.arg if node.id == "a" else node
+
+
+def derivative(node: ast.expr, name: str) -> ast.expr:
+    """d node / d name for a validated expression tree, as a new tree.
+
+    The rules are the usual ones, with light constant folding (x*1, x*0,
+    x+0, x**1 and operations on literals only are simplified away).  abs
+    and % get their derivatives almost everywhere: sign(a) da (0 at a = 0,
+    where the central difference is 0 too) and da - floor(a/b) db.  For
+    a**b the ln(a) term is emitted only when b depends on name, so x**2
+    differentiates at x < 0.  log(a, b) is log(a)/log(b).  A call with
+    another number of arguments than its function takes raises
+    ExpressionError.
+    """
+    if isinstance(node, ast.Constant):
+        return _const(0.0)
+    if isinstance(node, ast.Name):
+        return _const(1.0 if node.id == name else 0.0)
+    if isinstance(node, ast.UnaryOp):
+        d = derivative(node.operand, name)
+        return d if isinstance(node.op, ast.UAdd) else _neg(d)
+    if isinstance(node, ast.BinOp):
+        a, b = node.left, node.right
+        da, db = derivative(a, name), derivative(b, name)
+        if isinstance(node.op, ast.Add):
+            return _add(da, db)
+        if isinstance(node.op, ast.Sub):
+            return _sub(da, db)
+        if isinstance(node.op, ast.Mult):
+            return _add(_mul(da, b), _mul(a, db))
+        if isinstance(node.op, ast.Div):
+            # da/b - (a/b) db/b
+            return _sub(_div(da, b), _div(_mul(_div(a, b), db), b))
+        if isinstance(node.op, ast.Mod):
+            # a % b = a - b floor(a/b), floor constant almost everywhere
+            return _sub(da, _mul(_call("_floor", _div(a, b)), db))
+        # a**b: b a**(b-1) da + a**b ln(a) db
+        power = _mul(_mul(b, _pow(a, _sub(b, _const(1.0)))), da)
+        if _num(db) == 0.0:
+            return power
+        return _add(power, _mul(_mul(node, _call("log", a)), db))
+    # a call of one of _FUNCTIONS
+    fn, args = node.func.id, node.args
+    if fn == "log" and len(args) == 2:
+        return derivative(_div(_call("log", args[0]), _call("log", args[1])),
+                          name)
+    if len(args) != 1:
         raise ExpressionError(
-            f"cannot parse {text!r}: {exc.msg} (column {exc.offset})") from exc
-    _validate(tree, set(variables), text)
-    body = ast.Call(func=ast.Name(id="_float", ctx=ast.Load()),
-                    args=[tree.body], keywords=[])
-    params = ast.arguments(posonlyargs=[],
-                           args=[ast.arg(arg=name) for name in variables],
-                           kwonlyargs=[], kw_defaults=[], defaults=[])
-    lam = ast.fix_missing_locations(
-        ast.Expression(body=ast.Lambda(args=params, body=body)))
-    scope = {"__builtins__": {}, "_float": float, **_FUNCTIONS, **_CONSTANTS}
-    evaluate = eval(compile(lam, filename="<expression>", mode="eval"), scope)
-    evaluate.source = text
-    return evaluate
+            f"{fn} takes one argument, got {len(args)} in {ast.unparse(node)!r}")
+    da = derivative(args[0], name)
+    if _num(da) == 0.0:
+        return da
+    outer = ast.parse(_OUTER[fn], mode="eval").body
+    return _mul(_Substitute(args[0]).visit(outer), da)
+
+
+def _sign(v: float) -> float:
+    return 1.0 if v > 0.0 else -1.0 if v < 0.0 else 0.0
+
+
+def _floor(v: float) -> float:
+    return float(math.floor(v))
+
+
+_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv,
+           ast.Pow: operator.pow, ast.Mod: operator.mod}
+_SCOPE = {"__builtins__": {}, "_float": float, "_sign": _sign,
+          "_floor": _floor, **_FUNCTIONS, **_CONSTANTS}

@@ -48,6 +48,7 @@ _COORD_SWEEPS = 60
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 _SQRT_EPS = math.sqrt(2.2e-16)
 _MAX_EVALS = 500
+_FLOAT = np.dtype(float)
 
 
 @dataclass(frozen=True)
@@ -130,7 +131,8 @@ def freeze_node(prob: HJBProblem, grid: TimeGrid, k: int, x: np.ndarray,
 def node_hamiltonian(node: FrozenNode, u: np.ndarray,
                      v_x: np.ndarray) -> float:
     """Weighted running cost plus V_x . field at a frozen grid node."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
+    if not (type(u) is np.ndarray and u.dtype == _FLOAT and u.ndim == 1):
+        u = np.atleast_1d(np.asarray(u, dtype=float))
     return node.running(u) + float(np.dot(v_x, node.field(u)))
 
 
@@ -229,7 +231,7 @@ def _minimize_box(h: Callable[[np.ndarray], float], lo: np.ndarray,
     """
     def checked(u):
         hv = h(u)
-        if not np.isfinite(hv):
+        if not math.isfinite(hv):
             raise SweepAbort("non-finite Hamiltonian during minimization")
         return hv
 

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DomainError
+from .expansion import central_difference
 
 
 @dataclass(frozen=True)
@@ -17,6 +18,8 @@ class FractionalPlant:
     orders holds one differentiation order per state component, each in
     (0, 1).  rhs maps (t, x, u) to the state-rate vector.  t0 is both the
     initial time and the memory anchor of every fractional operator.
+    rhs_jacobian maps (t, x, u) to d rhs/dx, row i holding the partials of
+    rhs component i; without it, rhs_x takes central differences of rhs.
     """
 
     orders: tuple
@@ -24,6 +27,7 @@ class FractionalPlant:
     x0: np.ndarray = field(repr=False)
     n_controls: int
     t0: float = 0.0
+    rhs_jacobian: Optional[Callable] = field(default=None, repr=False)
 
     def __post_init__(self):
         orders = tuple(float(q) for q in self.orders)
@@ -42,3 +46,9 @@ class FractionalPlant:
     @property
     def n_states(self) -> int:
         return len(self.orders)
+
+    def rhs_x(self, t: float, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """d rhs/dx at (t, x, u)."""
+        if self.rhs_jacobian is None:
+            return central_difference(lambda xv: self.rhs(t, xv, u), x)
+        return self.rhs_jacobian(t, x, u)

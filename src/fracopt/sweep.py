@@ -28,7 +28,7 @@ import numpy as np
 
 from . import cost as cost_mod
 from .errors import DomainError, SweepAbort
-from .expansion import advance_moments, central_difference
+from .expansion import advance_moments
 from .grid import TimeGrid
 from .hjb import (ValueData, aggregate_error, freeze_node,
                   minimize_node_hamiltonian, node_hamiltonian, node_times)
@@ -144,7 +144,7 @@ def _ensure_field(prob: HJBProblem, cfg: SweepConfig) -> HJBProblem:
 
 
 def _check_finite(arr: np.ndarray, what: str, k: int) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise SweepAbort(f"non-finite {what} at node {k}")
 
 
@@ -199,16 +199,11 @@ def forward_sweep(prob: HJBProblem, u, cfg: SweepConfig):
 def _weighted_running_gradient(prob: HJBProblem, grid: TimeGrid, k: int,
                                x_k: np.ndarray, u_k: np.ndarray) -> np.ndarray:
     """d/dx of the weighted running cost at node k (weights substituted at
-    the final node), by central differences on the user operands."""
+    the final node)."""
     t_run, _ = node_times(grid, k)
     weights = [cost_mod.running_weight(term.v, t_run, prob.tf)
                for term in prob.index.running_terms]
-
-    def g_of(xv):
-        return sum(w * term.running(t_run, xv, u_k)
-                   for w, term in zip(weights, prob.index.running_terms))
-
-    return central_difference(g_of, x_k)
+    return prob.index.running_gradient(weights, t_run, x_k, u_k)
 
 
 def backward_sweep(prob: HJBProblem, x: np.ndarray, nodes: tuple,
@@ -247,8 +242,8 @@ def backward_sweep(prob: HJBProblem, x: np.ndarray, nodes: tuple,
         jac[k] = prob.field.jacobian_x(times[k], x[k], u[k])
 
     lam = np.zeros((grid.n_nodes, nx))
-    lam[n] = central_difference(
-        lambda xv: cost_mod.terminal_value(prob.index, prob.tf, xv), x[n])
+    lam[n] = prob.index.terminal_gradient(prob.tf, x[n])
+    _check_finite(lam[n], "costate", n)
     heun = cfg.stepper == "heun"
     for k in range(n - 1, -1, -1):
         # the field is singular at t0, so node 0 has no linearization and
@@ -260,8 +255,10 @@ def backward_sweep(prob: HJBProblem, x: np.ndarray, nodes: tuple,
 
     h = np.array([node_hamiltonian(node, u[k], lam[k])
                   for k, node in enumerate(nodes)])
-    if not np.all(np.isfinite(h)):
-        raise SweepAbort("non-finite Hamiltonian along the sweep")
+    bad = np.flatnonzero(~np.isfinite(h))
+    if bad.size:
+        raise SweepAbort(
+            f"non-finite Hamiltonian along the sweep, first at node {bad[0]}")
 
     v = np.empty(grid.n_nodes)
     v[n] = cost_mod.terminal_value(prob.index, prob.tf, x[n])

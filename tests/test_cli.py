@@ -67,6 +67,18 @@ def test_nonconverged_exit_two(tmp_path):
     assert json.loads(rep.read_text())["converged"] is False
 
 
+def test_non_finite_terminal_costate_is_reported_at_the_last_node(
+        tmp_path, capsys):
+    doc = yaml.safe_load(Path("perfbench/lq_bounded.yaml").read_text())
+    doc["cost"]["terms"][0]["operand"] = "1e300*1e300*x1"
+    prob = tmp_path / "inf_terminal.yaml"
+    prob.write_text(yaml.safe_dump(doc))
+    assert run_cli("run", str(prob), "--csv", str(tmp_path / "t.csv"),
+                   "--report", str(tmp_path / "r.json")) == 1
+    assert capsys.readouterr().err == \
+        "solver abort: non-finite costate at node 100\n"
+
+
 def test_error_exit_one(tmp_path):
     missing = tmp_path / "nope.yaml"
     assert run_cli("run", str(missing)) == 1

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 import yaml
 
+import fracopt as fo
 from fracopt.config import (apply_overrides, build_problem, load_raw,
                             parse_problem, write_problem)
-from fracopt.errors import ConfigError
+from fracopt.errors import ConfigError, SweepAbort
 from fracopt.sweep import SweepConfig
 
-from conftest import EXAMPLE_FILE, two_state_problem
+from conftest import EXAMPLE_FILE, two_state_config, two_state_problem
 
 
 @pytest.fixture()
@@ -207,3 +208,53 @@ def test_bolza_form_accepted(tmp_path, doc):
     term0 = parsed.problem.index.terms[0]
     assert term0.v == 0.0
     assert term0.terminal(1.0, np.array([1.0, 2.0])) == pytest.approx(5.0)
+
+
+def test_problem_files_carry_exact_derivatives(doc):
+    doc["cost"]["terms"].insert(0, {"order": 0.0,
+                                    "operand": "0.5*x1**2 + t*x2"})
+    prob = build_problem(doc).problem
+    x, u = np.array([0.3, -1.2]), np.array([2.0])
+    assert np.array_equal(prob.plant.rhs_x(0.4, x, u),
+                          [[0.0, 1.0], [-1.0, 0.0]])
+    assert np.array_equal(prob.index.running_gradient([2.0, 3.0], 0.4, x, u),
+                          2.0 * 2 * x + 3.0 * np.array([2 * x[0], 0.0]))
+    assert np.array_equal(prob.index.terminal_gradient(1.5, x),
+                          [x[0], 1.5])
+
+
+def _sqrt_doc(doc, where):
+    """doc with sqrt(x1) added to the dynamics, the running operands or a
+    terminal operand: finite at x1 = 0, its derivative is not."""
+    if where == "dynamics":
+        doc["plant"]["dynamics"][1] = "sqrt(x1) - x1"
+        return doc, "sqrt(x1) - x1"
+    if where == "running":
+        doc["cost"]["terms"][0]["operand"] = "sqrt(x1) + x2**2"
+        return doc, "sqrt(x1) + x2**2"
+    doc["cost"]["terms"].insert(0, {"order": 0.0, "operand": "sqrt(x1)"})
+    return doc, "sqrt(x1)"
+
+
+@pytest.mark.parametrize("where", ["dynamics", "running", "terminal"])
+def test_failing_derivative_is_an_abort_naming_its_source(doc, where):
+    doc, source = _sqrt_doc(doc, where)
+    prob = build_problem(doc).problem
+    x, u = np.array([0.0, 1.0]), np.array([0.0])
+    derivative = {"dynamics": lambda: prob.plant.rhs_x(0.5, x, u),
+                  "running": lambda: prob.index.running_gradient(
+                      [1.0, 1.0], 0.5, x, u),
+                  "terminal": lambda: prob.index.terminal_gradient(1.0, x)}
+    with pytest.raises(SweepAbort) as info:
+        derivative[where]()
+    assert str(info.value).startswith(
+        f"cannot evaluate the x-derivative of {source!r} at t = ")
+
+
+def test_parsed_example_solves_as_the_hand_built_problem(example_state):
+    # exact derivatives for the file, central differences for the
+    # callables: the same iterations and J* within rounding
+    state, _ = example_state
+    ref = fo.solve(two_state_problem(), two_state_config())
+    assert state.iteration == ref.iteration
+    assert state.j_star == pytest.approx(ref.j_star, rel=1e-12, abs=0)

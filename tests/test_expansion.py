@@ -359,6 +359,69 @@ def test_field_singular_at_anchor():
         field(0.0, plant.x0, np.zeros((4, 2)), np.array([0.0]))
 
 
+# ------------------------------------------- factors kept per time
+
+INTERLEAVED = [TimeGrid.from_step(0.0, 1.0, dt) for dt in (0.01, 0.005)] * 2
+
+
+def test_field_factors_survive_interleaved_grids():
+    # one field through two grids in turn gives, at every node, what a
+    # field built afresh for that pass gives, and what the formulas give
+    from conftest import two_state_problem
+    prob = two_state_problem().with_field(10 ** 4, 10 ** 4, 20)
+    shared = prob.field
+    plant = prob.plant
+    rng = np.random.default_rng(3)
+    for grid in INTERLEAVED:
+        fresh = TransformedField(plant, shared.coeffs)
+        for k in range(1, grid.n_nodes):
+            for t in (grid.times()[k], grid.node(k)):
+                x = rng.uniform(-2, 2, 2)
+                m_node = rng.uniform(-2, 2, (19, 2))
+                u = rng.uniform(-2, 2, 1)
+                corr = shared.correction(t, x, m_node)
+                assert np.array_equal(corr, fresh.correction(t, x, m_node))
+                assert np.array_equal(corr, [
+                    memory_correction(t, x[i], c, m_node[:, i],
+                                      plant.x0[i], plant.t0)
+                    for i, c in enumerate(shared.coeffs)])
+                denom = shared.denominator(t)
+                assert np.array_equal(denom, fresh.denominator(t))
+                assert np.array_equal(   # in numpy's array power
+                    denom, np.array([c.b_val for c in shared.coeffs])
+                    * (t - plant.t0) ** (1.0 - np.array(plant.orders)))
+                assert np.array_equal(shared.jacobian_x(t, x, u),
+                                      fresh.jacobian_x(t, x, u))
+
+
+def test_field_factors_are_read_only_and_singular_time_is_not_kept():
+    from conftest import two_state_problem
+    field = two_state_problem().with_field(100, 100, 5).field
+    with pytest.raises(ValueError):
+        field.denominator(0.5)[0] = 1.0
+    for _ in range(2):
+        with pytest.raises(SingularTimeError):
+            field.correction(0.0, np.ones(2), np.zeros((4, 2)))
+        with pytest.raises(SingularTimeError):
+            field.jacobian_x(-0.1, np.ones(2), np.zeros(1))
+
+
+def test_moment_step_equals_its_formula_on_interleaved_grids():
+    ps = np.arange(2, 151, dtype=float)
+    rng = np.random.default_rng(4)
+    for grid in INTERLEAVED:
+        m = np.zeros((149, 2))
+        for k in range(grid.n_steps):
+            x = rng.uniform(-2, 2, 2)
+            t_next = grid.node(k + 1) - grid.t0
+            rho = (grid.node(k) - grid.t0) / t_next
+            want = (rho ** (ps - 1.0))[:, None] * m + np.outer(
+                0.5 * grid.dt / t_next * (1.0 - ps) * (rho ** (ps - 2.0) + 1.0),
+                x)
+            m = advance_moments(grid, m, x, k)
+            assert np.array_equal(m, want)
+
+
 # ------------------------------------------------------- reconstruction
 
 def exact_moments(ps, t, m):

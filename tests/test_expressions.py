@@ -1,8 +1,12 @@
 import math
+import random
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from fracopt.expressions import ExpressionError, compile_expression
+from fracopt.expressions import (ExpressionError, compile_expression,
+                                 compile_gradient)
 
 
 def test_basic_arithmetic():
@@ -102,3 +106,112 @@ def test_evaluator_runs_without_builtins():
     fn = compile_expression("abs(x1) + pi", ["x1"])
     assert fn.__globals__["__builtins__"] == {}
     assert fn(-1.0) == pytest.approx(1.0 + math.pi)
+
+
+# ---------------------------------------------------------- derivatives
+
+VARS = ["t", "x1", "x2"]
+FUNCTIONS = ["sin", "cos", "tan", "asin", "acos", "atan", "sinh", "cosh",
+             "tanh", "exp", "log", "log10", "sqrt", "abs"]
+
+
+def _difference(fn, point, j, h):
+    """(fn(point + h e_j) - fn(point - h e_j)) / 2h."""
+    up, down = list(point), list(point)
+    up[j] += h
+    down[j] -= h
+    return (fn(*up) - fn(*down)) / (2 * h)
+
+
+def _matches_central_difference(text, point):
+    """Whether compile_gradient(text) at point matches central
+    differences in x1 and x2 within rel 1e-6 (absolute floor 1e-6).
+    Points where the expression or its derivative cannot be evaluated,
+    is large, or is not smooth on the difference stencil (two step sizes
+    disagree: a kink of abs, a jump of %, a pole) are skipped."""
+    fn = compile_expression(text, VARS)
+    grad = compile_gradient(text, VARS, ["x1", "x2"])
+    try:
+        value = fn(*point)
+        exact = grad(*point)
+        diffs = [[_difference(fn, point, j, h * max(1.0, abs(point[j])))
+                  for h in (1e-5, 5e-6)] for j in (1, 2)]
+    except (ArithmeticError, ValueError, TypeError):
+        return None
+    if abs(value) > 1e3 or not all(abs(d) <= 1e3 for d in exact):
+        return None
+    for d, (fd, fd_half) in zip(exact, diffs):
+        if abs(fd - fd_half) > 1e-8 * max(abs(fd), 1.0):
+            return None
+        if abs(d - fd) > 1e-6 * max(abs(fd), 1.0):
+            return False
+    return True
+
+
+_LEAVES = st.sampled_from(["x1", "x2", "t", "0.5", "3", "pi", "e"])
+
+
+def _extend(children):
+    # % by a literal only: a variable modulus can be tiny, and a sawtooth
+    # whose period is below the difference step has a derivative the
+    # differences cannot see (test_gradient_of_every_construct has x1 % x2)
+    return st.one_of(
+        st.tuples(children, st.sampled_from("+-*/"), children).map(
+            lambda a: f"({a[0]} {a[1]} {a[2]})"),
+        st.tuples(children, st.sampled_from(["0.5", "3", "pi"])).map(
+            lambda a: f"({a[0]}) % {a[1]}"),
+        st.tuples(children, children).map(lambda a: f"({a[0]})**({a[1]})"),
+        st.tuples(st.sampled_from(FUNCTIONS), children).map(
+            lambda a: f"{a[0]}({a[1]})"),
+        children.map(lambda c: f"-({c})"),
+    )
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(text=st.recursive(_LEAVES, _extend, max_leaves=6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_gradient_matches_central_differences(text, seed):
+    # at a generic point: abs and % have derivatives almost everywhere,
+    # and the differences cannot tell a kink at the point from a slope
+    rng = random.Random(seed)
+    point = (rng.uniform(0.0, 1.0), rng.uniform(-2.0, 2.0),
+             rng.uniform(-2.0, 2.0))
+    verdict = _matches_central_difference(text, point)
+    assume(verdict is not None)
+    assert verdict, (text, point)
+
+
+@pytest.mark.parametrize("text", [f"{f}(0.3*x2 - 0.2*x1)" for f in FUNCTIONS]
+                         + ["x1**x2", "(x1 + 2)**(x2*x1)", "2**x2",
+                            "x1**3", "x2**-2", "abs(x1*x2)", "x1 % 0.3",
+                            "x1 % x2", "(x1*x2) % (x2 + 1)", "log(x1, x2)",
+                            "exp(x1)/(1 + x2**2) - x1*x2"])
+def test_gradient_of_every_construct(text):
+    # a point where each of them is smooth, away from kinks and jumps
+    assert _matches_central_difference(text, (0.4, 0.7, 1.3))
+
+
+def test_gradient_folds_constants():
+    grad = compile_gradient("0.5*x1**2 + 3*x2 + t", VARS, ["x1", "x2"])
+    assert grad(0.0, 2.0, -1.0) == (2.0, 3.0)
+    assert compile_gradient("-x1", VARS, ["x2"])(0.0, 1.0, 1.0) == (0.0,)
+
+
+def test_gradient_source_and_almost_everywhere_rules():
+    grad = compile_gradient("abs(x1) + x2 % 2", VARS, ["x1", "x2"])
+    assert grad.source == "abs(x1) + x2 % 2"
+    assert grad(0.0, -3.0, 5.5) == (-1.0, 1.0)
+    assert grad(0.0, 0.0, 1.0) == (0.0, 1.0)   # sign(0) = 0, as the FD
+
+
+def test_gradient_power_needs_no_log_of_a_constant_exponent():
+    # x1**2 at x1 < 0: no ln(x1) term, so it differentiates
+    assert compile_gradient("x1**2", VARS, ["x1"])(0.0, -3.0, 0.0) == (-6.0,)
+    with pytest.raises(ValueError):      # ln of a negative base
+        compile_gradient("x1**x2", VARS, ["x2"])(0.0, -3.0, 2.0)
+
+
+def test_gradient_rejects_a_call_of_the_wrong_arity():
+    with pytest.raises(ExpressionError, match="one argument"):
+        compile_gradient("sin(x1, x2)", VARS, ["x1"])

@@ -101,6 +101,18 @@ def test_node_hamiltonian_on_record_equals_from_scratch():
         assert node_hamiltonian(node, u, lam) == ref
 
 
+def test_node_hamiltonian_takes_any_control_form():
+    prob = small_field_problem()
+    grid = fo.TimeGrid(0.0, 1.0, 100)
+    rng = np.random.default_rng(12)
+    node = freeze_node(prob, grid, 40, rng.uniform(-1, 1, 2),
+                       rng.uniform(-2, 2, (39, 2)))
+    lam = rng.uniform(-1, 1, 2)
+    want = node_hamiltonian(node, np.array([3.0]), lam)
+    for u in (3.0, 3, [3.0], np.array([3]), np.array(3.0)):
+        assert node_hamiltonian(node, u, lam) == want
+
+
 # ---------------------------------------------------------- minimizers
 
 def _counting_scalar_search(monkeypatch):

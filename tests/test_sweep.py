@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -148,6 +149,24 @@ def test_backward_classical_limit_matches_riccati_costate():
 
 
 # ----------------------------------------------------------- node data
+
+def test_backward_names_the_first_node_of_a_non_finite_hamiltonian():
+    # the running operand is infinite from t = 0.505 on while its
+    # gradient stays finite, so the costate is finite and H is not
+    plant = fo.FractionalPlant(
+        orders=(0.5,), rhs=lambda t, x, u: np.array([u[0]]),
+        x0=np.ones(1), n_controls=1)
+    pi = fo.PerformanceIndex((fo.CostTerm(
+        v=1.0, running=lambda t, x, u: math.inf if t > 0.505 else x[0] ** 2,
+        gradient=lambda t, x, u: np.array([2.0 * x[0]])),))
+    prob = fo.HJBProblem(plant=plant, index=pi, tf=1.0,
+                         u_lower=np.array([-1.0]), u_upper=np.array([1.0]))
+    cfg = SweepConfig(dt=0.01, n_a=20, n_b=20, p_max=5)
+    x, nodes = forward_sweep(prob, 0.0, cfg)
+    with pytest.raises(SweepAbort, match="Hamiltonian along the sweep, "
+                                         "first at node 51$"):
+        backward_sweep(prob, x, nodes, 0.0, cfg)
+
 
 def _count_calls(monkeypatch, owner, name):
     calls = []
