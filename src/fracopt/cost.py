@@ -74,16 +74,22 @@ class PerformanceIndex:
     def running_terms(self):
         return tuple(t for t in self.terms if t.v != 0.0)
 
+    def weighted_running(self, weights, t: float, x: np.ndarray,
+                         u: np.ndarray) -> float:
+        """sum_j weights[j] g_j(t, x, u) over the running terms."""
+        total = 0.0
+        for w, term in zip(weights, self.running_terms):
+            total += w * term.running(t, x, u)
+        return total
+
     def running_gradient(self, weights, t: float, x: np.ndarray,
                          u: np.ndarray) -> np.ndarray:
-        """d/dx of sum_j weights[j] g_j(t, x, u) over the running terms:
-        from their gradients when every term has one, by central
-        differences of the weighted sum otherwise."""
+        """d/dx of weighted_running: the weighted sum of the terms'
+        gradients, or its central difference when a term has none."""
         terms = self.running_terms
         if any(term.gradient is None for term in terms):
             return central_difference(
-                lambda xv: sum(w * term.running(t, xv, u)
-                               for w, term in zip(weights, terms)), x)
+                lambda xv: self.weighted_running(weights, t, xv, u), x)
         grad = np.zeros(x.shape[0])
         for w, term in zip(weights, terms):
             grad += w * np.asarray(term.gradient(t, x, u), dtype=float)

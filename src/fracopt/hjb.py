@@ -15,15 +15,16 @@ is frozen once (freeze_node): its memory correction and running weights
 are computed there and shared by every Hamiltonian probe at that node.
 
 Endpoint conventions (both endpoints of the grid host singular factors):
-at the final node the running weights of orders v < 1 are evaluated at the
-adjacent interior time, and at the initial node the transformed field is
-evaluated at the adjacent interior time.
+at the final node the running weights of every order are evaluated at
+t_{n-1}, so an order v > 1, whose weight at tf is 0, gets 0.1128 for v = 1.5
+at dt = 0.01; at the initial node the transformed field is evaluated at t_1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -89,18 +90,10 @@ def node_times(grid: TimeGrid, k: int):
 
 def _running_cost(prob: HJBProblem, t: float,
                   x: np.ndarray) -> Callable[[np.ndarray], float]:
-    """u -> sum_j w_j(t) g_j(t, x, u) with x frozen and every running
-    weight computed once."""
-    terms = prob.index.running_terms
-    weights = [running_weight(term.v, t, prob.tf) for term in terms]
-
-    def running(u):
-        total = 0.0
-        for w, term in zip(weights, terms):
-            total += w * term.running(t, x, u)
-        return total
-
-    return running
+    """u -> sum_j w_j(t) g_j(t, x, u) at frozen x, each w_j computed once."""
+    weights = [running_weight(term.v, t, prob.tf)
+               for term in prob.index.running_terms]
+    return partial(prob.index.weighted_running, weights, t, x)
 
 
 @dataclass(frozen=True)
@@ -229,12 +222,6 @@ def _minimize_box(h: Callable[[np.ndarray], float], lo: np.ndarray,
     one is final in quadratic mode and with one control (the bounded
     search ignores its start point, so a second sweep would repeat it).
     """
-    def checked(u):
-        hv = h(u)
-        if not math.isfinite(hv):
-            raise SweepAbort("non-finite Hamiltonian during minimization")
-        return hv
-
     m = lo.shape[0]
     u = np.clip(np.zeros(m), lo, hi)
     for _ in range(_COORD_SWEEPS):
@@ -243,7 +230,10 @@ def _minimize_box(h: Callable[[np.ndarray], float], lo: np.ndarray,
             def axis(val, j=j):
                 uu = u.copy()
                 uu[j] = val
-                return checked(uu)
+                hv = h(uu)
+                if math.isfinite(hv):
+                    return hv
+                raise SweepAbort("non-finite Hamiltonian during minimization")
 
             if hi[j] - lo[j] <= _COORD_TOL:
                 new = lo[j]
@@ -255,13 +245,13 @@ def _minimize_box(h: Callable[[np.ndarray], float], lo: np.ndarray,
             u[j] = new
         if quadratic or m == 1 or moved <= _COORD_TOL:
             break
-    return u, checked(u)
+    return u
 
 
 def minimize_node_hamiltonian(prob: HJBProblem, node: FrozenNode,
-                              v_x: np.ndarray):
+                              v_x: np.ndarray) -> np.ndarray:
     """Minimizer of the Hamiltonian at a frozen grid node over the
-    problem's control box.  Returns (u_star, h_star)."""
+    problem's control box (H is not evaluated at it here)."""
     return _minimize_box(lambda u: node_hamiltonian(node, u, v_x),
                          prob.u_lower, prob.u_upper, prob.quadratic_control)
 

@@ -148,6 +148,15 @@ def _check_finite(arr: np.ndarray, what: str, k: int) -> None:
         raise SweepAbort(f"non-finite {what} at node {k}")
 
 
+def _finite_per_node(what: str, values) -> np.ndarray:
+    """values as an array; SweepAbort names the first non-finite one."""
+    values = np.array(values)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise SweepAbort(f"non-finite {what}, first at node {bad[0]}")
+    return values
+
+
 def _step(y: np.ndarray, h: float, slope: np.ndarray, slope_at_end,
           heun: bool) -> np.ndarray:
     """One explicit step of size h (negative when integrating backward)
@@ -253,12 +262,8 @@ def backward_sweep(prob: HJBProblem, x: np.ndarray, nodes: tuple,
                        lambda y: -(grad[k] + jac[k].T @ y), heun and k > 0)
         _check_finite(lam[k], "costate", k)
 
-    h = np.array([node_hamiltonian(node, u[k], lam[k])
-                  for k, node in enumerate(nodes)])
-    bad = np.flatnonzero(~np.isfinite(h))
-    if bad.size:
-        raise SweepAbort(
-            f"non-finite Hamiltonian along the sweep, first at node {bad[0]}")
+    h = _finite_per_node("Hamiltonian along the sweep", [
+        node_hamiltonian(node, u[k], lam[k]) for k, node in enumerate(nodes)])
 
     v = np.empty(grid.n_nodes)
     v[n] = cost_mod.terminal_value(prob.index, prob.tf, x[n])
@@ -269,17 +274,15 @@ def backward_sweep(prob: HJBProblem, x: np.ndarray, nodes: tuple,
 
 
 def _pointwise_minimizers(prob: HJBProblem, value: ValueData) -> np.ndarray:
-    u_star = np.empty((value.grid.n_nodes, prob.plant.n_controls))
-    for k, node in enumerate(value.nodes):
-        u_star[k], _ = minimize_node_hamiltonian(prob, node, value.v_x[k])
-    return u_star
+    return np.array([minimize_node_hamiltonian(prob, node, value.v_x[k])
+                     for k, node in enumerate(value.nodes)])
 
 
 def _evaluate(prob: HJBProblem, u: np.ndarray, cfg: SweepConfig):
     x, nodes = forward_sweep(prob, u, cfg)
     value = backward_sweep(prob, x, nodes, u, cfg)
     u_star = _pointwise_minimizers(prob, value)
-    residuals = np.array([
+    residuals = _finite_per_node("residual", [
         node_hamiltonian(node, u_star[k], value.v_x[k]) - value.h[k]
         for k, node in enumerate(value.nodes)])
     return x, value, u_star, residuals, aggregate_error(residuals)
@@ -308,7 +311,7 @@ def audit_residuals(prob: HJBProblem, x: np.ndarray, u,
             m = advance_moments(grid, m, x[k], k)
     value = backward_sweep(prob, x, tuple(nodes), u, cfg)
     u_star = _pointwise_minimizers(prob, value)
-    residuals = np.array([
+    residuals = _finite_per_node("residual", [
         node_hamiltonian(node, u_star[k], value.v_x[k]) - value.h[k]
         for k, node in enumerate(value.nodes)])
     return residuals, value

@@ -183,10 +183,9 @@ def test_minimize_box_one_control_takes_one_search(monkeypatch):
                                    options={"xatol": 1e-10})
         ref[0] = res.x
     calls = _counting_scalar_search(monkeypatch)
-    u, h_u = _minimize_box(h, lo, hi, False)
+    u = _minimize_box(h, lo, hi, False)
     assert len(calls) == 1
     assert u[0] == ref[0]
-    assert h_u == h(ref)
 
 
 def test_minimize_box_several_controls_sweep_until_still(monkeypatch):
@@ -195,24 +194,28 @@ def test_minimize_box_several_controls_sweep_until_still(monkeypatch):
         return (u[0] + u[1] - 1.0) ** 2 + 0.1 * (u[0] - u[1]) ** 2
 
     calls = _counting_scalar_search(monkeypatch)
-    u, _ = _minimize_box(h, np.array([-2.0, -2.0]), np.array([2.0, 2.0]),
-                         False)
+    u = _minimize_box(h, np.array([-2.0, -2.0]), np.array([2.0, 2.0]),
+                      False)
     assert len(calls) >= 4 and len(calls) % 2 == 0
     assert np.allclose(u, [0.5, 0.5], atol=1e-7)
 
 
 def test_minimize_box_quadratic_interior():
-    u, h = _minimize_box(lambda u: u[0] ** 2 + 2 * u[0],
-                         np.array([-10.0]), np.array([10.0]), True)
+    def h(u):
+        return u[0] ** 2 + 2 * u[0]
+
+    u = _minimize_box(h, np.array([-10.0]), np.array([10.0]), True)
     assert u[0] == pytest.approx(-1.0, abs=1e-12)
-    assert h == pytest.approx(-1.0, abs=1e-12)
+    assert h(u) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_minimize_box_clips_to_bounds():
-    u, h = _minimize_box(lambda u: u[0] ** 2 + 2 * u[0],
-                         np.array([0.0]), np.array([10.0]), True)
+    def h(u):
+        return u[0] ** 2 + 2 * u[0]
+
+    u = _minimize_box(h, np.array([0.0]), np.array([10.0]), True)
     assert u[0] == 0.0
-    assert h == pytest.approx(0.0, abs=1e-12)
+    assert h(u) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_minimize_box_checks_endpoint_probes():
@@ -233,8 +236,7 @@ def test_minimize_box_quadratic_fixed_axis_is_never_probed():
         probes.append(u.copy())
         return (u[0] - 0.3) ** 2 + 2 * (u[1] + 0.4) ** 2
 
-    u, _ = _minimize_box(h, np.array([0.7, -1.0]), np.array([0.7, 1.0]),
-                         True)
+    u = _minimize_box(h, np.array([0.7, -1.0]), np.array([0.7, 1.0]), True)
     assert u[0] == 0.7
     assert u[1] == pytest.approx(-0.4, abs=1e-12)
     assert all(probe[0] == 0.7 for probe in probes)
@@ -243,19 +245,18 @@ def test_minimize_box_quadratic_fixed_axis_is_never_probed():
 def test_minimize_box_quadratic_coupled_axes_are_probed_in_turn():
     # one sweep, each axis probed from the point the earlier axes reached:
     # u0 minimizes h(., 0) -> 0.5, then u1 minimizes h(0.5, .) -> -0.25;
-    # three probes per axis and one final evaluation
+    # three probes per axis, and none at the returned point
     probes = []
 
     def h(u):
         probes.append(u.copy())
         return u[0] ** 2 + u[1] ** 2 + u[0] * u[1] - u[0]
 
-    u, hu = _minimize_box(h, np.array([-2.0, -2.0]), np.array([2.0, 2.0]),
-                          True)
+    u = _minimize_box(h, np.array([-2.0, -2.0]), np.array([2.0, 2.0]), True)
     assert u == pytest.approx([0.5, -0.25], abs=1e-12)
-    assert hu == pytest.approx(-0.3125, abs=1e-12)
-    assert len(probes) == 3 * 2 + 1
+    assert len(probes) == 3 * 2
     assert all(probe[0] == u[0] for probe in probes[3:])
+    assert h(u) == pytest.approx(-0.3125, abs=1e-12)
 
 
 def test_minimize_box_coordinate_descent_matches_quadratic():
@@ -263,8 +264,8 @@ def test_minimize_box_coordinate_descent_matches_quadratic():
         return (u[0] - 0.3) ** 2 + 2 * (u[1] + 0.4) ** 2
 
     lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
-    uq, _ = _minimize_box(h, lo, hi, True)
-    un, _ = _minimize_box(h, lo, hi, False)
+    uq = _minimize_box(h, lo, hi, True)
+    un = _minimize_box(h, lo, hi, False)
     assert np.allclose(uq, [0.3, -0.4], atol=1e-10)
     assert np.allclose(un, uq, atol=1e-7)
 
@@ -286,12 +287,12 @@ def test_minimizer_agrees_with_analytic_update():
             / (2 * b1 * t ** 0.8)
         analytic = min(max(analytic, -10.0), 10.0)
         node = freeze_node(prob, grid, k, x, w)
-        u_q, _ = minimize_node_hamiltonian(prob, node, lam)
+        u_q = minimize_node_hamiltonian(prob, node, lam)
         assert u_q[0] == pytest.approx(analytic, rel=1e-9, abs=1e-11)
         # numeric (coordinate search) route agrees with the quadratic route
         import dataclasses
         prob_n = dataclasses.replace(prob, quadratic_control=False)
-        u_n, _ = minimize_node_hamiltonian(prob_n, node, lam)
+        u_n = minimize_node_hamiltonian(prob_n, node, lam)
         assert u_n[0] == pytest.approx(u_q[0], abs=1e-7)
 
 
@@ -299,9 +300,11 @@ def test_minimize_hamiltonian_public_signature():
     prob = small_field_problem()
     node = freeze_node(prob, fo.TimeGrid(0.0, 1.0, 2), 1,
                        np.array([1.0, 0.5]), np.zeros((39, 2)))
-    u, h = minimize_node_hamiltonian(prob, node, np.array([0.2, -0.1]))
+    v_x = np.array([0.2, -0.1])
+    u = minimize_node_hamiltonian(prob, node, v_x)
+    assert u.shape == (prob.plant.n_controls,)
     assert prob.u_lower[0] <= u[0] <= prob.u_upper[0]
-    assert np.isfinite(h)
+    assert np.isfinite(node_hamiltonian(node, u, v_x))
 
 
 # ----------------------------------------------------------- residuals
@@ -357,7 +360,7 @@ def test_residual_is_the_hamiltonian_gap(cheap_state):
     audited, value = audit_residuals(prob, st.x, st.u, cfg)
     runs = [(st.residuals, st.value, st.u_star),
             (audited, value,
-             [minimize_node_hamiltonian(prob, node, value.v_x[k])[0]
+             [minimize_node_hamiltonian(prob, node, value.v_x[k])
               for k, node in enumerate(value.nodes)])]
     for residuals, value, u_star in runs:
         for k, node in enumerate(value.nodes):

@@ -7,7 +7,7 @@ from scipy.integrate import solve_ivp
 
 import fracopt as fo
 from fracopt import (SweepAbort, SweepConfig, backward_sweep, forward_sweep,
-                     solve, sweep)
+                     hjb, solve, sweep)
 
 from conftest import moment_trajectory, two_state_config, two_state_problem
 
@@ -207,6 +207,68 @@ def test_evaluation_corrects_each_node_once_per_stage(monkeypatch, stepper):
         assert len(corrections) == 101
     else:
         assert len(corrections) <= 2 * 101
+
+
+def test_evaluation_takes_five_hamiltonians_per_node(monkeypatch):
+    # quadratic mode: three parabola probes per node, then h at u in the
+    # backward sweep and the residual at u*; the minimizer's own control
+    # is not evaluated again
+    cfg = two_state_config(n_a=10 ** 4, n_b=10 ** 4, p_max=20)
+    prob = two_state_problem().with_field(cfg.n_a, cfg.n_b, cfg.p_max)
+    probes = _count_calls(monkeypatch, hjb, "node_hamiltonian")
+    stages = _count_calls(monkeypatch, sweep, "node_hamiltonian")
+    sweep._evaluate(prob, 5.0, cfg)
+    assert (len(probes), len(stages)) == (3 * 101, 2 * 101)
+
+
+def test_bounded_evaluation_takes_the_searches_plus_two_per_node(
+        monkeypatch):
+    cfg = two_state_config(n_a=10 ** 4, n_b=10 ** 4, p_max=20)
+    prob = dataclasses.replace(two_state_problem(), quadratic_control=False)
+    prob = prob.with_field(cfg.n_a, cfg.n_b, cfg.p_max)
+    searched = []
+    real_search = hjb.minimize_scalar
+
+    def counted_search(func, lo, hi, xatol):
+        def counted(val):
+            searched.append(1)
+            return func(val)
+        return real_search(counted, lo, hi, xatol)
+
+    monkeypatch.setattr(hjb, "minimize_scalar", counted_search)
+    probes = _count_calls(monkeypatch, hjb, "node_hamiltonian")
+    stages = _count_calls(monkeypatch, sweep, "node_hamiltonian")
+    sweep._evaluate(prob, 5.0, cfg)
+    assert len(searched) > 101
+    assert len(probes) + len(stages) == len(searched) + 2 * 101
+
+
+def _vertex_blowup_problem():
+    """Hamiltonian u^2 - u (the costate is 0): finite at the parabola
+    probes 0 and +-1, infinite at their vertex 0.5 from node 30 on."""
+    plant = fo.FractionalPlant(orders=(0.5,), rhs=lambda t, x, u: -x,
+                               x0=np.ones(1), n_controls=1)
+
+    def running(t, x, u):
+        return math.inf if u[0] == 0.5 and t > 0.295 else u[0] ** 2 - u[0]
+
+    index = fo.PerformanceIndex((fo.CostTerm(v=1.0, running=running),))
+    return fo.HJBProblem(plant=plant, index=index, tf=1.0,
+                         u_lower=np.array([-2.0]), u_upper=np.array([2.0]),
+                         quadratic_control=True)
+
+
+def test_non_finite_hamiltonian_at_the_minimizer_aborts():
+    # the minimizer does not evaluate its vertex, so the residual must
+    # catch it rather than report an Error of inf or nan
+    prob = _vertex_blowup_problem()
+    cfg = SweepConfig(dt=0.01, u_init=0.0, n_a=100, n_b=100, p_max=10)
+    message = "non-finite residual, first at node 30"
+    with pytest.raises(SweepAbort, match=message):
+        solve(prob, cfg)
+    x, _ = forward_sweep(prob, 0.0, cfg)
+    with pytest.raises(SweepAbort, match=message):
+        sweep.audit_residuals(prob, x, 0.0, cfg)
 
 
 @pytest.mark.parametrize("stepper", ["euler", "heun"])
