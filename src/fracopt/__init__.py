@@ -11,8 +11,7 @@ from .cost import (CostTerm, PerformanceIndex, evaluate, running_weight,
                    terminal_index_set, terminal_value)
 from .errors import ConfigError, DomainError, SingularTimeError, SweepAbort
 from .expansion import (ExpansionCoeffs, TransformedField, advance_moments,
-                        derivative_coeff, memory_correction, moment_coeff,
-                        reconstruct_rl_derivative, series_partial_sum,
+                        derivative_coeff, moment_coeff, series_partial_sum,
                         state_coeff)
 from .grid import SampledFunction, TimeGrid
 from .hjb import (FrozenNode, ValueData, aggregate_error, freeze_node,
@@ -31,8 +30,7 @@ __all__ = [
     "gamma", "rl_integral_left", "rl_integral_right",
     "caputo_derivative", "rl_derivative",
     "series_partial_sum", "state_coeff", "derivative_coeff", "moment_coeff",
-    "ExpansionCoeffs", "advance_moments",
-    "memory_correction", "TransformedField", "reconstruct_rl_derivative",
+    "ExpansionCoeffs", "advance_moments", "TransformedField",
     "CostTerm", "PerformanceIndex", "terminal_index_set", "terminal_value",
     "running_weight", "evaluate",
     "FractionalPlant", "HJBProblem",

@@ -155,14 +155,15 @@ def cmd_verify(args) -> int:
     residuals, value = audit_residuals(prob, x, u, parsed.config)
     recomputed = aggregate_error(residuals)
     stored = aggregate_error(err_stored)
+    diff = abs(recomputed - stored)
     v_diff = float(np.max(np.abs(value.v - v_stored)))
     node_diff = float(np.max(np.abs(residuals - err_stored)))
     print(f"stored Error     = {stored:.17g}")
     print(f"recomputed Error = {recomputed:.17g}")
-    print(f"|difference|     = {abs(recomputed - stored):.3e}")
+    print(f"|difference|     = {diff:.3e}")
     print(f"max node diff    = {node_diff:.3e}")
     print(f"max V diff       = {v_diff:.3e}")
-    ok = abs(recomputed - stored) <= 1e-12
+    ok = max(diff, node_diff, v_diff) <= 1e-12
     print("audit            =", "PASS" if ok else "FAIL")
     return 0 if ok else 1
 

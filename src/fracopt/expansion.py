@@ -60,10 +60,8 @@ __all__ = [
     "moment_coeff",
     "ExpansionCoeffs",
     "advance_moments",
-    "memory_correction",
     "central_difference",
     "TransformedField",
-    "reconstruct_rl_derivative",
 ]
 
 #: largest truncation count summed term by term; above it the closed form
@@ -242,31 +240,6 @@ def advance_moments(grid: TimeGrid, m: np.ndarray, x: np.ndarray,
     return decay[:, None] * m + np.outer(fac, np.asarray(x, dtype=float))
 
 
-def _correction(t_pow: float, x0_term: float, a_val: float, x_i: float,
-                c_vals: np.ndarray, m_values: np.ndarray) -> float:
-    """The memory correction t_pow (x0_term + A x_i - sum_p C M_p), with
-    t_pow = (t-a)^(-q) and x0_term = -x_i(a)/Gamma(1-q)."""
-    return t_pow * (x0_term + a_val * x_i - float(np.dot(c_vals, m_values)))
-
-
-def memory_correction(t: float, x_i: float, coeffs: ExpansionCoeffs,
-                      m_values: np.ndarray, x0_i: float, a: float) -> float:
-    """Correction term for one state component: initial value, state, and
-    moment contributions.
-
-        (t-a)^(-q) (-x_i(a)/Gamma(1-q) + A x_i - sum_p C(q,p) M_p(t))
-
-    m_values holds M_p(t) for this component, p = 2..p_max.  Singular at
-    t = a: every term carries the factor (t-a)^(-q).
-    """
-    t_rel = t - a
-    if t_rel <= 0.0:
-        raise SingularTimeError("memory correction is singular at t = a")
-    q = coeffs.q
-    return _correction(t_rel ** (-q), -x0_i / math.gamma(1 - q), coeffs.a_val,
-                       x_i, coeffs.c_vals, m_values)
-
-
 def central_difference(fn, x: np.ndarray) -> np.ndarray:
     """Central differences of fn in each component of x: entry j, or
     column j when fn returns a vector, is (fn(x + h e_j) - fn(x - h e_j))
@@ -330,12 +303,18 @@ class TransformedField:
 
     def correction(self, t: float, x: np.ndarray,
                    m_node: np.ndarray) -> np.ndarray:
+        """The memory corrections, component i being
+
+            k_i = (t-a)^(-q_i) (-x_i(a)/Gamma(1-q_i) + A_i x_i
+                                - sum_p C(q_i,p) M_p),
+
+        with M_p = m_node[p-2, i].  Singular at t = a."""
         t_rel = t - self.plant.t0
         if t_rel <= 0.0:
             raise SingularTimeError("memory correction is singular at t = a")
         return np.array([
-            _correction(t_rel ** (-c.q), x0_term, c.a_val, x_i, c.c_vals,
-                        m_node[:, i])
+            t_rel ** (-c.q) * (x0_term + c.a_val * x_i
+                               - float(np.dot(c.c_vals, m_node[:, i])))
             for i, (c, x0_term, x_i) in enumerate(
                 zip(self.coeffs, self._x0_terms, x.tolist()))
         ])
@@ -366,16 +345,3 @@ class TransformedField:
         jac = np.asarray(self.plant.rhs_x(t, x, u), dtype=float) - diag
         return jac / denom[:, None]
 
-
-def reconstruct_rl_derivative(coeffs: ExpansionCoeffs, t: float, a: float,
-                              x_val: float, xdot_val: float,
-                              m_values: np.ndarray) -> float:
-    """Evaluate the expansion's representation of the RL derivative.
-
-        A (t-a)^(-q) x + B (t-a)^(1-q) x' - (t-a)^(-q) sum_p C(q,p) M_p
-
-    Used by the consistency suite to compare against the quadrature-based
-    operator on test functions.
-    """
-    return (memory_correction(t, x_val, coeffs, m_values, 0.0, a)
-            + coeffs.b_val * (t - a) ** (1 - coeffs.q) * xdot_val)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import ast
 import math
-import operator
 from typing import Callable, Sequence
 
 from .errors import ConfigError
@@ -161,27 +160,8 @@ def _const(value: float) -> ast.expr:
     return ast.Constant(value=float(value))
 
 
-def _fold(node: ast.expr) -> ast.expr:
-    """node as a literal when every operand is one and evaluating it
-    gives a finite float; node itself otherwise."""
-    if isinstance(node, ast.Call):
-        fn, operands = _SCOPE[node.func.id], node.args
-    elif isinstance(node, ast.UnaryOp):        # _neg builds USub only
-        fn, operands = operator.neg, [node.operand]
-    else:
-        fn, operands = _BINOPS[type(node.op)], [node.left, node.right]
-    values = [_num(op) for op in operands]
-    if None in values:
-        return node
-    try:
-        value = float(fn(*values))
-    except (ArithmeticError, ValueError, TypeError):
-        return node
-    return _const(value) if math.isfinite(value) else node
-
-
 def _binop(left: ast.expr, op: ast.operator, right: ast.expr) -> ast.expr:
-    return _fold(ast.BinOp(left=left, op=op, right=right))
+    return ast.BinOp(left=left, op=op, right=right)
 
 
 def _add(a: ast.expr, b: ast.expr) -> ast.expr:
@@ -195,7 +175,7 @@ def _add(a: ast.expr, b: ast.expr) -> ast.expr:
 def _neg(a: ast.expr) -> ast.expr:
     if _num(a) == 0.0:
         return _const(0.0)
-    return _fold(ast.UnaryOp(op=ast.USub(), operand=a))
+    return ast.UnaryOp(op=ast.USub(), operand=a)
 
 
 def _sub(a: ast.expr, b: ast.expr) -> ast.expr:
@@ -233,8 +213,8 @@ def _pow(a: ast.expr, b: ast.expr) -> ast.expr:
 
 
 def _call(name: str, *args: ast.expr) -> ast.expr:
-    return _fold(ast.Call(func=ast.Name(id=name, ctx=ast.Load()),
-                          args=list(args), keywords=[]))
+    return ast.Call(func=ast.Name(id=name, ctx=ast.Load()),
+                    args=list(args), keywords=[])
 
 
 #: f'(a) for each function f of one argument a, as text in a
@@ -259,8 +239,10 @@ class _Substitute(ast.NodeTransformer):
 def derivative(node: ast.expr, name: str) -> ast.expr:
     """d node / d name for a validated expression tree, as a new tree.
 
-    The rules are the usual ones, with light constant folding (x*1, x*0,
-    x+0, x**1 and operations on literals only are simplified away).  abs
+    The rules are the usual ones, simplified only by the zero and one
+    rules on literal operands (x*0, x*1, x+0, 0-x, 0/x, x/1, x**1,
+    x**0); any other operation on literals, such as 2.0 - 1.0 in the
+    power rule, is left to the compiled code.  abs
     and % get their derivatives almost everywhere: sign(a) da (0 at a = 0,
     where the central difference is 0 too) and da - floor(a/b) db.  For
     a**b the ln(a) term is emitted only when b depends on name, so x**2
@@ -318,8 +300,5 @@ def _floor(v: float) -> float:
     return float(math.floor(v))
 
 
-_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
-           ast.Mult: operator.mul, ast.Div: operator.truediv,
-           ast.Pow: operator.pow, ast.Mod: operator.mod}
 _SCOPE = {"__builtins__": {}, "_float": float, "_sign": _sign,
           "_floor": _floor, **_FUNCTIONS, **_CONSTANTS}

@@ -12,7 +12,8 @@ gap H_k(u*_k) - H_k(u_k) at the pointwise minimizer u*_k.
 
 Within one sweep evaluation x and M are fixed at every node, so each node
 is frozen once (freeze_node): its memory correction and running weights
-are computed there and shared by every Hamiltonian probe at that node.
+are computed there, and the record keeps only the two functions of the
+control that every Hamiltonian probe at that node shares.
 
 Endpoint conventions (both endpoints of the grid host singular factors):
 at the final node the running weights of every order are evaluated at
@@ -99,12 +100,10 @@ def _running_cost(prob: HJBProblem, t: float,
 @dataclass(frozen=True)
 class FrozenNode:
     """The data of one grid node that every Hamiltonian probe of a sweep
-    evaluation shares: the node times of node_times, the weighted running
-    cost at t_run and the transformed field at t_field, each frozen at
-    the node's state and moments and left a function of the control."""
+    evaluation shares: the weighted running cost and the transformed
+    field, each frozen at the node's state and moments and at its time of
+    node_times (t_run and t_field), and left a function of the control."""
 
-    t_run: float
-    t_field: float
     running: Callable[[np.ndarray], float]
     field: Callable[[np.ndarray], np.ndarray]
 
@@ -117,7 +116,7 @@ def freeze_node(prob: HJBProblem, grid: TimeGrid, k: int, x: np.ndarray,
     if prob.field is None:
         raise DomainError("problem carries no transformed field")
     t_run, t_field = node_times(grid, k)
-    return FrozenNode(t_run, t_field, _running_cost(prob, t_run, x),
+    return FrozenNode(_running_cost(prob, t_run, x),
                       prob.field.at_state(t_field, x, m_node))
 
 

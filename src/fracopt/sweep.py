@@ -267,6 +267,7 @@ def backward_sweep(prob: HJBProblem, x: np.ndarray, nodes: tuple,
 
     v = np.empty(grid.n_nodes)
     v[n] = cost_mod.terminal_value(prob.index, prob.tf, x[n])
+    _check_finite(v[n], "terminal value", n)
     v[n - 1] = v[n] + dt * h[n]
     for k in range(n - 1, 0, -1):
         v[k - 1] = v[k + 1] + 2.0 * dt * h[k]

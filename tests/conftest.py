@@ -31,6 +31,15 @@ def moment_trajectory(grid, p_max, xs):
     return out
 
 
+def one_state_field(coeffs, x0=0.0):
+    """The TransformedField of one state of order coeffs.q, anchored at
+    t = 0 with x(0) = x0, for reading its correction and denominator."""
+    plant = fo.FractionalPlant(orders=(coeffs.q,),
+                               rhs=lambda t, x, u: np.zeros(1),
+                               x0=np.array([x0]), n_controls=1)
+    return fo.TransformedField(plant, (coeffs,))
+
+
 def two_state_problem():
     """The bundled two-state problem, built programmatically."""
     plant = fo.FractionalPlant(

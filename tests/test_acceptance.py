@@ -22,13 +22,12 @@ import numpy as np
 from scipy.integrate import trapezoid
 
 import fracopt as fo
-from fracopt import (forward_sweep, gamma, reconstruct_rl_derivative,
-                     rl_derivative, solve)
+from fracopt import forward_sweep, gamma, rl_derivative, solve
 from fracopt.cli import main as cli_main
 from fracopt.expansion import ExpansionCoeffs
 
-from conftest import (EXAMPLE_FILE, bracket_closed_form, two_state_config,
-                      two_state_problem)
+from conftest import (EXAMPLE_FILE, bracket_closed_form, one_state_field,
+                      two_state_config, two_state_problem)
 from test_operators import observed_order, sampled
 from test_sweep import LQ_CFG, lq_problem, riccati_reference
 
@@ -319,12 +318,13 @@ def test_criterion_6_expansion_consistency(capsys):
     for n in (8, 16, 32):
         coeffs = ExpansionCoeffs.build(q, n, n, n, b_series="convergent")
         ps = coeffs.p_values.astype(float)
+        field = one_state_field(coeffs)
         level = []
         for k in probe_nodes:
             t = grid.node(int(k))
             m = (1.0 - ps) * t ** 2 / (ps + 1.0)
-            got = reconstruct_rl_derivative(coeffs, t, 0.0, t ** 2,
-                                            2 * t, m)
+            got = (field.correction(t, np.array([t ** 2]), m[:, None])[0]
+                   + field.denominator(t)[0] * 2 * t)
             level.append(abs(got - refs[k]))
         errs.append(level)
     monotone = all(errs[0][j] > errs[1][j] > errs[2][j]

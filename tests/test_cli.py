@@ -1,14 +1,20 @@
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 import fracopt
+from fracopt import SweepAbort, forward_sweep, solve
 from fracopt.cli import main, read_csv
+from fracopt.config import parse_problem
+from fracopt.sweep import audit_residuals
 
 from conftest import EXAMPLE_FILE
 
@@ -77,6 +83,26 @@ def test_non_finite_terminal_costate_is_reported_at_the_last_node(
                    "--report", str(tmp_path / "r.json")) == 1
     assert capsys.readouterr().err == \
         "solver abort: non-finite costate at node 100\n"
+
+
+def test_non_finite_terminal_value_is_reported_at_the_last_node(
+        tmp_path, capsys):
+    # the terminal operand overflows but its gradient is finite, so the
+    # costate passes its check and the terminal value must not
+    doc = yaml.safe_load(Path("perfbench/lq_bounded.yaml").read_text())
+    doc["cost"]["terms"][0]["operand"] = "1e200*1e200 + 0.5*x1**2"
+    prob = tmp_path / "inf_terminal_value.yaml"
+    prob.write_text(yaml.safe_dump(doc))
+    message = "non-finite terminal value at node 100"
+    parsed = parse_problem(str(prob))
+    with pytest.raises(SweepAbort, match=message):
+        solve(parsed.problem, parsed.config)
+    x, _ = forward_sweep(parsed.problem, 0.0, parsed.config)
+    with pytest.raises(SweepAbort, match=message):
+        audit_residuals(parsed.problem, x, 0.0, parsed.config)
+    assert run_cli("run", str(prob), "--csv", str(tmp_path / "t.csv"),
+                   "--report", str(tmp_path / "r.json")) == 1
+    assert capsys.readouterr().err == f"solver abort: {message}\n"
 
 
 def test_error_exit_one(tmp_path):
@@ -179,6 +205,17 @@ def test_import_and_solve_load_no_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "0 []"
 
 
+@pytest.mark.parametrize("module", ["fracopt"] + [
+    f"fracopt.{info.name}" for info in pkgutil.iter_modules(fracopt.__path__)
+    if info.name != "__main__"])
+def test_every_exported_name_resolves(module):
+    # a stale __all__ entry makes the star import raise AttributeError
+    exported = getattr(importlib.import_module(module), "__all__", [])
+    namespace = {}
+    exec(f"from {module} import *", namespace)
+    assert set(exported) <= set(namespace)
+
+
 def test_integral_float_counts_run(tmp_path):
     doc = yaml.safe_load(Path(EXAMPLE_FILE).read_text())
     doc.pop("output")
@@ -207,6 +244,43 @@ def test_verify_detects_perturbation(tmp_path, cheap_run):
     pert.write_text("\n".join(lines) + "\n")
     rc = run_cli("verify", EXAMPLE_FILE, *CHEAP, "--csv", str(pert))
     assert rc == 1
+
+
+def _with_cell(tmp_path, csv, column, row, edit):
+    """A copy of csv whose cell in column and line row is edit(value)."""
+    lines = csv.read_text().splitlines()
+    i = lines[0].split(",").index(column)
+    cells = lines[row].split(",")
+    cells[i] = repr(edit(float(cells[i])))
+    lines[row] = ",".join(cells)
+    edited = tmp_path / "edited.csv"
+    edited.write_text("\n".join(lines) + "\n")
+    return edited
+
+
+def test_verify_detects_a_wrong_value_cell(tmp_path, capsys, cheap_run):
+    # the residuals do not read V, so only the V gate can catch it
+    _, csv, _ = cheap_run
+    edited = _with_cell(tmp_path, csv, "V", 40, lambda v: v + 123.0)
+    assert run_cli("verify", EXAMPLE_FILE, *CHEAP, "--csv", str(edited)) == 1
+    out = capsys.readouterr().out
+    assert "|difference|     = 0.000e+00" in out
+    assert "max V diff       = 1.230e+02" in out
+    assert "audit            = FAIL" in out
+
+
+def test_verify_detects_a_flipped_residual_sign(tmp_path, capsys, cheap_run):
+    # the norm of the error column ignores signs, so only the per-node
+    # gate can catch it
+    _, csv, _ = cheap_run
+    err = read_csv(str(csv), 2, 1)[4]
+    row = 1 + int(np.argmax(np.abs(err)))     # line 0 is the header
+    edited = _with_cell(tmp_path, csv, "error", row, lambda e: -e)
+    assert run_cli("verify", EXAMPLE_FILE, *CHEAP, "--csv", str(edited)) == 1
+    out = capsys.readouterr().out
+    assert "|difference|     = 0.000e+00" in out
+    assert "max V diff       = 0.000e+00" in out
+    assert "audit            = FAIL" in out
 
 
 def test_verify_schema_mismatch(tmp_path, cheap_run):

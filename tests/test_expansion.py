@@ -1,3 +1,4 @@
+import math
 import time
 
 import mpmath as mp
@@ -11,12 +12,11 @@ import fracopt as fo
 from fracopt import (DomainError, ExpansionCoeffs,
                      SampledFunction, SingularTimeError, TimeGrid,
                      TransformedField, advance_moments, caputo_derivative,
-                     derivative_coeff, gamma, memory_correction, moment_coeff,
-                     reconstruct_rl_derivative, rl_derivative,
+                     derivative_coeff, gamma, moment_coeff, rl_derivative,
                      series_partial_sum, state_coeff)
 from fracopt.expansion import _poch
 
-from conftest import bracket_closed_form, moment_trajectory
+from conftest import bracket_closed_form, moment_trajectory, one_state_field
 
 mp.mp.dps = 40
 
@@ -240,7 +240,8 @@ def test_moment_advance_is_linear_in_state(a, b, seed):
 def test_correction_zero_state_zero_initial():
     coeffs = ExpansionCoeffs.build(0.4, 50, 50, 6)
     w = np.zeros(5)
-    assert memory_correction(0.5, 0.0, coeffs, w, 0.0, 0.0) == 0.0
+    field = one_state_field(coeffs)
+    assert field.correction(0.5, np.zeros(1), w[:, None])[0] == 0.0
 
 
 def test_correction_constant_state_hand_formula():
@@ -248,7 +249,8 @@ def test_correction_constant_state_hand_formula():
     c, q, t = 2.0, 0.3, 0.5
     coeffs = ExpansionCoeffs.build(q, 10, 10, 2)
     w = -c * t
-    got = memory_correction(t, c, coeffs, np.array([w / t]), c, 0.0)
+    field = one_state_field(coeffs, x0=c)
+    got = field.correction(t, np.array([c]), np.array([[w / t]]))[0]
     expected = (-c / gamma(1 - q) * t ** (-q)
                 + coeffs.a_val * t ** (-q) * c
                 - moment_coeff(q, 2) * t ** (-1 - q) * w)
@@ -257,8 +259,9 @@ def test_correction_constant_state_hand_formula():
 
 def test_correction_singular_at_anchor():
     coeffs = ExpansionCoeffs.build(0.4, 10, 10, 4)
+    field = one_state_field(coeffs, x0=1.0)
     with pytest.raises(SingularTimeError):
-        memory_correction(0.0, 1.0, coeffs, np.zeros(3), 1.0, 0.0)
+        field.correction(0.0, np.ones(1), np.zeros((3, 1)))
 
 
 def test_correction_caputo_limit_with_growing_truncation():
@@ -274,8 +277,9 @@ def test_correction_caputo_limit_with_growing_truncation():
         coeffs = ExpansionCoeffs.build(q, n, n, n, b_series="convergent")
         ps = np.arange(2, n + 1)
         m = (1.0 - ps) * t ** 2 / (ps + 1.0)   # exact moments of t^2
-        approx = (memory_correction(t, t ** 2, coeffs, m, 0.0, 0.0)
-                  + coeffs.b_val * t ** (1 - q) * 2 * t)
+        field = one_state_field(coeffs)
+        approx = (field.correction(t, np.array([t ** 2]), m[:, None])[0]
+                  + field.denominator(t)[0] * 2 * t)
         errs.append(abs(approx - target))
     assert errs[0] > errs[1] > errs[2]
 
@@ -382,8 +386,9 @@ def test_field_factors_survive_interleaved_grids():
                 corr = shared.correction(t, x, m_node)
                 assert np.array_equal(corr, fresh.correction(t, x, m_node))
                 assert np.array_equal(corr, [
-                    memory_correction(t, x[i], c, m_node[:, i],
-                                      plant.x0[i], plant.t0)
+                    (t - plant.t0) ** (-c.q)
+                    * (-plant.x0[i] / math.gamma(1 - c.q) + c.a_val * x[i]
+                       - float(np.dot(c.c_vals, m_node[:, i])))
                     for i, c in enumerate(shared.coeffs)])
                 denom = shared.denominator(t)
                 assert np.array_equal(denom, fresh.denominator(t))
@@ -436,8 +441,10 @@ def reconstruction_errors(q, levels, t, m, series):
         coeffs = ExpansionCoeffs.build(q, n, n, n, b_series=series)
         ps = coeffs.p_values.astype(float)
         xd = m * t ** (m - 1)
-        got = reconstruct_rl_derivative(coeffs, t, 0.0, t ** m, xd,
-                                        exact_moments(ps, t, m))
+        field = one_state_field(coeffs)
+        got = (field.correction(t, np.array([t ** m]),
+                                exact_moments(ps, t, m)[:, None])[0]
+               + field.denominator(t)[0] * xd)
         errs.append(abs(got - true))
     return errs
 
@@ -461,10 +468,12 @@ def test_reconstruction_matches_grid_operator():
     f = SampledFunction.from_callable(grid, lambda s: s ** 2)
     coeffs = ExpansionCoeffs.build(q, 64, 64, 64, b_series="convergent")
     ps = coeffs.p_values.astype(float)
+    field = one_state_field(coeffs)
     for node in (300, 500, 800):
         t = grid.node(node)
-        got = reconstruct_rl_derivative(coeffs, t, 0.0, t ** 2, 2 * t,
-                                        exact_moments(ps, t, 2))
+        got = (field.correction(t, np.array([t ** 2]),
+                                exact_moments(ps, t, 2)[:, None])[0]
+               + field.denominator(t)[0] * 2 * t)
         ref = rl_derivative(f, q, node)
         assert got == pytest.approx(ref, rel=2e-3)
 

@@ -97,7 +97,7 @@ def test_node_hamiltonian_on_record_equals_from_scratch():
                 * term.running(t_run, x, u)
         ref = total + float(np.dot(lam, prob.field(t_field, x, m_node, u)))
         node = freeze_node(prob, grid, k, x, m_node)
-        assert (node.t_run, node.t_field) == (t_run, t_field)
+        assert hjb.node_times(grid, k) == (t_run, t_field)
         assert node_hamiltonian(node, u, lam) == ref
 
 
