@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 import yaml
@@ -155,46 +155,38 @@ def apply_overrides(doc: Dict, overrides: List[str]) -> Dict:
     return doc
 
 
-#: what _math_abort names when a compiled derivative fails
+#: what an evaluator names when a compiled derivative fails
 _DERIVATIVE = "the x-derivative of "
 
-
-def _math_abort(fns, args: tuple, exc: Exception,
-                what: str = "") -> SweepAbort:
-    """The abort for exc, raised by one of the compiled fns at args
-    (t first): it names the first of them that fails there, prefixed by
-    what."""
-    for fn in fns:
-        try:
-            fn(*args)
-        except _MATH_ERRORS:
-            break
-    return SweepAbort(f"cannot evaluate {what}{fn.source!r} at "
-                      f"t = {args[0]!r}: {exc}")
+_NO_CONTROLS = np.empty(0)
 
 
-def _running(fn, what: str = ""):
-    """The compiled running operand fn, or its gradient, as a function
-    of (t, x, u)."""
-    def running(t, x, u):
+def _evaluator(fns: Sequence, what: str = "", stacked: bool = False):
+    """The compiled fns as one function of (t, x, u), u empty by default
+    for terminal operands.  It returns fns[0]'s value, or with stacked
+    the array of every fn's value.  They get Python floats, not numpy
+    scalars: they do scalar arithmetic, which is cheaper on floats and
+    gives the same bits.  A math error aborts the sweep naming the first
+    fn that fails there, prefixed by what."""
+    if stacked:
+        def call(*args):
+            return np.array([fn(*args) for fn in fns])
+    else:
+        call = fns[0]
+
+    def evaluate(t, x, u=_NO_CONTROLS):
         args = (float(t), *x.tolist(), *u.tolist())
         try:
-            return fn(*args)
+            return call(*args)
         except _MATH_ERRORS as exc:
-            raise _math_abort((fn,), args, exc, what) from None
-    return running
-
-
-def _terminal(fn, what: str = ""):
-    """The compiled terminal operand fn, or its gradient, as a function
-    of (tf, x)."""
-    def terminal(tf, x):
-        args = (float(tf), *x.tolist())
-        try:
-            return fn(*args)
-        except _MATH_ERRORS as exc:
-            raise _math_abort((fn,), args, exc, what) from None
-    return terminal
+            for fn in fns:
+                try:
+                    fn(*args)
+                except _MATH_ERRORS:
+                    break
+            raise SweepAbort(f"cannot evaluate {what}{fn.source!r} at "
+                             f"t = {args[0]!r}: {exc}") from None
+    return evaluate
 
 
 def build_problem(doc: Dict) -> ParsedProblem:
@@ -243,22 +235,6 @@ def build_problem(doc: Dict) -> ParsedProblem:
     except ConfigError as exc:
         raise ConfigError(f"plant.dynamics: {exc}")
 
-    # Python floats in, not numpy scalars: the compiled expressions do
-    # scalar arithmetic, which is cheaper on floats and gives the same bits
-    def rhs(t, x, u):
-        args = (float(t), *x.tolist(), *u.tolist())
-        try:
-            return np.array([fn(*args) for fn in dyn_fns])
-        except _MATH_ERRORS as exc:
-            raise _math_abort(dyn_fns, args, exc) from None
-
-    def rhs_jacobian(t, x, u):
-        args = (float(t), *x.tolist(), *u.tolist())
-        try:
-            return np.array([fn(*args) for fn in jac_fns])
-        except _MATH_ERRORS as exc:
-            raise _math_abort(jac_fns, args, exc, _DERIVATIVE) from None
-
     terms_block = _need(cost_block, "terms", "cost")
     if not isinstance(terms_block, list) or not terms_block:
         raise ConfigError("cost.terms: expected a non-empty list")
@@ -279,12 +255,9 @@ def build_problem(doc: Dict) -> ParsedProblem:
             grad = compile_gradient(src, variables, state_names)
         except ConfigError as exc:
             raise ConfigError(f"{where}.operand: {exc}")
-        if v == 0.0:
-            terms.append(CostTerm(v=0.0, terminal=_terminal(fn),
-                                  gradient=_terminal(grad, _DERIVATIVE)))
-        else:
-            terms.append(CostTerm(v=v, running=_running(fn),
-                                  gradient=_running(grad, _DERIVATIVE)))
+        kind = "terminal" if v == 0.0 else "running"
+        terms.append(CostTerm(v=v, **{kind: _evaluator((fn,))},
+                              gradient=_evaluator((grad,), _DERIVATIVE)))
 
     t0 = _finite_number(solver_block.get("t0", 0.0), "solver.t0")
     tf = _finite_number(_need(solver_block, "tf", "solver"), "solver.tf")
@@ -306,9 +279,10 @@ def build_problem(doc: Dict) -> ParsedProblem:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"solver: {exc}")
 
-    plant = FractionalPlant(orders=tuple(orders), rhs=rhs,
-                            x0=np.array(x0), n_controls=n_controls, t0=t0,
-                            rhs_jacobian=rhs_jacobian)
+    plant = FractionalPlant(
+        orders=tuple(orders), rhs=_evaluator(dyn_fns, stacked=True),
+        x0=np.array(x0), n_controls=n_controls, t0=t0,
+        rhs_jacobian=_evaluator(jac_fns, _DERIVATIVE, stacked=True))
     problem = HJBProblem(plant=plant, index=PerformanceIndex(tuple(terms)),
                          tf=tf, u_lower=np.array(lo),
                          u_upper=np.array(hi), quadratic_control=quadratic)

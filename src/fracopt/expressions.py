@@ -241,12 +241,15 @@ def derivative(node: ast.expr, name: str) -> ast.expr:
 
     The rules are the usual ones, simplified only by the zero and one
     rules on literal operands (x*0, x*1, x+0, 0-x, 0/x, x/1, x**1,
-    x**0); any other operation on literals, such as 2.0 - 1.0 in the
-    power rule, is left to the compiled code.  abs
+    x**0) and by the power rule's exponent b - 1, which is taken when
+    the rule is built if b is a literal, so x**2 gives 2.0 * x; any
+    other operation on literals is left to the compiled code.  abs
     and % get their derivatives almost everywhere: sign(a) da (0 at a = 0,
     where the central difference is 0 too) and da - floor(a/b) db.  For
-    a**b the ln(a) term is emitted only when b depends on name, so x**2
-    differentiates at x < 0.  log(a, b) is log(a)/log(b).  A call with
+    a**b the a**b ln(a) db term is emitted only when db is not the
+    literal 0, and at run time it is 0 wherever db is 0, without taking
+    ln(a): so x**2 and x2**(x1 - x1) differentiate at a negative base,
+    while x2**x1 does not.  log(a, b) is log(a)/log(b).  A call with
     another number of arguments than its function takes raises
     ExpressionError.
     """
@@ -272,11 +275,13 @@ def derivative(node: ast.expr, name: str) -> ast.expr:
         if isinstance(node.op, ast.Mod):
             # a % b = a - b floor(a/b), floor constant almost everywhere
             return _sub(da, _mul(_call("_floor", _div(a, b)), db))
-        # a**b: b a**(b-1) da + a**b ln(a) db
-        power = _mul(_mul(b, _pow(a, _sub(b, _const(1.0)))), da)
+        # a**b: b a**(b-1) da + a**b ln(a) db, a literal b - 1 taken here
+        b_less_1 = (_sub(b, _const(1.0)) if _num(b) is None
+                    else _const(_num(b) - 1.0))
+        power = _mul(_mul(b, _pow(a, b_less_1)), da)
         if _num(db) == 0.0:
             return power
-        return _add(power, _mul(_mul(node, _call("log", a)), db))
+        return _add(power, _call("_log_term", a, b, db))
     # a call of one of _FUNCTIONS
     fn, args = node.func.id, node.args
     if fn == "log" and len(args) == 2:
@@ -300,5 +305,14 @@ def _floor(v: float) -> float:
     return float(math.floor(v))
 
 
+def _log_term(a: float, b: float, db: float) -> float:
+    """The power rule's a**b ln(a) db: 0 where db is 0, so a**b need not
+    have a real logarithm there."""
+    if db == 0.0:
+        return 0.0
+    return a ** b * math.log(a) * db
+
+
 _SCOPE = {"__builtins__": {}, "_float": float, "_sign": _sign,
-          "_floor": _floor, **_FUNCTIONS, **_CONSTANTS}
+          "_floor": _floor, "_log_term": _log_term, **_FUNCTIONS,
+          **_CONSTANTS}

@@ -251,6 +251,15 @@ def test_failing_derivative_is_an_abort_naming_its_source(doc, where):
         f"cannot evaluate the x-derivative of {source!r} at t = ")
 
 
+def test_failing_expression_is_an_abort_naming_its_source(doc):
+    # the second of the two dynamics expressions fails at x1 = 0
+    doc["plant"]["dynamics"][1] = "1/x1"
+    prob = build_problem(doc).problem
+    with pytest.raises(SweepAbort) as info:
+        prob.plant.rhs(0.5, np.array([0.0, 1.0]), np.array([0.0]))
+    assert str(info.value).startswith("cannot evaluate '1/x1' at t = ")
+
+
 def test_parsed_example_solves_as_the_hand_built_problem(example_state):
     # exact derivatives for the file, central differences for the
     # callables: the same iterations and J* within rounding

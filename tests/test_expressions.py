@@ -1,3 +1,4 @@
+import ast
 import math
 import random
 
@@ -5,8 +6,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from fracopt.expressions import (ExpressionError, compile_expression,
-                                 compile_gradient)
+from fracopt.expressions import (ExpressionError, _parse, compile_expression,
+                                 compile_gradient, derivative)
 
 
 def test_basic_arithmetic():
@@ -210,6 +211,17 @@ def test_gradient_power_needs_no_log_of_a_constant_exponent():
     assert compile_gradient("x1**2", VARS, ["x1"])(0.0, -3.0, 0.0) == (-6.0,)
     with pytest.raises(ValueError):      # ln of a negative base
         compile_gradient("x1**x2", VARS, ["x2"])(0.0, -3.0, 2.0)
+
+
+def test_gradient_power_drops_the_log_term_where_the_exponent_is_constant():
+    # x2**(x1 - x1) is 1.0 at x2 < 0: the ln(x2) term is 0 there, not an error
+    grad = compile_gradient("x2**(x1 - x1)", VARS, ["x1", "x2"])
+    assert grad(0.0, 2.0, -1.0) == (0.0, 0.0)
+
+
+def test_gradient_power_takes_a_literal_exponent_less_one_when_built():
+    d = derivative(_parse("x1**2", VARS), "x1")
+    assert ast.unparse(d) == "2.0 * x1"
 
 
 def test_gradient_rejects_a_call_of_the_wrong_arity():

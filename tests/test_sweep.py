@@ -521,3 +521,23 @@ def test_grid_refinement_consistency():
     d_coarse = abs(js[0.01] - js[0.02])
     d_fine = abs(js[0.005] - js[0.01])
     assert d_fine < d_coarse
+
+
+def test_divergent_x2_decays_like_dt_to_the_0_3(example_parsed):
+    # characterization, not a convergence check: under u = 5 the bundled
+    # divergent expansion's x2(1) has no grid limit; it falls like dt**0.3
+    x2 = [forward_sweep(example_parsed.problem, 5.0,
+                        dataclasses.replace(example_parsed.config, dt=dt))[0]
+          [-1, 1] for dt in (1e-2, 1e-3, 1e-4)]
+    slopes = [math.log10(coarse / fine) for coarse, fine in zip(x2, x2[1:])]
+    assert all(0.28 <= slope <= 0.31 for slope in slopes), (x2, slopes)
+
+
+def test_divergent_j_star_falls_under_refinement(example_parsed,
+                                                  example_state):
+    # characterization: the converged J* of the bundled example falls from
+    # 0.0476 at dt = 0.01 to 0.0270 at dt = 0.005
+    j_coarse = example_state[0].j_star
+    j_fine = solve(example_parsed.problem,
+                   dataclasses.replace(example_parsed.config, dt=0.005)).j_star
+    assert j_fine / j_coarse < 0.6, (j_coarse, j_fine)
