@@ -14,7 +14,7 @@ from .expansion import (ExpansionCoeffs, TransformedField, advance_moments,
                         derivative_coeff, moment_coeff, series_partial_sum,
                         state_coeff)
 from .grid import SampledFunction, TimeGrid
-from .hjb import (FrozenNode, ValueData, aggregate_error, freeze_node,
+from .hjb import (NodeTable, ValueData, aggregate_error,
                   minimize_node_hamiltonian, node_hamiltonian)
 from .operators import (caputo_derivative, gamma, rl_derivative,
                         rl_integral_left, rl_integral_right)
@@ -34,7 +34,7 @@ __all__ = [
     "CostTerm", "PerformanceIndex", "terminal_index_set", "terminal_value",
     "running_weight", "evaluate",
     "FractionalPlant", "HJBProblem",
-    "ValueData", "FrozenNode", "freeze_node", "node_hamiltonian",
+    "ValueData", "NodeTable", "node_hamiltonian",
     "minimize_node_hamiltonian",
     "aggregate_error",
     "SweepConfig", "SweepState", "forward_sweep", "backward_sweep", "solve",

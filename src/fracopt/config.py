@@ -14,6 +14,10 @@ partial derivatives in x1..xn (expressions.compile_gradient): the plant
 carries the Jacobian of its dynamics and each cost term its gradient, so
 the solver takes no difference quotients of a problem file.  A math
 error in an expression or a derivative aborts the sweep naming it.
+The dynamics, the running operands and their derivatives are also
+compiled over node arrays, for the solver's stages that evaluate every
+grid node at once; a non-finite value there is evaluated again at its
+node by the scalar form, so the same math error aborts the sweep.
 
 Unknown keys anywhere are rejected.  Validation errors name the offending
 field; YAML syntax errors carry the parser's line/column mark.
@@ -161,13 +165,16 @@ _DERIVATIVE = "the x-derivative of "
 _NO_CONTROLS = np.empty(0)
 
 
-def _evaluator(fns: Sequence, what: str = "", stacked: bool = False):
+def _evaluator(fns: Sequence, what: str = "", stacked: bool = False,
+               node_fns: Sequence = None):
     """The compiled fns as one function of (t, x, u), u empty by default
     for terminal operands.  It returns fns[0]'s value, or with stacked
     the array of every fn's value.  They get Python floats, not numpy
     scalars: they do scalar arithmetic, which is cheaper on floats and
     gives the same bits.  A math error aborts the sweep naming the first
-    fn that fails there, prefixed by what."""
+    fn that fails there, prefixed by what.  node_fns, fns compiled over
+    node arrays, become the function's nodes attribute (_node_evaluator).
+    """
     if stacked:
         def call(*args):
             return np.array([fn(*args) for fn in fns])
@@ -186,6 +193,35 @@ def _evaluator(fns: Sequence, what: str = "", stacked: bool = False):
                     break
             raise SweepAbort(f"cannot evaluate {what}{fn.source!r} at "
                              f"t = {args[0]!r}: {exc}") from None
+    if node_fns is not None:
+        evaluate.nodes = _node_evaluator(node_fns, evaluate, stacked)
+    return evaluate
+
+
+def _rows(value, n: int) -> np.ndarray:
+    """A node-array form's value with n rows: a gradient's tuple stacked
+    into columns, a float (an expression reading no variable) repeated."""
+    if isinstance(value, tuple):
+        return np.stack([_rows(v, n) for v in value], axis=-1)
+    return value if np.shape(value) == (n,) else np.full(n, value)
+
+
+def _node_evaluator(fns: Sequence, scalar, stacked: bool):
+    """The node-array forms fns as one function of node arrays t (N,),
+    x (N, n) and u (N, m), with scalar's value at each row.  Where a row
+    is not finite, scalar evaluates that row again, lowest row first, so
+    a math error there aborts the sweep as it does at one node."""
+    def evaluate(t, x, u):
+        n = t.shape[0]
+        args = (t, *x.T, *u.T)
+        with np.errstate(all="ignore"):
+            values = [_rows(fn(*args), n) for fn in fns]
+        out = np.stack(values, axis=1) if stacked else values[0]
+        if not np.isfinite(out).all():
+            for k in np.flatnonzero(
+                    ~np.isfinite(out.reshape(n, -1)).all(axis=1)):
+                scalar(t[k], x[k], u[k])
+        return out
     return evaluate
 
 
@@ -229,9 +265,12 @@ def build_problem(doc: Dict) -> ParsedProblem:
     control_names = [f"u{j + 1}" for j in range(n_controls)]
     dyn_vars = ["t"] + state_names + control_names
     try:
-        dyn_fns = [compile_expression(src, dyn_vars) for src in dynamics_src]
-        jac_fns = [compile_gradient(src, dyn_vars, state_names)
-                   for src in dynamics_src]
+        dyn_fns, dyn_nodes = (
+            [compile_expression(src, dyn_vars, over_nodes)
+             for src in dynamics_src] for over_nodes in (False, True))
+        jac_fns, jac_nodes = (
+            [compile_gradient(src, dyn_vars, state_names, over_nodes)
+             for src in dynamics_src] for over_nodes in (False, True))
     except ConfigError as exc:
         raise ConfigError(f"plant.dynamics: {exc}")
 
@@ -250,14 +289,20 @@ def build_problem(doc: Dict) -> ParsedProblem:
             raise ConfigError(f"{where}.order: must lie in [0,2], got {v}")
         src = _need(entry, "operand", where)
         variables = ["t"] + state_names if v == 0.0 else dyn_vars
+        # running operands are also evaluated over node arrays
+        forms = (False,) if v == 0.0 else (False, True)
         try:
-            fn = compile_expression(src, variables)
-            grad = compile_gradient(src, variables, state_names)
+            fns = [compile_expression(src, variables, over_nodes)
+                   for over_nodes in forms]
+            grads = [compile_gradient(src, variables, state_names, over_nodes)
+                     for over_nodes in forms]
         except ConfigError as exc:
             raise ConfigError(f"{where}.operand: {exc}")
         kind = "terminal" if v == 0.0 else "running"
-        terms.append(CostTerm(v=v, **{kind: _evaluator((fn,))},
-                              gradient=_evaluator((grad,), _DERIVATIVE)))
+        terms.append(CostTerm(
+            v=v, **{kind: _evaluator(fns[:1], node_fns=fns[1:] or None)},
+            gradient=_evaluator(grads[:1], _DERIVATIVE,
+                                node_fns=grads[1:] or None)))
 
     t0 = _finite_number(solver_block.get("t0", 0.0), "solver.t0")
     tf = _finite_number(_need(solver_block, "tf", "solver"), "solver.tf")
@@ -280,9 +325,11 @@ def build_problem(doc: Dict) -> ParsedProblem:
         raise ConfigError(f"solver: {exc}")
 
     plant = FractionalPlant(
-        orders=tuple(orders), rhs=_evaluator(dyn_fns, stacked=True),
+        orders=tuple(orders),
+        rhs=_evaluator(dyn_fns, stacked=True, node_fns=dyn_nodes),
         x0=np.array(x0), n_controls=n_controls, t0=t0,
-        rhs_jacobian=_evaluator(jac_fns, _DERIVATIVE, stacked=True))
+        rhs_jacobian=_evaluator(jac_fns, _DERIVATIVE, stacked=True,
+                                node_fns=jac_nodes))
     problem = HJBProblem(plant=plant, index=PerformanceIndex(tuple(terms)),
                          tf=tf, u_lower=np.array(lo),
                          u_upper=np.array(hi), quadratic_control=quadratic)

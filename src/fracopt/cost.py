@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, SingularTimeError
-from .expansion import central_difference
+from .expansion import central_difference, over_nodes
 from .grid import TimeGrid
 from .operators import gamma, singular_kernel_weights
 
@@ -36,7 +36,9 @@ class CostTerm:
 
     Zero-order terms carry a terminal operand g(tf, x) only; nonzero-order
     terms carry a running operand g(t, x, u) only.  gradient, when given,
-    is the operand's x-gradient, with the operand's arguments.
+    is the operand's x-gradient, with the operand's arguments.  Over node
+    arrays, running_nodes and gradient_nodes apply them at every row
+    (expansion.over_nodes).
     """
 
     v: float
@@ -56,6 +58,14 @@ class CostTerm:
                 raise DomainError(
                     "a nonzero-order term carries a running operand only")
 
+    @cached_property
+    def running_nodes(self) -> Callable:
+        return over_nodes(self.running)
+
+    @cached_property
+    def gradient_nodes(self) -> Callable:
+        return over_nodes(self.gradient)
+
 
 @dataclass(frozen=True)
 class PerformanceIndex:
@@ -74,25 +84,27 @@ class PerformanceIndex:
     def running_terms(self):
         return tuple(t for t in self.terms if t.v != 0.0)
 
-    def weighted_running(self, weights, t: float, x: np.ndarray,
-                         u: np.ndarray) -> float:
-        """sum_j weights[j] g_j(t, x, u) over the running terms."""
+    def weighted_running(self, weights: np.ndarray, t: np.ndarray,
+                         x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """sum_j weights[:, j] g_j(t, x, u) over the running terms, at
+        every row of node arrays (weights: one row per node)."""
         total = 0.0
-        for w, term in zip(weights, self.running_terms):
-            total += w * term.running(t, x, u)
+        for w, term in zip(weights.T, self.running_terms):
+            total += w * term.running_nodes(t, x, u)
         return total
 
-    def running_gradient(self, weights, t: float, x: np.ndarray,
-                         u: np.ndarray) -> np.ndarray:
-        """d/dx of weighted_running: the weighted sum of the terms'
-        gradients, or its central difference when a term has none."""
+    def running_gradient(self, weights: np.ndarray, t: np.ndarray,
+                         x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """d/dx of weighted_running at every row: the weighted sum of the
+        terms' gradients, or its central difference when a term has
+        none."""
         terms = self.running_terms
         if any(term.gradient is None for term in terms):
             return central_difference(
                 lambda xv: self.weighted_running(weights, t, xv, u), x)
-        grad = np.zeros(x.shape[0])
-        for w, term in zip(weights, terms):
-            grad += w * np.asarray(term.gradient(t, x, u), dtype=float)
+        grad = np.zeros(x.shape)
+        for w, term in zip(weights.T, terms):
+            grad += w[:, None] * term.gradient_nodes(t, x, u)
         return grad
 
     def terminal_gradient(self, tf: float, x_tf: np.ndarray) -> np.ndarray:

@@ -61,6 +61,7 @@ __all__ = [
     "ExpansionCoeffs",
     "advance_moments",
     "central_difference",
+    "over_nodes",
     "TransformedField",
 ]
 
@@ -244,15 +245,34 @@ def central_difference(fn, x: np.ndarray) -> np.ndarray:
     """Central differences of fn in each component of x: entry j, or
     column j when fn returns a vector, is (fn(x + h e_j) - fn(x - h e_j))
     / (2h) with h = 1e-6 max(1, |x_j|).  So a scalar fn gives its
-    gradient and a vector fn its Jacobian."""
+    gradient and a vector fn its Jacobian.  x may also hold one point per
+    row (node arrays), and fn then one value or vector per row."""
     columns = []
-    for j in range(x.shape[0]):
-        h = _FD_STEP * max(1.0, abs(x[j]))
+    for j in range(x.shape[-1]):
+        h = _FD_STEP * np.maximum(1.0, np.abs(x[..., j]))
         xp, xm = x.copy(), x.copy()
-        xp[j] += h
-        xm[j] -= h
-        columns.append((fn(xp) - fn(xm)) / (2 * h))
-    return np.ascontiguousarray(np.array(columns).T)
+        xp[..., j] += h
+        xm[..., j] -= h
+        diff = np.asarray(fn(xp) - fn(xm))
+        columns.append(diff / np.reshape(2 * h, h.shape + (1,) * (
+            diff.ndim - h.ndim)))
+    return np.stack(columns, axis=-1)
+
+
+def over_nodes(fn):
+    """fn, a function of (t, x, u) at one node, as a function of node
+    arrays t (N,), x (N, n) and u (N, m) with one value per row: fn's
+    own nodes attribute when it has one (a compiled problem-file
+    expression does), otherwise fn called row by row."""
+    nodes = getattr(fn, "nodes", None)
+    if nodes is not None:
+        return nodes
+
+    def by_row(t, x, u):
+        return np.array([fn(t_k, x_k, u_k)
+                         for t_k, x_k, u_k in zip(t.tolist(), x, u)],
+                        dtype=float)
+    return by_row
 
 
 class TransformedField:
@@ -325,23 +345,22 @@ class TransformedField:
         return (self.plant.rhs(t, x, u) - shift) / self.denominator(t)
 
     def at_state(self, t: float, x: np.ndarray, m_node: np.ndarray):
-        """Freeze (t, x, M) and return a cheap function of the control only."""
-        shift = self.correction(t, x, m_node)
-        denom = self.denominator(t)
-        plant_rhs = self.plant.rhs
+        """Freeze (t, x, M): the memory corrections and the denominators,
+        so that the field is (rhs(t, x, u) - correction) / denominator
+        for every control u."""
+        return self.correction(t, x, m_node), self.denominator(t)
 
-        def field_of_u(u: np.ndarray) -> np.ndarray:
-            return (plant_rhs(t, x, u) - shift) / denom
-
-        return field_of_u
-
-    def jacobian_x(self, t: float, x: np.ndarray,
+    def jacobian_x(self, t: np.ndarray, x: np.ndarray,
                    u: np.ndarray) -> np.ndarray:
-        """d(field)/dx with the moments held fixed: the plant's rhs_x on
-        the plant part, exact on the expansion part (the correction is
-        linear in x with a diagonal coefficient A_i (t-a)^(-q_i))."""
-        denom = self.denominator(t)
-        diag = np.diag(self._a * (t - self.plant.t0) ** (-self._q))
-        jac = np.asarray(self.plant.rhs_x(t, x, u), dtype=float) - diag
-        return jac / denom[:, None]
+        """d(field)/dx with the moments held fixed, at every row of node
+        arrays t, x and u: the plant's rhs_x on the plant part, exact on
+        the expansion part (the correction is linear in x with a diagonal
+        coefficient A_i (t-a)^(-q_i))."""
+        t_rel = (np.asarray(t, dtype=float) - self.plant.t0)[:, None]
+        if np.any(t_rel <= 0.0):
+            raise SingularTimeError("transformed field is singular at t = a")
+        jac = np.array(self.plant.rhs_x(t, x, u), dtype=float)
+        i = np.arange(self._q.shape[0])
+        jac[:, i, i] -= self._a * t_rel ** (-self._q)
+        return jac / (self._b * t_rel ** (1.0 - self._q))[:, :, None]
 

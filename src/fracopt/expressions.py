@@ -7,6 +7,13 @@ and e, and a fixed set of elementary functions.  Anything else
 rejected at compile time, so evaluating a compiled expression can execute
 only arithmetic, in floats: every literal is made a float, so 9**9**9
 overflows instead of running on.
+
+Each expression compiles from its validated tree in two forms: a
+function of Python floats on the scalar ``math`` functions, which raises
+on a math error, and (over_nodes=True) the same function over arrays of
+node values on numpy ufuncs, which gives nan or inf there instead.  The
+array form raises a to the power b by ``numpy.float_power``, which gives
+the bits of the scalar form's ``**``.
 """
 
 from __future__ import annotations
@@ -14,6 +21,8 @@ from __future__ import annotations
 import ast
 import math
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -99,18 +108,22 @@ def _parse(text: str, variables: Sequence[str]) -> ast.expr:
     return tree.body
 
 
-def _lambda(body: ast.expr, variables: Sequence[str], text: str):
+def _lambda(body: ast.expr, variables: Sequence[str], text: str,
+            over_nodes: bool):
     """body compiled into a function of variables, by position, that runs
     with no builtins: its globals hold only the allowed functions and
     constants and the helpers below, whose underscore names no validated
-    text can reach."""
+    text can reach.  over_nodes: on numpy ufuncs, with every a**b a call
+    of _pow."""
+    if over_nodes:
+        body = _PowerCalls().visit(body)
     params = ast.arguments(posonlyargs=[],
                            args=[ast.arg(arg=name) for name in variables],
                            kwonlyargs=[], kw_defaults=[], defaults=[])
     lam = ast.fix_missing_locations(
         ast.Expression(body=ast.Lambda(args=params, body=body)))
     evaluate = eval(compile(lam, filename="<expression>", mode="eval"),
-                    dict(_SCOPE))
+                    dict(_NODE_SCOPE if over_nodes else _SCOPE))
     evaluate.source = text
     return evaluate
 
@@ -120,8 +133,8 @@ def _as_float(node: ast.expr) -> ast.expr:
                     args=[node], keywords=[])
 
 
-def compile_expression(text: str,
-                       variables: Sequence[str]) -> Callable[..., float]:
+def compile_expression(text: str, variables: Sequence[str],
+                       over_nodes: bool = False) -> Callable[..., float]:
     """Compile an arithmetic expression into a function of its variables.
 
     variables lists, in order, the names the expression may reference
@@ -129,23 +142,27 @@ def compile_expression(text: str,
     position in that order and returns a float.  It runs with no
     builtins: its globals hold only the allowed functions and constants,
     and float under the name _float, which no validated text can reach.
+    With over_nodes it takes arrays of node values and returns an array,
+    or a float where the expression reads no variable.
     """
-    return _lambda(_as_float(_parse(text, variables)), variables, text)
+    return _lambda(_as_float(_parse(text, variables)), variables, text,
+                   over_nodes)
 
 
 def compile_gradient(text: str, variables: Sequence[str],
-                     wrt: Sequence[str]) -> Callable[..., tuple]:
+                     wrt: Sequence[str],
+                     over_nodes: bool = False) -> Callable[..., tuple]:
     """Compile the partial derivatives of an expression in the names wrt.
 
     The returned function takes the values of variables by position, as
     compile_expression's does, and returns the tuple of floats
     (d text/d wrt[0], d text/d wrt[1], ...), differentiated symbolically
-    by derivative.
+    by derivative; with over_nodes, a tuple of arrays or floats.
     """
     body = _parse(text, variables)
     return _lambda(ast.Tuple(elts=[_as_float(derivative(body, name))
                                    for name in wrt], ctx=ast.Load()),
-                   variables, text)
+                   variables, text, over_nodes)
 
 
 # ------------------------------------------------------------ derivatives
@@ -316,3 +333,35 @@ def _log_term(a: float, b: float, db: float) -> float:
 _SCOPE = {"__builtins__": {}, "_float": float, "_sign": _sign,
           "_floor": _floor, "_log_term": _log_term, **_FUNCTIONS,
           **_CONSTANTS}
+
+
+class _PowerCalls(ast.NodeTransformer):
+    """Rewrites every a**b as _pow(a, b)."""
+
+    def visit_BinOp(self, node: ast.BinOp) -> ast.expr:
+        self.generic_visit(node)
+        if isinstance(node.op, ast.Pow):
+            return _call("_pow", node.left, node.right)
+        return node
+
+
+def _log_nodes(a, base=None):
+    """log over node arrays, with math.log's optional base."""
+    return np.log(a) if base is None else np.log(a) / np.log(base)
+
+
+def _log_term_nodes(a, b, db):
+    """_log_term over node arrays: 0 wherever db is 0."""
+    return np.where(db == 0.0, 0.0, np.float_power(a, b) * np.log(a) * db)
+
+
+#: _SCOPE's names over node arrays (numpy before 2.0 has no asin, acos
+#: or atan)
+_NODE_SCOPE = {"__builtins__": {}, "_float": np.asarray,
+               "_pow": np.float_power, "_sign": np.sign, "_floor": np.floor,
+               "_log_term": _log_term_nodes,
+               "sin": np.sin, "cos": np.cos, "tan": np.tan,
+               "asin": np.arcsin, "acos": np.arccos, "atan": np.arctan,
+               "sinh": np.sinh, "cosh": np.cosh, "tanh": np.tanh,
+               "exp": np.exp, "log": _log_nodes, "log10": np.log10,
+               "sqrt": np.sqrt, "abs": np.abs, **_CONSTANTS}

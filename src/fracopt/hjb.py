@@ -10,10 +10,18 @@ with w_j the running kernel weight of each cost term.  A sweep
 control, so V_t = -H_k(u_k), and the residual at node k is the Hamiltonian
 gap H_k(u*_k) - H_k(u_k) at the pointwise minimizer u*_k.
 
-Within one sweep evaluation x and M are fixed at every node, so each node
-is frozen once (freeze_node): its memory correction and running weights
-are computed there, and the record keeps only the two functions of the
-control that every Hamiltonian probe at that node shares.
+Within one sweep evaluation x and M are fixed at every node, so the nodes
+no longer depend on each other.  Each node is frozen once, into one row of
+a NodeTable: its times, its state, its running weights, and the memory
+correction and denominator of the transformed field, computed there.  The
+Hamiltonian is then evaluated over all rows at once (node_hamiltonian),
+and so is every probe of its minimizer: the quadratic rule's three probes
+and vertex, or Brent's bounded search run in lockstep, one search per row.
+A row is never evaluated at a control its own minimization would not
+probe: a row with nothing left to probe in a batch is evaluated again at
+its latest probe.  A batched stage that aborts runs again node by node
+(first_failing_node), so that the abort names the node that node-by-node
+evaluation named.
 
 Endpoint conventions (both endpoints of the grid host singular factors):
 at the final node the running weights of every order are evaluated at
@@ -25,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -37,11 +44,11 @@ from .problem import HJBProblem
 
 __all__ = [
     "ValueData",
-    "FrozenNode",
-    "freeze_node",
+    "NodeTable",
     "node_hamiltonian",
     "minimize_node_hamiltonian",
     "minimize_scalar",
+    "first_failing_node",
     "aggregate_error",
 ]
 
@@ -59,15 +66,15 @@ class ValueData:
 
     Per node: v the value chain (the leapfrog integral of h back from the
     terminal value v[-1], not the cost-to-go), v_x the costate, h the
-    Hamiltonian at the sweep's own control, and nodes the FrozenNode
-    records the Hamiltonians were taken at.
+    Hamiltonian at the sweep's own control, and nodes the NodeTable the
+    Hamiltonians were taken on.
     """
 
     grid: TimeGrid
     v: np.ndarray = field(repr=False)
     v_x: np.ndarray = field(repr=False)
     h: np.ndarray = field(repr=False)
-    nodes: tuple = field(repr=False)
+    nodes: "NodeTable" = field(repr=False)
 
     def __post_init__(self):
         n = self.grid.n_nodes
@@ -89,170 +96,280 @@ def node_times(grid: TimeGrid, k: int):
     return t_run, t_field
 
 
-def _running_cost(prob: HJBProblem, t: float,
-                  x: np.ndarray) -> Callable[[np.ndarray], float]:
-    """u -> sum_j w_j(t) g_j(t, x, u) at frozen x, each w_j computed once."""
-    weights = [running_weight(term.v, t, prob.tf)
-               for term in prob.index.running_terms]
-    return partial(prob.index.weighted_running, weights, t, x)
+def _running_cost(prob: HJBProblem, t: float) -> list:
+    """The weights w_j(t) of the weighted running cost sum_j w_j g_j, one
+    per running term, each computed once per node."""
+    return [running_weight(term.v, t, prob.tf)
+            for term in prob.index.running_terms]
 
 
-@dataclass(frozen=True)
-class FrozenNode:
-    """The data of one grid node that every Hamiltonian probe of a sweep
-    evaluation shares: the weighted running cost and the transformed
-    field, each frozen at the node's state and moments and at its time of
-    node_times (t_run and t_field), and left a function of the control."""
+class NodeTable:
+    """The data of every grid node that the Hamiltonians of one sweep
+    evaluation share, one row per node: the times of node_times (t_run,
+    t_field), the state x, the running weights (one column per running
+    term), and the memory correction and denominator of the transformed
+    field at the node's state and moments.  freeze fills one row.
 
-    running: Callable[[np.ndarray], float]
-    field: Callable[[np.ndarray], np.ndarray]
+    H at row k is sum_j weights[k, j] g_j(t_run[k], x[k], u)
+    + V_x . (rhs(t_field[k], x[k], u) - correction[k]) / denominator[k].
+    """
+
+    def __init__(self, prob: HJBProblem, grid: TimeGrid):
+        if prob.field is None:
+            raise DomainError("problem carries no transformed field")
+        n, nx = grid.n_nodes, prob.plant.n_states
+        self.prob = prob
+        self.grid = grid
+        self.t_run = np.empty(n)
+        self.t_field = np.empty(n)
+        self.x = np.empty((n, nx))
+        self.weights = np.empty((n, len(prob.index.running_terms)))
+        self.correction = np.empty((n, nx))
+        self.denominator = np.empty((n, nx))
+
+    def __len__(self) -> int:
+        return self.t_run.shape[0]
+
+    def __getitem__(self, rows: slice) -> "NodeTable":
+        """The table of the rows in the slice rows (views, not copies)."""
+        if rows == slice(None):
+            return self
+        part = object.__new__(NodeTable)
+        part.prob, part.grid = self.prob, self.grid
+        for name in ("t_run", "t_field", "x", "weights", "correction",
+                     "denominator"):
+            setattr(part, name, getattr(self, name)[rows])
+        return part
+
+    def freeze(self, k: int, x: np.ndarray, m_node: np.ndarray) -> None:
+        """Freeze grid node k at state x and moments m_node into row k:
+        one memory correction and one set of running weights, with the
+        endpoint substitutions of node_times applied."""
+        t_run, t_field = node_times(self.grid, k)
+        self.t_run[k], self.t_field[k] = t_run, t_field
+        self.x[k] = x
+        self.weights[k] = _running_cost(self.prob, t_run)
+        self.correction[k], self.denominator[k] = \
+            self.prob.field.at_state(t_field, x, m_node)
+
+    def running(self, u: np.ndarray) -> np.ndarray:
+        """The weighted running cost at every row, for controls u (one
+        row per node)."""
+        return self.prob.index.weighted_running(self.weights, self.t_run,
+                                                self.x, u)
+
+    def field(self, u: np.ndarray) -> np.ndarray:
+        """The transformed field at every row, for controls u (one row
+        per node)."""
+        return (self.prob.plant.rhs_nodes(self.t_field, self.x, u)
+                - self.correction) / self.denominator
+
+    def field_at(self, k: int, u: np.ndarray) -> np.ndarray:
+        """The transformed field at row k alone, for the control vector
+        u, by the plant's rhs at one node."""
+        return (self.prob.plant.rhs(self.t_field[k], self.x[k], u)
+                - self.correction[k]) / self.denominator[k]
 
 
-def freeze_node(prob: HJBProblem, grid: TimeGrid, k: int, x: np.ndarray,
-                m_node: np.ndarray) -> FrozenNode:
-    """Freeze grid node k at state x and moments m_node: one memory
-    correction and one set of running weights, with the endpoint
-    substitutions of node_times applied."""
-    if prob.field is None:
-        raise DomainError("problem carries no transformed field")
-    t_run, t_field = node_times(grid, k)
-    return FrozenNode(_running_cost(prob, t_run, x),
-                      prob.field.at_state(t_field, x, m_node))
+def node_hamiltonian(table: NodeTable, u, v_x: np.ndarray) -> np.ndarray:
+    """Weighted running cost plus V_x . field at every row of a node
+    table, for controls u and costates v_x with one row per node (u may
+    also be one control vector, or anything that broadcasts to the rows).
+    V_x . field is the matrix product of each row, as np.dot takes it.
+    An abort names the first node that fails (first_failing_node)."""
+    shape = (len(table), table.prob.plant.n_controls)
+    if not (type(u) is np.ndarray and u.dtype == _FLOAT
+            and u.shape == shape):
+        u = np.broadcast_to(np.asarray(u, dtype=float), shape)
+
+    def hamiltonian(rows):
+        part, u_rows, v_rows = table[rows], u[rows], v_x[rows]
+        with np.errstate(all="ignore"):
+            return part.running(u_rows) + (
+                v_rows[:, None, :] @ part.field(u_rows)[:, :, None])[:, 0, 0]
+    return first_failing_node(hamiltonian, len(table))
 
 
-def node_hamiltonian(node: FrozenNode, u: np.ndarray,
-                     v_x: np.ndarray) -> float:
-    """Weighted running cost plus V_x . field at a frozen grid node."""
-    if not (type(u) is np.ndarray and u.dtype == _FLOAT and u.ndim == 1):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-    return node.running(u) + float(np.dot(v_x, node.field(u)))
-
-
-def _parabola_min(axis: Callable, c: float, lo: float, hi: float) -> float:
-    """Minimizer over [lo, hi] of a function quadratic along one axis,
-    from probes at c and c +- step: the parabola's vertex clipped to the
-    interval when it curves upward, otherwise the better endpoint."""
+def _parabola_min(axis: Callable, c: np.ndarray, lo: float,
+                  hi: float) -> np.ndarray:
+    """Minimizers over [lo, hi] of a function quadratic along one axis,
+    one per row, from probes at c and c +- step: the parabola's vertex
+    clipped to the interval where it curves upward, otherwise the better
+    endpoint, probed on those rows only.  axis(val, live) evaluates the
+    rows live at val."""
+    every = np.ones(c.shape[0], dtype=bool)
     step = max(1.0, 1e-3 * (hi - lo))
-    h0, hp, hm = axis(c), axis(c + step), axis(c - step)
+    h0, hp, hm = axis(c, every), axis(c + step, every), axis(c - step, every)
     curv = (hp + hm - 2.0 * h0) / (2.0 * step * step)
     slope = (hp - hm) / (2.0 * step)
-    if curv > 0.0:
-        return min(max(c - slope / (2.0 * curv), lo), hi)
-    # no interior minimum along this axis: best endpoint
-    return lo if axis(lo) <= axis(hi) else hi
+    new = np.minimum(np.maximum(c - slope / (2.0 * curv), lo), hi)
+    flat = ~(curv > 0.0)
+    if flat.any():
+        # no interior minimum along this axis: best endpoint
+        at_lo, at_hi = axis(lo, flat), axis(hi, flat)
+        new = np.where(flat, np.where(at_lo <= at_hi, lo, hi), new)
+    return new
 
 
-def minimize_scalar(func: Callable[[float], float], lo: float, hi: float,
-                    xatol: float) -> float:
-    """Minimizer of func over [lo, hi] by Brent's bounded search: golden
-    sections and parabolic steps until the bracket is within xatol (plus
-    a relative sqrt(eps)) of the best point, or after 500 evaluations.
+def minimize_scalar(func: Callable[[np.ndarray], np.ndarray], lo, hi,
+                    xatol) -> np.ndarray:
+    """Minimizers of func over [lo, hi] by Brent's bounded search, one
+    search per row, run in lockstep: golden sections and parabolic steps
+    until the bracket is within xatol (plus a relative sqrt(eps)) of the
+    best point, or after 500 evaluations.
 
-    A plain-float transcription of scipy's
-    minimize_scalar(method="bounded"), returning the same x.
+    lo, hi and xatol are per row (or one value for every row), and func
+    maps one point per row to one value per row.  Each round evaluates
+    every row: a row whose search has stopped is evaluated again at its
+    best point.  Each row's minimizer is that of a plain-float
+    transcription of scipy's minimize_scalar(method="bounded") on that
+    row alone.
     """
     # [a, b] brackets the minimum; xf, nfc and fulc are the best, second
     # and third best points so far, fx, fnfc and ffulc their values
-    a, b = float(lo), float(hi)
+    a = np.array(lo, dtype=float, ndmin=1)
+    b = np.array(hi, dtype=float, ndmin=1)
     xf = nfc = fulc = a + _GOLDEN * (b - a)
-    fx = ffulc = fnfc = func(xf)
+    fx = ffulc = fnfc = np.asarray(func(xf), dtype=float)
     num = 1
-    rat = e = 0.0
+    rat = e = np.zeros_like(xf)
     xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
     tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:
-            # parabola through the three best points
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
+    active = np.abs(xf - xm) > tol2 - 0.5 * (b - a)
+    with np.errstate(all="ignore"):
+        while active.any():
+            # parabola through the three best points, where the step
+            # before last was longer than tol1
+            to_nfc, to_fulc = xf - nfc, xf - fulc
+            r = to_nfc * (fx - ffulc)
+            q = to_fulc * (fx - fnfc)
+            p = to_fulc * q - to_nfc * r
             q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                golden = False
-                rat = p / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 if xm >= xf else -tol1
-        if golden:
-            e = a - xf if xf >= xm else b - xf
-            rat = _GOLDEN * e
-        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= _MAX_EVALS:
-            break
+            p = np.where(q > 0.0, -p, p)
+            q = np.abs(q)
+            parabolic = ((np.abs(e) > tol1) & (np.abs(p) < np.abs(0.5 * q * e))
+                         & (q * (a - xf) < p) & (p < q * (b - xf)))
+            step = p / q
+            x = xf + step
+            step = np.where((x - a < tol2) | (b - x < tol2),
+                            np.where(xm >= xf, tol1, -tol1), step)
+            e = np.where(parabolic, rat,
+                         np.where(xf >= xm, a - xf, b - xf))
+            rat = np.where(parabolic, step, _GOLDEN * e)
+            x = np.where(active, xf + np.where(rat < 0, -1.0, 1.0)
+                         * np.maximum(np.abs(rat), tol1), xf)
+            fu = np.asarray(func(x), dtype=float)
+            num += 1
+            improved = fu <= fx
+            better, worse = active & improved, active & ~improved
+            right = x >= xf
+            second = worse & ((fu <= fnfc) | (nfc == xf))
+            third = worse & ~second & ((fu <= ffulc) | (fulc == xf)
+                                       | (fulc == nfc))
+            a = np.where(better & right, xf, np.where(worse & ~right, x, a))
+            b = np.where(better & ~right, xf, np.where(worse & right, x, b))
+            shifted = better | second
+            fulc, ffulc = (np.where(shifted, nfc, np.where(third, x, fulc)),
+                           np.where(shifted, fnfc,
+                                    np.where(third, fu, ffulc)))
+            nfc, fnfc = (np.where(better, xf, np.where(second, x, nfc)),
+                         np.where(better, fx, np.where(second, fu, fnfc)))
+            xf, fx = np.where(better, x, xf), np.where(better, fu, fx)
+            xm = 0.5 * (a + b)
+            tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
+            tol2 = 2.0 * tol1
+            if num >= _MAX_EVALS:
+                break
+            active &= np.abs(xf - xm) > tol2 - 0.5 * (b - a)
     return xf
 
 
-def _minimize_box(h: Callable[[np.ndarray], float], lo: np.ndarray,
-                  hi: np.ndarray, quadratic: bool):
-    """Box-constrained minimizer of a scalar function of the control by
-    coordinate sweeps from the clipped origin.  A degenerate axis is set to
-    lo; otherwise _parabola_min (quadratic=True: exact for Hamiltonians
-    quadratic and separable in the control) or bounded scalar search
-    minimizes along it.  Sweeps repeat until the iterate stops moving, but
-    one is final in quadratic mode and with one control (the bounded
-    search ignores its start point, so a second sweep would repeat it).
+def _minimize_box(h: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
+                  hi: np.ndarray, quadratic: bool, rows: int = 1):
+    """Box-constrained minimizers of a function of the control at rows
+    independent rows, by coordinate sweeps from the clipped origin; h
+    maps controls (rows, m) to values (rows,).  A degenerate axis is set
+    to lo; otherwise _parabola_min (quadratic=True: exact for
+    Hamiltonians quadratic and separable in the control) or the bounded
+    scalar search minimizes along it.  Sweeps repeat until a row's
+    iterate stops moving, but one is final in quadratic mode and with one
+    control (the bounded search ignores its start point, so a second
+    sweep would repeat it).
+
+    A row that needs no probe in a call of h (it has stopped, or is not
+    probed at the endpoints) is evaluated at its latest probe, never at
+    a control its own minimization would not probe.  A non-finite value
+    raises SweepAbort.
     """
     m = lo.shape[0]
-    u = np.clip(np.zeros(m), lo, hi)
-    for _ in range(_COORD_SWEEPS):
-        moved = 0.0
-        for j in range(m):
-            def axis(val, j=j):
-                uu = u.copy()
-                uu[j] = val
-                hv = h(uu)
-                if math.isfinite(hv):
-                    return hv
-                raise SweepAbort("non-finite Hamiltonian during minimization")
+    u = np.tile(np.clip(np.zeros(m), lo, hi), (rows, 1))
+    latest = u.copy()
 
-            if hi[j] - lo[j] <= _COORD_TOL:
-                new = lo[j]
-            elif quadratic:
-                new = _parabola_min(axis, u[j], lo[j], hi[j])
-            else:
-                new = minimize_scalar(axis, lo[j], hi[j], _COORD_TOL)
-            moved = max(moved, abs(new - u[j]))
-            u[j] = new
-        if quadratic or m == 1 or moved <= _COORD_TOL:
-            break
+    def probe(j, val, live):
+        """h at u with column j set to val on the live rows."""
+        nonlocal latest
+        trial = u.copy()
+        trial[:, j] = val
+        latest = np.where(live[:, None], trial, latest)
+        values = h(latest)
+        if not np.isfinite(values).all():
+            raise SweepAbort("non-finite Hamiltonian during minimization")
+        return values
+
+    moving = np.ones(rows, dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(_COORD_SWEEPS):
+            moved = np.zeros(rows)
+            for j in range(m):
+                if hi[j] - lo[j] <= _COORD_TOL:
+                    new = np.full(rows, lo[j])
+                elif quadratic:
+                    new = _parabola_min(
+                        lambda val, live, j=j: probe(j, val, live),
+                        u[:, j], lo[j], hi[j])
+                else:
+                    # a row that has stopped gets the one-point bracket
+                    # of its control, which ends its search at once
+                    new = minimize_scalar(
+                        lambda val, j=j: probe(j, val, moving),
+                        np.where(moving, lo[j], u[:, j]),
+                        np.where(moving, hi[j], u[:, j]), _COORD_TOL)
+                new = np.where(moving, new, u[:, j])
+                moved = np.maximum(moved, np.abs(new - u[:, j]))
+                u[:, j] = new
+            moving &= moved > _COORD_TOL
+            if quadratic or m == 1 or not moving.any():
+                break
     return u
 
 
-def minimize_node_hamiltonian(prob: HJBProblem, node: FrozenNode,
+def minimize_node_hamiltonian(prob: HJBProblem, table: NodeTable,
                               v_x: np.ndarray) -> np.ndarray:
-    """Minimizer of the Hamiltonian at a frozen grid node over the
-    problem's control box (H is not evaluated at it here)."""
-    return _minimize_box(lambda u: node_hamiltonian(node, u, v_x),
-                         prob.u_lower, prob.u_upper, prob.quadratic_control)
+    """Minimizers of the Hamiltonian at every row of a node table over
+    the problem's control box, one row per node, for costates v_x (H is
+    not evaluated at them here)."""
+    def minimize(rows):
+        part, v_rows = table[rows], v_x[rows]
+        return _minimize_box(lambda u: node_hamiltonian(part, u, v_rows),
+                             prob.u_lower, prob.u_upper,
+                             prob.quadratic_control, len(part))
+    return first_failing_node(minimize, len(table))
+
+
+def first_failing_node(stage: Callable, n: int):
+    """stage(rows) for every node at once (rows a slice of the node
+    table's rows).  If that aborts, stage runs on each node alone, first
+    to last, so that the abort raised is that of the first node that
+    fails alone: the one node-by-node evaluation raised, although the
+    nodes' evaluations are interleaved when batched.  The batched abort
+    is raised again if no node fails alone."""
+    try:
+        return stage(slice(None))
+    except SweepAbort:
+        for k in range(n):
+            stage(slice(k, k + 1))
+        raise
 
 
 def aggregate_error(residuals: np.ndarray) -> float:

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DomainError
-from .expansion import central_difference
+from .expansion import central_difference, over_nodes
 
 
 @dataclass(frozen=True)
@@ -20,6 +21,8 @@ class FractionalPlant:
     initial time and the memory anchor of every fractional operator.
     rhs_jacobian maps (t, x, u) to d rhs/dx, row i holding the partials of
     rhs component i; without it, rhs_x takes central differences of rhs.
+    Over node arrays, rhs_nodes and rhs_x apply them at every row
+    (expansion.over_nodes).
     """
 
     orders: tuple
@@ -47,8 +50,18 @@ class FractionalPlant:
     def n_states(self) -> int:
         return len(self.orders)
 
-    def rhs_x(self, t: float, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """d rhs/dx at (t, x, u)."""
+    @cached_property
+    def rhs_nodes(self) -> Callable:
+        """rhs at every row of node arrays t (N,), x (N, n), u (N, m)."""
+        return over_nodes(self.rhs)
+
+    @cached_property
+    def _jacobian_nodes(self) -> Callable:
+        return over_nodes(self.rhs_jacobian)
+
+    def rhs_x(self, t: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """d rhs/dx at every row of node arrays t, x and u: shape
+        (N, n, n)."""
         if self.rhs_jacobian is None:
-            return central_difference(lambda xv: self.rhs(t, xv, u), x)
-        return self.rhs_jacobian(t, x, u)
+            return central_difference(lambda xv: self.rhs_nodes(t, xv, u), x)
+        return self._jacobian_nodes(t, x, u)

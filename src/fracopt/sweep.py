@@ -2,12 +2,16 @@
 
 One iteration evaluates the current control trajectory end to end:
 integrate the transformed dynamics and moment states forward, freezing
-each node (hjb.freeze_node) as the sweep reaches it, integrate the
-costate and value backward on those records, minimize the Hamiltonian
-pointwise, and score the iterate by the root-sum-square residual of the
-dynamic-programming equation.  The control update is relaxed and accepted
-only when the aggregate residual does not increase; on rejection the
-relaxation factor is halved and the update retried.
+each node into its row of a node table (hjb.NodeTable) as the sweep
+reaches it, integrate the costate and value backward on that table,
+minimize the Hamiltonian pointwise, and score the iterate by the
+root-sum-square residual of the dynamic-programming equation.  Only the
+state, moment and costate recursions run node by node: the costate's
+linearizations, the Hamiltonians, their minimization and the residuals
+are each one set of array operations over all nodes.  The control update
+is relaxed and accepted only when the aggregate residual does not
+increase; on rejection the relaxation factor is halved and the update
+retried.
 
 The residual at node k is the Hamiltonian gap H_k(u*_k) - H_k(u_k), so
 Error = ||H(u*) - H(u)||_2 measures how far u is from pointwise optimal
@@ -30,8 +34,8 @@ from . import cost as cost_mod
 from .errors import DomainError, SweepAbort
 from .expansion import advance_moments
 from .grid import TimeGrid
-from .hjb import (ValueData, aggregate_error, freeze_node,
-                  minimize_node_hamiltonian, node_hamiltonian, node_times)
+from .hjb import (NodeTable, ValueData, aggregate_error, first_failing_node,
+                  minimize_node_hamiltonian, node_hamiltonian)
 from .problem import HJBProblem
 
 __all__ = ["SweepConfig", "SweepState", "forward_sweep", "backward_sweep",
@@ -175,9 +179,9 @@ def forward_sweep(prob: HJBProblem, u, cfg: SweepConfig):
     with one explicit Euler step of the original Caputo right-hand side
     (which is regular); stepping then proceeds on the transformed system
     with the configured scheme.  Only the current moment state M_k is
-    kept: node k is frozen (hjb.freeze_node) at x_k and M_k as the sweep
-    reaches it, and the step out of it takes that record's field.
-    Returns (x, nodes), one FrozenNode per grid node.
+    kept: node k is frozen into row k of a NodeTable at x_k and M_k as
+    the sweep reaches it, and the step out of it takes that row's field.
+    Returns (x, nodes), the table of every grid node.
     """
     prob = _ensure_field(prob, cfg)
     grid = _grid_for(prob, cfg)
@@ -190,32 +194,33 @@ def forward_sweep(prob: HJBProblem, u, cfg: SweepConfig):
     heun = cfg.stepper == "heun"
     x[0] = plant.x0
     m = np.zeros((cfg.p_max - 1, plant.n_states))
-    nodes = []
+    nodes = NodeTable(prob, grid)
     for k in range(n):
-        nodes.append(freeze_node(prob, grid, k, x[k], m))
+        nodes.freeze(k, x[k], m)
         m = advance_moments(grid, m, x[k], k)   # x_{k+1}-free
         _check_finite(m, "moment state", k + 1)
-        slope = nodes[k].field(u[k]) if k else np.asarray(
+        slope = nodes.field_at(k, u[k]) if k else np.asarray(
             plant.rhs(times[0], x[0], u[0]), dtype=float)
         x[k + 1] = _step(
             x[k], dt, slope,
             lambda y: prob.field(times[k + 1], y, m, u[k + 1]), heun and k > 0)
         _check_finite(x[k + 1], "state", k + 1)
-    nodes.append(freeze_node(prob, grid, n, x[n], m))
-    return x, tuple(nodes)
+    nodes.freeze(n, x[n], m)
+    return x, nodes
 
 
-def _weighted_running_gradient(prob: HJBProblem, grid: TimeGrid, k: int,
-                               x_k: np.ndarray, u_k: np.ndarray) -> np.ndarray:
-    """d/dx of the weighted running cost at node k (weights substituted at
-    the final node)."""
-    t_run, _ = node_times(grid, k)
-    weights = [cost_mod.running_weight(term.v, t_run, prob.tf)
-               for term in prob.index.running_terms]
-    return prob.index.running_gradient(weights, t_run, x_k, u_k)
+def _weighted_running_gradient(prob: HJBProblem, t_run: np.ndarray,
+                               x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """d/dx of the weighted running cost at nodes with running-weight
+    times t_run (node_times'), states x and controls u, one row each."""
+    weights = [[cost_mod.running_weight(term.v, t, prob.tf)
+                for term in prob.index.running_terms]
+               for t in t_run.tolist()]
+    return prob.index.running_gradient(
+        np.array(weights).reshape(t_run.shape[0], -1), t_run, x, u)
 
 
-def backward_sweep(prob: HJBProblem, x: np.ndarray, nodes: tuple,
+def backward_sweep(prob: HJBProblem, x: np.ndarray, nodes: NodeTable,
                    u, cfg: SweepConfig) -> ValueData:
     """Integrate costates backward and build the value chain.
 
@@ -230,10 +235,10 @@ def backward_sweep(prob: HJBProblem, x: np.ndarray, nodes: tuple,
     linearizations; the step into node 0, where the field is singular,
     is Euler.
 
-    nodes are x's frozen node records (forward_sweep's, or
-    audit_residuals'); the value chain's Hamiltonians are taken on them,
-    and they go out on the ValueData for the minimization and the
-    residuals of the same evaluation.
+    nodes is x's node table (forward_sweep's, or audit_residuals'); the
+    value chain's Hamiltonians are taken on it, and it goes out on the
+    ValueData for the minimization and the residuals of the same
+    evaluation.
     """
     prob = _ensure_field(prob, cfg)
     grid = _grid_for(prob, cfg)
@@ -246,9 +251,14 @@ def backward_sweep(prob: HJBProblem, x: np.ndarray, nodes: tuple,
     # lambda' = -(grad[k] + jac[k]^T lambda) at node k
     grad = np.zeros((grid.n_nodes, nx))
     jac = np.zeros((grid.n_nodes, nx, nx))
-    for k in range(1, grid.n_nodes):
-        grad[k] = _weighted_running_gradient(prob, grid, k, x[k], u[k])
-        jac[k] = prob.field.jacobian_x(times[k], x[k], u[k])
+    at_nodes = (nodes.t_run[1:], times[1:], x[1:], u[1:])
+
+    def linearize(rows):
+        t_run, t, x_rows, u_rows = (a[rows] for a in at_nodes)
+        grad[1:][rows] = _weighted_running_gradient(prob, t_run, x_rows,
+                                                    u_rows)
+        jac[1:][rows] = prob.field.jacobian_x(t, x_rows, u_rows)
+    first_failing_node(linearize, grid.n_steps)
 
     lam = np.zeros((grid.n_nodes, nx))
     lam[n] = prob.index.terminal_gradient(prob.tf, x[n])
@@ -262,8 +272,8 @@ def backward_sweep(prob: HJBProblem, x: np.ndarray, nodes: tuple,
                        lambda y: -(grad[k] + jac[k].T @ y), heun and k > 0)
         _check_finite(lam[k], "costate", k)
 
-    h = _finite_per_node("Hamiltonian along the sweep", [
-        node_hamiltonian(node, u[k], lam[k]) for k, node in enumerate(nodes)])
+    h = _finite_per_node("Hamiltonian along the sweep",
+                         node_hamiltonian(nodes, u, lam))
 
     v = np.empty(grid.n_nodes)
     v[n] = cost_mod.terminal_value(prob.index, prob.tf, x[n])
@@ -275,17 +285,15 @@ def backward_sweep(prob: HJBProblem, x: np.ndarray, nodes: tuple,
 
 
 def _pointwise_minimizers(prob: HJBProblem, value: ValueData) -> np.ndarray:
-    return np.array([minimize_node_hamiltonian(prob, node, value.v_x[k])
-                     for k, node in enumerate(value.nodes)])
+    return minimize_node_hamiltonian(prob, value.nodes, value.v_x)
 
 
 def _evaluate(prob: HJBProblem, u: np.ndarray, cfg: SweepConfig):
     x, nodes = forward_sweep(prob, u, cfg)
     value = backward_sweep(prob, x, nodes, u, cfg)
     u_star = _pointwise_minimizers(prob, value)
-    residuals = _finite_per_node("residual", [
-        node_hamiltonian(node, u_star[k], value.v_x[k]) - value.h[k]
-        for k, node in enumerate(value.nodes)])
+    residuals = _finite_per_node(
+        "residual", node_hamiltonian(nodes, u_star, value.v_x) - value.h)
     return x, value, u_star, residuals, aggregate_error(residuals)
 
 
@@ -294,10 +302,10 @@ def audit_residuals(prob: HJBProblem, x: np.ndarray, u,
     """Recompute residuals and value data from stored trajectories alone.
 
     Steps the moment states over the node samples of x, freezing each
-    node as forward_sweep does, reruns the backward sweep on those
-    records under the supplied control, and evaluates the residuals at
-    the pointwise minimizers: the audit path behind the command-line
-    verify.  Returns (residuals, value).
+    node into a node table as forward_sweep does, reruns the backward
+    sweep on that table under the supplied control, and evaluates the
+    residuals at the pointwise minimizers: the audit path behind the
+    command-line verify.  Returns (residuals, value).
     """
     prob = _ensure_field(prob, cfg)
     grid = _grid_for(prob, cfg)
@@ -305,16 +313,15 @@ def audit_residuals(prob: HJBProblem, x: np.ndarray, u,
     if x.shape != (grid.n_nodes, prob.plant.n_states):
         raise DomainError("state trajectory does not match the grid")
     m = np.zeros((cfg.p_max - 1, prob.plant.n_states))
-    nodes = []
+    nodes = NodeTable(prob, grid)
     for k in range(grid.n_nodes):
-        nodes.append(freeze_node(prob, grid, k, x[k], m))
+        nodes.freeze(k, x[k], m)
         if k < grid.n_steps:
             m = advance_moments(grid, m, x[k], k)
-    value = backward_sweep(prob, x, tuple(nodes), u, cfg)
+    value = backward_sweep(prob, x, nodes, u, cfg)
     u_star = _pointwise_minimizers(prob, value)
-    residuals = _finite_per_node("residual", [
-        node_hamiltonian(node, u_star[k], value.v_x[k]) - value.h[k]
-        for k, node in enumerate(value.nodes)])
+    residuals = _finite_per_node(
+        "residual", node_hamiltonian(nodes, u_star, value.v_x) - value.h)
     return residuals, value
 
 

@@ -31,6 +31,15 @@ def moment_trajectory(grid, p_max, xs):
     return out
 
 
+def frozen_table(prob, grid, xs, m_nodes):
+    """The NodeTable of grid with node k frozen at state xs[k] and moments
+    m_nodes[k], as the forward sweep freezes it."""
+    table = fo.NodeTable(prob, grid)
+    for k in range(grid.n_nodes):
+        table.freeze(k, xs[k], m_nodes[k])
+    return table
+
+
 def one_state_field(coeffs, x0=0.0):
     """The TransformedField of one state of order coeffs.q, anchored at
     t = 0 with x(0) = x0, for reading its correction and denominator."""

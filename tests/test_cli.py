@@ -350,6 +350,34 @@ def test_expression_math_error_is_solver_abort(tmp_path, capsys, doc,
     assert err.startswith("solver abort: ") and repr(expression) in err
 
 
+@pytest.mark.parametrize("operands, u_init, failing, t", [
+    ({1: "x1**2 + u1**2 + sqrt(u1)"}, 5.0, 1, "0.0"),
+    ({1: "x1**2 + u1**2 + sqrt(u1 + 1.5 - t)"}, 5.0, 1, "0.51"),
+    ({1: "x1**2 + u1**2 + sqrt(1 - 10*u1*(t - 0.5))"}, 0.0, 1, "0.0"),
+    ({0: "x1**2 + x2**2 + sqrt(0.5 - t)",
+      1: "x1**2 + u1**2 + sqrt(t - 0.2)"}, 5.0, 1, "0.0"),
+], ids=["probe at every node", "probe from node 51", "probe order",
+        "operand order"])
+def test_math_error_over_all_nodes_names_the_first_failing_node(
+        tmp_path, capsys, operands, u_init, failing, t):
+    # the lines node-by-node evaluation printed: the quadratic rule's
+    # probe u1 = -1 fails from node 0 (or node 51) on; with u1 = 0 the
+    # probe u1 = 1 fails from node 61 on, in an earlier batch than the
+    # probe u1 = -1 that fails at node 0; and in h, the first operand
+    # fails from node 51 on and the second at node 0
+    doc = yaml.safe_load(Path(EXAMPLE_FILE).read_text())
+    for index, operand in operands.items():
+        doc["cost"]["terms"][index]["operand"] = operand
+    doc["solver"]["u_init"] = u_init
+    prob = tmp_path / "failing_operand.yaml"
+    prob.write_text(yaml.safe_dump(doc))
+    assert run_cli("run", str(prob), "--csv", str(tmp_path / "t.csv"),
+                   "--report", str(tmp_path / "r.json")) == 1
+    assert capsys.readouterr().err == (
+        f"solver abort: cannot evaluate {operands[failing]!r} at t = {t}: "
+        "math domain error\n")
+
+
 def test_determinism_byte_identical_csv(tmp_path):
     paths = []
     for tag in ("a", "b"):

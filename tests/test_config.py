@@ -214,11 +214,15 @@ def test_problem_files_carry_exact_derivatives(doc):
     doc["cost"]["terms"].insert(0, {"order": 0.0,
                                     "operand": "0.5*x1**2 + t*x2"})
     prob = build_problem(doc).problem
-    x, u = np.array([0.3, -1.2]), np.array([2.0])
-    assert np.array_equal(prob.plant.rhs_x(0.4, x, u),
-                          [[0.0, 1.0], [-1.0, 0.0]])
-    assert np.array_equal(prob.index.running_gradient([2.0, 3.0], 0.4, x, u),
-                          2.0 * 2 * x + 3.0 * np.array([2 * x[0], 0.0]))
+    # the derivatives of the dynamics and the running operands are taken
+    # over node arrays, here of one node
+    t, x, u = np.array([0.4]), np.array([[0.3, -1.2]]), np.array([[2.0]])
+    assert np.array_equal(prob.plant.rhs_x(t, x, u),
+                          [[[0.0, 1.0], [-1.0, 0.0]]])
+    assert np.array_equal(
+        prob.index.running_gradient(np.array([[2.0, 3.0]]), t, x, u),
+        2.0 * 2 * x + 3.0 * np.array([[2 * x[0, 0], 0.0]]))
+    x = x[0]
     assert np.array_equal(prob.index.terminal_gradient(1.5, x),
                           [x[0], 1.5])
 
@@ -241,9 +245,12 @@ def test_failing_derivative_is_an_abort_naming_its_source(doc, where):
     doc, source = _sqrt_doc(doc, where)
     prob = build_problem(doc).problem
     x, u = np.array([0.0, 1.0]), np.array([0.0])
-    derivative = {"dynamics": lambda: prob.plant.rhs_x(0.5, x, u),
+    # the dynamics and running derivatives over node arrays of one node:
+    # their non-finite value is evaluated again by the scalar form
+    t, xs, us = np.array([0.5]), x[None], u[None]
+    derivative = {"dynamics": lambda: prob.plant.rhs_x(t, xs, us),
                   "running": lambda: prob.index.running_gradient(
-                      [1.0, 1.0], 0.5, x, u),
+                      np.ones((1, 2)), t, xs, us),
                   "terminal": lambda: prob.index.terminal_gradient(1.0, x)}
     with pytest.raises(SweepAbort) as info:
         derivative[where]()

@@ -395,8 +395,9 @@ def test_field_factors_survive_interleaved_grids():
                 assert np.array_equal(   # in numpy's array power
                     denom, np.array([c.b_val for c in shared.coeffs])
                     * (t - plant.t0) ** (1.0 - np.array(plant.orders)))
-                assert np.array_equal(shared.jacobian_x(t, x, u),
-                                      fresh.jacobian_x(t, x, u))
+                assert np.array_equal(   # over node arrays of one node
+                    shared.jacobian_x(np.array([t]), x[None], u[None]),
+                    fresh.jacobian_x(np.array([t]), x[None], u[None]))
 
 
 def test_field_factors_are_read_only_and_singular_time_is_not_kept():
@@ -408,7 +409,8 @@ def test_field_factors_are_read_only_and_singular_time_is_not_kept():
         with pytest.raises(SingularTimeError):
             field.correction(0.0, np.ones(2), np.zeros((4, 2)))
         with pytest.raises(SingularTimeError):
-            field.jacobian_x(-0.1, np.ones(2), np.zeros(1))
+            field.jacobian_x(np.array([-0.1]), np.ones((1, 2)),
+                             np.zeros((1, 1)))
 
 
 def test_moment_step_equals_its_formula_on_interleaved_grids():

@@ -8,14 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracopt as fo
-from fracopt import (SweepAbort, aggregate_error, freeze_node, gamma,
+from fracopt import (SweepAbort, aggregate_error, gamma,
                      minimize_node_hamiltonian, node_hamiltonian,
                      running_weight)
 from fracopt import hjb
+from fracopt.config import build_problem, load_raw
 from fracopt.hjb import _minimize_box
 from fracopt.sweep import audit_residuals
 
-from conftest import moment_trajectory, two_state_config, two_state_problem
+from conftest import (EXAMPLE_FILE, frozen_table, moment_trajectory,
+                      two_state_config, two_state_problem)
 
 
 def small_field_problem():
@@ -23,12 +25,27 @@ def small_field_problem():
     return prob.with_field(10 ** 5, 10 ** 5, 40)
 
 
-def stored_residual(prob, st, u, k):
-    """Residual at node k: the Hamiltonian at the stored data minus the
-    sweep's own Hamiltonian h."""
-    node = freeze_node(prob, st.grid, k, st.x[k],
-                       moment_trajectory(st.grid, 40, st.x)[k])
-    return node_hamiltonian(node, u[k], st.value.v_x[k]) - st.value.h[k]
+def stored_residuals(prob, st, u):
+    """Residuals at every node: the Hamiltonian at the stored data minus
+    the sweep's own Hamiltonian h."""
+    table = frozen_table(prob, st.grid, st.x,
+                         moment_trajectory(st.grid, 40, st.x))
+    return node_hamiltonian(table, u, st.value.v_x) - st.value.h
+
+
+def random_table(prob, grid, rng, m_scale=0.0):
+    """A node table whose rows are frozen at random states (and random
+    moments of size m_scale)."""
+    n, nx = grid.n_nodes, prob.plant.n_states
+    p = prob.field.coeffs[0].p_max
+    return frozen_table(prob, grid, rng.uniform(-1, 1, (n, nx)),
+                        rng.uniform(-m_scale, m_scale, (n, p - 1, nx)))
+
+
+def rows(f):
+    """A scalar function of the control components, applied to each row
+    of an array of controls."""
+    return lambda u: np.array([f(*row) for row in u.tolist()])
 
 
 # --------------------------------------------------------- hamiltonian
@@ -43,28 +60,27 @@ def test_hamiltonian_zero_cost_zero_costate():
                          u_lower=np.array([-1.0]), u_upper=np.array([1.0]))
     prob = prob.with_field(10, 10, 5)
     # t = 0.5 is the interior node of a two-step grid
-    node = freeze_node(prob, fo.TimeGrid(0.0, 1.0, 2), 1, np.zeros(1),
-                       np.zeros((4, 1)))
-    h = node_hamiltonian(node, np.array([0.7]), np.zeros(1))
-    assert h == pytest.approx(0.0, abs=1e-15)
+    table = frozen_table(prob, fo.TimeGrid(0.0, 1.0, 2), np.zeros((3, 1)),
+                         np.zeros((3, 4, 1)))
+    h = node_hamiltonian(table, np.full((3, 1), 0.7), np.zeros((3, 1)))
+    assert h[1] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_hamiltonian_matches_independent_transcription():
-    # straight-line transcription of the two-state problem's Hamiltonian
+    # straight-line transcription of the two-state problem's Hamiltonian,
+    # at every interior node of one table
     prob = small_field_problem()
     coeffs = prob.field.coeffs
     a_vals = np.array([c.a_val for c in coeffs])
     b_vals = np.array([c.b_val for c in coeffs])
     grid = fo.TimeGrid(0.0, 1.0, 100)
     rng = np.random.default_rng(7)
-    for _ in range(10):
-        k = int(rng.integers(1, 100))
-        t = grid.node(k)
-        x = rng.uniform(-1, 1, 2)
-        lam = rng.uniform(-1, 1, 2)
-        u = rng.uniform(-2, 2, 1)
-        w = np.zeros((39, 2))
-        got = node_hamiltonian(freeze_node(prob, grid, k, x, w), u, lam)
+    table = random_table(prob, grid, rng)
+    lams = rng.uniform(-1, 1, (101, 2))
+    us = rng.uniform(-2, 2, (101, 1))
+    got = node_hamiltonian(table, us, lams)
+    for k in range(1, 100):
+        t, x, lam, u = grid.node(k), table.x[k], lams[k], us[k]
         w1 = (1 - t) ** (0.3 - 1) / gamma(0.3)
         w2 = (1 - t) ** (0.4 - 1) / gamma(0.4)
         k1 = (-1.0 / gamma(0.8) + a_vals[0] * x[0]) * t ** (-0.2)
@@ -74,21 +90,24 @@ def test_hamiltonian_matches_independent_transcription():
         ref = (w1 * (x[0] ** 2 + x[1] ** 2)
                + w2 * (x[0] ** 2 + u[0] ** 2)
                + lam[0] * f1 + lam[1] * f2)
-        assert got == pytest.approx(ref, rel=1e-12)
+        assert got[k] == pytest.approx(ref, rel=1e-12)
 
 
 def test_node_hamiltonian_on_record_equals_from_scratch():
-    # the frozen record reproduces, bit for bit, the Hamiltonian computed
-    # afresh from the weights, the operands and the full transformed field
+    # the table reproduces, bit for bit, the Hamiltonian computed afresh
+    # at each node from the weights, the operands and the full transformed
+    # field
     prob = small_field_problem()
     grid = fo.TimeGrid(0.0, 1.0, 100)
     n = grid.n_steps
     rng = np.random.default_rng(11)
+    xs = rng.uniform(-1, 1, (n + 1, 2))
+    m_nodes = rng.uniform(-2, 2, (n + 1, 39, 2))
+    us = rng.uniform(-2, 2, (n + 1, 1))
+    lams = rng.uniform(-1, 1, (n + 1, 2))
+    got = node_hamiltonian(frozen_table(prob, grid, xs, m_nodes), us, lams)
     for k in (0, 1, 37, n - 1, n):
-        x = rng.uniform(-1, 1, 2)
-        m_node = rng.uniform(-2, 2, (39, 2))
-        u = rng.uniform(-2, 2, 1)
-        lam = rng.uniform(-1, 1, 2)
+        x, m_node, u, lam = xs[k], m_nodes[k], us[k], lams[k]
         t_run = grid.node(n - 1) if k == n else grid.node(k)
         t_field = grid.node(1) if k == 0 else grid.node(k)
         total = 0.0
@@ -96,21 +115,50 @@ def test_node_hamiltonian_on_record_equals_from_scratch():
             total += running_weight(term.v, t_run, prob.tf) \
                 * term.running(t_run, x, u)
         ref = total + float(np.dot(lam, prob.field(t_field, x, m_node, u)))
-        node = freeze_node(prob, grid, k, x, m_node)
         assert hjb.node_times(grid, k) == (t_run, t_field)
-        assert node_hamiltonian(node, u, lam) == ref
+        assert got[k] == ref
 
 
 def test_node_hamiltonian_takes_any_control_form():
     prob = small_field_problem()
     grid = fo.TimeGrid(0.0, 1.0, 100)
     rng = np.random.default_rng(12)
-    node = freeze_node(prob, grid, 40, rng.uniform(-1, 1, 2),
-                       rng.uniform(-2, 2, (39, 2)))
-    lam = rng.uniform(-1, 1, 2)
-    want = node_hamiltonian(node, np.array([3.0]), lam)
+    table = random_table(prob, grid, rng, m_scale=2.0)
+    lam = rng.uniform(-1, 1, (101, 2))
+    want = node_hamiltonian(table, np.full((101, 1), 3.0), lam)
     for u in (3.0, 3, [3.0], np.array([3]), np.array(3.0)):
-        assert node_hamiltonian(node, u, lam) == want
+        assert np.array_equal(node_hamiltonian(table, u, lam), want)
+
+
+@pytest.mark.parametrize("operand", ["x1**2 + u1**2",
+                                     "sqrt(x2**2 + 1) * u1**1.5 - x1/3"])
+def test_node_arrays_give_the_scalar_bits_of_a_problem_file(operand):
+    # the compiled node-array forms (numpy, float_power, np.dot's row
+    # products) against the scalar forms called node by node
+    doc = load_raw(EXAMPLE_FILE)
+    doc["cost"]["terms"][1]["operand"] = operand
+    prob = build_problem(doc).problem.with_field(10 ** 5, 10 ** 5, 40)
+    grid = fo.TimeGrid(0.0, 1.0, 100)
+    rng = np.random.default_rng(13)
+    table = random_table(prob, grid, rng, m_scale=2.0)
+    us = rng.uniform(0.0, 2.0, (101, 1))
+    lams = rng.uniform(-1, 1, (101, 2))
+    ref = [sum(w * term.running(table.t_run[k], table.x[k], us[k])
+               for w, term in zip(table.weights[k].tolist(),
+                                  prob.index.running_terms))
+           + float(np.dot(lams[k], table.field_at(k, us[k])))
+           for k in range(101)]
+    assert node_hamiltonian(table, us, lams).tolist() == ref
+    grad = prob.index.running_gradient(table.weights, table.t_run,
+                                       table.x, us)
+    jac = prob.plant.rhs_x(table.t_field, table.x, us)
+    for k in range(101):
+        assert grad[k].tolist() == sum(
+            w * np.array(term.gradient(table.t_run[k], table.x[k], us[k]))
+            for w, term in zip(table.weights[k].tolist(),
+                               prob.index.running_terms)).tolist()
+        assert np.array_equal(jac[k], prob.plant.rhs_jacobian(
+            table.t_field[k], table.x[k], us[k]))
 
 
 # ---------------------------------------------------------- minimizers
@@ -132,6 +180,12 @@ def _scipy_bounded(func, lo, hi, xatol=1e-10):
                                 options={"xatol": xatol}).x
 
 
+def _one_node_search(f, lo, hi, xatol=1e-10):
+    """hjb.minimize_scalar as a search of one node, f a scalar function."""
+    return hjb.minimize_scalar(lambda v: np.array([f(float(v[0]))]),
+                               lo, hi, xatol)[0]
+
+
 @settings(max_examples=200, deadline=None)
 @given(c=st.lists(st.floats(-3, 3), min_size=5, max_size=5),
        lo=st.floats(-10, 10), width=st.floats(1e-6, 20))
@@ -142,14 +196,14 @@ def test_scalar_search_matches_scipy_bounded(c, lo, width):
                 + 0.01 * c[4] * v ** 3)
 
     hi = lo + width
-    assert hjb.minimize_scalar(f, lo, hi, 1e-10) == _scipy_bounded(f, lo, hi)
+    assert _one_node_search(f, lo, hi) == _scipy_bounded(f, lo, hi)
 
 
 def test_scalar_search_minimum_at_a_bound():
     # increasing on the box: the search closes in on lo, but never probes
     # nearer to it than its step floor sqrt(eps) |x| + xatol / 3
     f = math.exp
-    x = hjb.minimize_scalar(f, -1.0, 2.0, 1e-10)
+    x = _one_node_search(f, -1.0, 2.0)
     assert x == _scipy_bounded(f, -1.0, 2.0)
     assert -1.0 < x < -1.0 + 3e-8
 
@@ -163,67 +217,90 @@ def test_scalar_search_stops_at_the_evaluation_cap():
         calls.append(v)
         return math.sqrt(abs(v))
 
-    x = hjb.minimize_scalar(f, -1.0, 1.0, 1e-300)
+    x = _one_node_search(f, -1.0, 1.0, 1e-300)
     assert len(calls) == 500
     assert x == _scipy_bounded(lambda v: math.sqrt(abs(v)), -1.0, 1.0,
                                1e-300)
 
 
+@settings(max_examples=30, deadline=None)
+@given(c=st.lists(st.lists(st.floats(-3, 3), min_size=5, max_size=5),
+                  min_size=1, max_size=6),
+       lo=st.lists(st.floats(-10, 10), min_size=6, max_size=6),
+       width=st.lists(st.floats(1e-6, 20), min_size=6, max_size=6))
+def test_lockstep_search_equals_one_search_per_node(c, lo, width):
+    # nodes with their own functions and brackets stop in different
+    # rounds; the last node is the cusp sqrt|v| at xatol = 1e-300, which
+    # only the cap of 500 evaluations stops (at xatol = 1e-10 no search
+    # comes near it), so the others are evaluated at their best points
+    # for hundreds of rounds after they stop
+    def node_function(ck):
+        return lambda v: (ck[0] * (v - ck[1]) ** 2
+                          + ck[2] * math.sin(ck[3] * v)
+                          + 0.01 * ck[4] * v ** 3)
+
+    fns = [node_function(ck) for ck in c] + [lambda v: math.sqrt(abs(v))]
+    los = np.array(lo[:len(c)] + [-1.0])
+    his = los + np.array(width[:len(c)] + [2.0])
+    xatol = np.array([1e-10] * len(c) + [1e-300])
+    rounds = []
+
+    def batch(v):
+        rounds.append(1)
+        return np.array([f(x) for f, x in zip(fns, v.tolist())])
+
+    got = hjb.minimize_scalar(batch, los, his, xatol)
+    assert len(rounds) == 500
+    for f, a, b, tol, x in zip(fns, los, his, xatol, got):
+        assert x == _scipy_bounded(f, a, b, tol)
+
+
 def test_minimize_box_one_control_takes_one_search(monkeypatch):
-    def h(u):
-        return (u[0] - 0.3) ** 4 + np.sin(3.0 * u[0])
+    def g(v):
+        return (v - 0.3) ** 4 + math.sin(3.0 * v)
 
     lo, hi = np.array([-2.0]), np.array([2.0])
     # reference: two full coordinate sweeps of the bounded search
     ref = np.clip(np.zeros(1), lo, hi)
     for _ in range(2):
-        res = sopt.minimize_scalar(lambda v: h(np.array([v])),
-                                   bounds=(lo[0], hi[0]),
+        res = sopt.minimize_scalar(g, bounds=(lo[0], hi[0]),
                                    method="bounded",
                                    options={"xatol": 1e-10})
         ref[0] = res.x
     calls = _counting_scalar_search(monkeypatch)
-    u = _minimize_box(h, lo, hi, False)
+    u = _minimize_box(rows(g), lo, hi, False)
     assert len(calls) == 1
-    assert u[0] == ref[0]
+    assert u[0, 0] == ref[0]
 
 
 def test_minimize_box_several_controls_sweep_until_still(monkeypatch):
     # coupled controls: one coordinate sweep does not reach the minimum
-    def h(u):
-        return (u[0] + u[1] - 1.0) ** 2 + 0.1 * (u[0] - u[1]) ** 2
-
+    h = rows(lambda a, b: (a + b - 1.0) ** 2 + 0.1 * (a - b) ** 2)
     calls = _counting_scalar_search(monkeypatch)
     u = _minimize_box(h, np.array([-2.0, -2.0]), np.array([2.0, 2.0]),
                       False)
     assert len(calls) >= 4 and len(calls) % 2 == 0
-    assert np.allclose(u, [0.5, 0.5], atol=1e-7)
+    assert np.allclose(u[0], [0.5, 0.5], atol=1e-7)
 
 
 def test_minimize_box_quadratic_interior():
-    def h(u):
-        return u[0] ** 2 + 2 * u[0]
-
+    h = rows(lambda v: v ** 2 + 2 * v)
     u = _minimize_box(h, np.array([-10.0]), np.array([10.0]), True)
-    assert u[0] == pytest.approx(-1.0, abs=1e-12)
-    assert h(u) == pytest.approx(-1.0, abs=1e-12)
+    assert u[0, 0] == pytest.approx(-1.0, abs=1e-12)
+    assert h(u)[0] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_minimize_box_clips_to_bounds():
-    def h(u):
-        return u[0] ** 2 + 2 * u[0]
-
+    h = rows(lambda v: v ** 2 + 2 * v)
     u = _minimize_box(h, np.array([0.0]), np.array([10.0]), True)
-    assert u[0] == 0.0
-    assert h(u) == pytest.approx(0.0, abs=1e-12)
+    assert u[0, 0] == 0.0
+    assert h(u)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_minimize_box_checks_endpoint_probes():
     # h has no interior minimum, so the endpoints are probed; a NaN at the
     # lower one must abort, not lose the comparison to the upper one
-    def h(u):
-        return np.nan if u[0] < -1.5 else -u[0] ** 2
-
+    h = rows(lambda v: np.nan if v < -1.5 else -v ** 2)
     with pytest.raises(SweepAbort, match="non-finite"):
         _minimize_box(h, np.array([-2.0]), np.array([2.0]), True)
 
@@ -233,12 +310,12 @@ def test_minimize_box_quadratic_fixed_axis_is_never_probed():
     probes = []
 
     def h(u):
-        probes.append(u.copy())
-        return (u[0] - 0.3) ** 2 + 2 * (u[1] + 0.4) ** 2
+        probes.append(u[0].copy())
+        return (u[:, 0] - 0.3) ** 2 + 2 * (u[:, 1] + 0.4) ** 2
 
     u = _minimize_box(h, np.array([0.7, -1.0]), np.array([0.7, 1.0]), True)
-    assert u[0] == 0.7
-    assert u[1] == pytest.approx(-0.4, abs=1e-12)
+    assert u[0, 0] == 0.7
+    assert u[0, 1] == pytest.approx(-0.4, abs=1e-12)
     assert all(probe[0] == 0.7 for probe in probes)
 
 
@@ -249,62 +326,100 @@ def test_minimize_box_quadratic_coupled_axes_are_probed_in_turn():
     probes = []
 
     def h(u):
-        probes.append(u.copy())
-        return u[0] ** 2 + u[1] ** 2 + u[0] * u[1] - u[0]
+        probes.append(u[0].copy())
+        return (u[:, 0] ** 2 + u[:, 1] ** 2 + u[:, 0] * u[:, 1]
+                - u[:, 0])
 
     u = _minimize_box(h, np.array([-2.0, -2.0]), np.array([2.0, 2.0]), True)
-    assert u == pytest.approx([0.5, -0.25], abs=1e-12)
+    assert u[0] == pytest.approx([0.5, -0.25], abs=1e-12)
     assert len(probes) == 3 * 2
-    assert all(probe[0] == u[0] for probe in probes[3:])
-    assert h(u) == pytest.approx(-0.3125, abs=1e-12)
+    assert all(probe[0] == u[0, 0] for probe in probes[3:])
+    assert h(u)[0] == pytest.approx(-0.3125, abs=1e-12)
 
 
 def test_minimize_box_coordinate_descent_matches_quadratic():
-    def h(u):
-        return (u[0] - 0.3) ** 2 + 2 * (u[1] + 0.4) ** 2
-
+    h = rows(lambda a, b: (a - 0.3) ** 2 + 2 * (b + 0.4) ** 2)
     lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
     uq = _minimize_box(h, lo, hi, True)
     un = _minimize_box(h, lo, hi, False)
-    assert np.allclose(uq, [0.3, -0.4], atol=1e-10)
+    assert np.allclose(uq, [[0.3, -0.4]], atol=1e-10)
     assert np.allclose(un, uq, atol=1e-7)
+
+
+_CENTERS = np.linspace(-3.0, 3.0, 7)
+_SHAPES = np.array([1.0, -1.0, 2.0, 0.5, -0.2, 3.0, 0.01])
+
+
+def _row_function(k, controls):
+    """Row k's function: a parabola (downward for some rows, so that the
+    quadratic rule probes their endpoints), or two coupled controls that
+    take the coordinate search a number of sweeps that varies by row."""
+    c, s = _CENTERS[k], _SHAPES[k]
+    if controls == 1:
+        return lambda v: s * (v - c) ** 2 + 0.1 * v
+    return lambda a, b: (a + b - c) ** 2 + abs(s) * (a - b) ** 2 + 0.1 * a
+
+
+@pytest.mark.parametrize("controls", [1, 2])
+@pytest.mark.parametrize("quadratic", [True, False])
+def test_minimize_box_rows_are_independent_searches(quadratic, controls):
+    # each row's result is that of a one-row minimization, and no row is
+    # probed anywhere its one-row minimization does not probe, although
+    # rows stop after different rounds and sweeps
+    fns = [_row_function(k, controls) for k in range(len(_CENTERS))]
+    lo, hi = np.full(controls, -2.0), np.full(controls, 2.5)
+    probed = [set() for _ in fns]
+
+    def h(u):
+        for seen, row in zip(probed, u.tolist()):
+            seen.add(tuple(row))
+        return np.array([f(*row) for f, row in zip(fns, u.tolist())])
+
+    got = _minimize_box(h, lo, hi, quadratic, len(fns))
+    for k, f in enumerate(fns):
+        alone = set()
+
+        def h_alone(u, f=f):
+            alone.add(tuple(u[0].tolist()))
+            return rows(f)(u)
+
+        assert np.array_equal(got[k], _minimize_box(h_alone, lo, hi,
+                                                    quadratic)[0])
+        assert probed[k] == alone
 
 
 def test_minimizer_agrees_with_analytic_update():
     # closed-form stationary point of the two-state problem's Hamiltonian:
     # u* = -lam_1 Gamma(0.4) (1-t)^0.6 / (2 B(0.2) t^0.8), then clipped
+    import dataclasses
     prob = small_field_problem()
     b1 = prob.field.coeffs[0].b_val
     rng = np.random.default_rng(3)
     grid = fo.TimeGrid(0.0, 1.0, 100)
-    for _ in range(20):
-        k = int(rng.integers(1, 100))
+    table = random_table(prob, grid, rng)
+    lam = rng.uniform(-3, 3, (101, 2))
+    u_q = minimize_node_hamiltonian(prob, table, lam)
+    # numeric (coordinate search) route agrees with the quadratic route
+    prob_n = dataclasses.replace(prob, quadratic_control=False)
+    u_n = minimize_node_hamiltonian(prob_n, table, lam)
+    for k in range(1, 100):
         t = grid.node(k)
-        x = rng.uniform(-1, 1, 2)
-        lam = rng.uniform(-3, 3, 2)
-        w = np.zeros((39, 2))
-        analytic = -lam[0] * sps.gamma(0.4) * (1 - t) ** 0.6 \
+        analytic = -lam[k, 0] * sps.gamma(0.4) * (1 - t) ** 0.6 \
             / (2 * b1 * t ** 0.8)
         analytic = min(max(analytic, -10.0), 10.0)
-        node = freeze_node(prob, grid, k, x, w)
-        u_q = minimize_node_hamiltonian(prob, node, lam)
-        assert u_q[0] == pytest.approx(analytic, rel=1e-9, abs=1e-11)
-        # numeric (coordinate search) route agrees with the quadratic route
-        import dataclasses
-        prob_n = dataclasses.replace(prob, quadratic_control=False)
-        u_n = minimize_node_hamiltonian(prob_n, node, lam)
-        assert u_n[0] == pytest.approx(u_q[0], abs=1e-7)
+        assert u_q[k, 0] == pytest.approx(analytic, rel=1e-9, abs=1e-11)
+        assert u_n[k, 0] == pytest.approx(u_q[k, 0], abs=1e-7)
 
 
 def test_minimize_hamiltonian_public_signature():
     prob = small_field_problem()
-    node = freeze_node(prob, fo.TimeGrid(0.0, 1.0, 2), 1,
-                       np.array([1.0, 0.5]), np.zeros((39, 2)))
-    v_x = np.array([0.2, -0.1])
-    u = minimize_node_hamiltonian(prob, node, v_x)
-    assert u.shape == (prob.plant.n_controls,)
-    assert prob.u_lower[0] <= u[0] <= prob.u_upper[0]
-    assert np.isfinite(node_hamiltonian(node, u, v_x))
+    table = frozen_table(prob, fo.TimeGrid(0.0, 1.0, 2),
+                         np.tile([1.0, 0.5], (3, 1)), np.zeros((3, 39, 2)))
+    v_x = np.tile([0.2, -0.1], (3, 1))
+    u = minimize_node_hamiltonian(prob, table, v_x)
+    assert u.shape == (3, prob.plant.n_controls)
+    assert np.all((prob.u_lower <= u) & (u <= prob.u_upper))
+    assert np.all(np.isfinite(node_hamiltonian(table, u, v_x)))
 
 
 # ----------------------------------------------------------- residuals
@@ -335,38 +450,34 @@ def test_aggregate_error_values():
 def test_hjb_residual_recomputes_stored_residuals(cheap_state):
     prob = two_state_problem().with_field(10 ** 5, 10 ** 5, 40)
     st = cheap_state
+    r = stored_residuals(prob, st, st.u_star)
     for k in (0, 1, 50, 99, 100):
-        r = stored_residual(prob, st, st.u_star, k)
-        assert r == pytest.approx(st.residuals[k], rel=1e-9, abs=1e-12)
+        assert r[k] == pytest.approx(st.residuals[k], rel=1e-9, abs=1e-12)
 
 
 def test_perturbing_control_increases_aggregate_error(cheap_state):
     prob = two_state_problem().with_field(10 ** 5, 10 ** 5, 40)
     st = cheap_state
-    base = aggregate_error([stored_residual(prob, st, st.u_star, k)
-                            for k in range(st.grid.n_nodes)])
+    base = aggregate_error(stored_residuals(prob, st, st.u_star))
     u_pert = st.u_star.copy()
     u_pert[50, 0] += 1e-3
-    pert = aggregate_error([stored_residual(prob, st, u_pert, k)
-                            for k in range(st.grid.n_nodes)])
+    pert = aggregate_error(stored_residuals(prob, st, u_pert))
     assert pert > base
 
 
 def test_residual_is_the_hamiltonian_gap(cheap_state):
-    # the residual is H(u*) - H(u), both taken on the evaluation's records
+    # the residual is H(u*) - H(u), both taken on the evaluation's table
     prob = two_state_problem().with_field(10 ** 5, 10 ** 5, 40)
     cfg = two_state_config(n_a=10 ** 5, n_b=10 ** 5, p_max=40)
     st = cheap_state
     audited, value = audit_residuals(prob, st.x, st.u, cfg)
     runs = [(st.residuals, st.value, st.u_star),
             (audited, value,
-             [minimize_node_hamiltonian(prob, node, value.v_x[k])
-              for k, node in enumerate(value.nodes)])]
+             minimize_node_hamiltonian(prob, value.nodes, value.v_x))]
     for residuals, value, u_star in runs:
-        for k, node in enumerate(value.nodes):
-            gap = (node_hamiltonian(node, u_star[k], value.v_x[k])
-                   - node_hamiltonian(node, st.u[k], value.v_x[k]))
-            assert residuals[k] == gap
+        gap = (node_hamiltonian(value.nodes, u_star, value.v_x)
+               - node_hamiltonian(value.nodes, st.u, value.v_x))
+        assert np.array_equal(residuals, gap)
 
 
 def test_value_terminal_condition(cheap_state):
@@ -378,11 +489,9 @@ def test_minimizer_optimality_at_convergence(cheap_state):
     prob = two_state_problem().with_field(10 ** 5, 10 ** 5, 40)
     st = cheap_state
     grid = st.grid
-    moments = moment_trajectory(grid, 40, st.x)
-    for k in range(5, grid.n_nodes - 5, 10):
-        node = freeze_node(prob, grid, k, st.x[k], moments[k])
-        h0 = node_hamiltonian(node, st.u_star[k], st.value.v_x[k])
-        for delta in (1e-4, -1e-4):
-            hp = node_hamiltonian(node, st.u_star[k] + delta,
-                                  st.value.v_x[k])
-            assert hp >= h0 - 1e-12
+    table = frozen_table(prob, grid, st.x, moment_trajectory(grid, 40, st.x))
+    h0 = node_hamiltonian(table, st.u_star, st.value.v_x)
+    for delta in (1e-4, -1e-4):
+        hp = node_hamiltonian(table, st.u_star + delta, st.value.v_x)
+        for k in range(5, grid.n_nodes - 5, 10):
+            assert hp[k] >= h0[k] - 1e-12

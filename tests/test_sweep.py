@@ -9,7 +9,8 @@ import fracopt as fo
 from fracopt import (SweepAbort, SweepConfig, backward_sweep, forward_sweep,
                      hjb, solve, sweep)
 
-from conftest import moment_trajectory, two_state_config, two_state_problem
+from conftest import (frozen_table, moment_trajectory, two_state_config,
+                      two_state_problem)
 
 
 def lq_problem(a=-1.0, b=1.0, cx=1.0, cu=1.0, sf=0.5):
@@ -80,7 +81,7 @@ def test_forward_zero_dynamics_zero_state():
     cfg = SweepConfig(dt=0.02, n_a=50, n_b=50, p_max=10)
     x, nodes = forward_sweep(prob, 0.0, cfg)
     assert np.all(x == 0.0)
-    assert all(np.all(node.field(np.zeros(1)) == 0.0) for node in nodes)
+    assert np.all(nodes.field(np.zeros((len(nodes), 1))) == 0.0)
 
 
 def test_forward_pins_initial_condition():
@@ -168,12 +169,14 @@ def test_backward_names_the_first_node_of_a_non_finite_hamiltonian():
         backward_sweep(prob, x, nodes, 0.0, cfg)
 
 
-def _count_calls(monkeypatch, owner, name):
+def _count_calls(monkeypatch, owner, name, rows=lambda *args: 1):
+    """Each call of owner.name as rows(its arguments): one entry per call,
+    or with rows the number of node rows it evaluates."""
     calls = []
     real = getattr(owner, name)
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.extend([1] * rows(*args))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
@@ -209,14 +212,18 @@ def test_evaluation_corrects_each_node_once_per_stage(monkeypatch, stepper):
         assert len(corrections) <= 2 * 101
 
 
+def _table_rows(table, *args):
+    return len(table)
+
+
 def test_evaluation_takes_five_hamiltonians_per_node(monkeypatch):
     # quadratic mode: three parabola probes per node, then h at u in the
     # backward sweep and the residual at u*; the minimizer's own control
-    # is not evaluated again
+    # is not evaluated again (counted in node rows evaluated)
     cfg = two_state_config(n_a=10 ** 4, n_b=10 ** 4, p_max=20)
     prob = two_state_problem().with_field(cfg.n_a, cfg.n_b, cfg.p_max)
-    probes = _count_calls(monkeypatch, hjb, "node_hamiltonian")
-    stages = _count_calls(monkeypatch, sweep, "node_hamiltonian")
+    probes = _count_calls(monkeypatch, hjb, "node_hamiltonian", _table_rows)
+    stages = _count_calls(monkeypatch, sweep, "node_hamiltonian", _table_rows)
     sweep._evaluate(prob, 5.0, cfg)
     assert (len(probes), len(stages)) == (3 * 101, 2 * 101)
 
@@ -231,13 +238,14 @@ def test_bounded_evaluation_takes_the_searches_plus_two_per_node(
 
     def counted_search(func, lo, hi, xatol):
         def counted(val):
-            searched.append(1)
+            searched.extend([1] * len(val))
             return func(val)
         return real_search(counted, lo, hi, xatol)
 
+    # counted in node rows evaluated
     monkeypatch.setattr(hjb, "minimize_scalar", counted_search)
-    probes = _count_calls(monkeypatch, hjb, "node_hamiltonian")
-    stages = _count_calls(monkeypatch, sweep, "node_hamiltonian")
+    probes = _count_calls(monkeypatch, hjb, "node_hamiltonian", _table_rows)
+    stages = _count_calls(monkeypatch, sweep, "node_hamiltonian", _table_rows)
     sweep._evaluate(prob, 5.0, cfg)
     assert len(searched) > 101
     assert len(probes) + len(stages) == len(searched) + 2 * 101
@@ -278,12 +286,11 @@ def test_forward_records_equal_records_frozen_from_scratch(stepper):
     prob = two_state_problem().with_field(cfg.n_a, cfg.n_b, cfg.p_max)
     x, nodes = forward_sweep(prob, np.linspace(-0.5, 0.3, 101), cfg)
     grid = fo.TimeGrid(0.0, 1.0, 100)
-    moments = moment_trajectory(grid, cfg.p_max, x)
-    for k in (0, 1, 37, 99, 100):
-        fresh = fo.freeze_node(prob, grid, k, x[k], moments[k])
-        for u in (np.array([-2.0]), np.array([0.0]), np.array([3.5])):
-            assert np.array_equal(nodes[k].field(u), fresh.field(u))
-            assert nodes[k].running(u) == fresh.running(u)
+    fresh = frozen_table(prob, grid, x, moment_trajectory(grid, cfg.p_max, x))
+    for u in (-2.0, 0.0, 3.5):
+        us = np.full((101, 1), u)
+        assert np.array_equal(nodes.field(us), fresh.field(us))
+        assert np.array_equal(nodes.running(us), fresh.running(us))
 
 
 _MISMATCHED_SETTINGS = [
@@ -302,7 +309,7 @@ def test_mismatched_attached_field_is_rebuilt_by_each_sweep(setting):
     results = []
     for prob in (stale, two_state_problem()):
         x, nodes = forward_sweep(prob, u, cfg)
-        results.append((x, [node.field(np.array([1.0])) for node in nodes],
+        results.append((x, nodes.field(np.ones((101, 1))),
                         backward_sweep(prob, x, nodes, u, cfg)))
     (x, fields, value), (x_ref, fields_ref, value_ref) = results
     assert np.array_equal(x, x_ref)
@@ -466,7 +473,8 @@ def _per_stage_costate(prob, grid, x, u, stepper):
         gg = gradient(lambda xv: sum(w * term.running(t_run, xv, u[k])
                                      for w, term in zip(weights, terms)),
                       x[k])
-        jac = prob.field.jacobian_x(times[k], x[k], u[k])
+        jac = prob.field.jacobian_x(times[k:k + 1], x[k:k + 1],
+                                    u[k:k + 1])[0]
         return -(gg + jac.T @ lam_k)
 
     lam = np.zeros_like(x)
@@ -506,7 +514,9 @@ def test_backward_sweep_linearizes_each_node_once(monkeypatch, stepper):
     prob = lq_problem().with_field(4, 4, 4, "convergent")
     cfg = dataclasses.replace(LQ_CFG, stepper=stepper)
     x, nodes = forward_sweep(prob, 0.0, cfg)
-    calls = _count_calls(monkeypatch, fo.TransformedField, "jacobian_x")
+    # counted in node rows linearized
+    calls = _count_calls(monkeypatch, fo.TransformedField, "jacobian_x",
+                         lambda field, t, x, u: len(t))
     value = backward_sweep(prob, x, nodes, 0.0, cfg)
     assert len(calls) == value.grid.n_steps
 
