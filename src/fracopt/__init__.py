@@ -11,10 +11,10 @@ from .cost import (CostTerm, PerformanceIndex, evaluate, running_weight,
                    terminal_index_set, terminal_value)
 from .errors import ConfigError, DomainError, SingularTimeError, SweepAbort
 from .expansion import (ExpansionCoeffs, TransformedField, advance_moments,
-                        derivative_coeff, moment_coeff, series_partial_sum,
-                        state_coeff)
+                        derivative_coeff, moment_coeff, moment_factors,
+                        series_partial_sum, state_coeff)
 from .grid import SampledFunction, TimeGrid
-from .hjb import (NodeTable, ValueData, aggregate_error,
+from .hjb import (GridPlan, NodeTable, ValueData, aggregate_error,
                   minimize_node_hamiltonian, node_hamiltonian)
 from .operators import (caputo_derivative, gamma, rl_derivative,
                         rl_integral_left, rl_integral_right)
@@ -30,11 +30,11 @@ __all__ = [
     "gamma", "rl_integral_left", "rl_integral_right",
     "caputo_derivative", "rl_derivative",
     "series_partial_sum", "state_coeff", "derivative_coeff", "moment_coeff",
-    "ExpansionCoeffs", "advance_moments", "TransformedField",
+    "ExpansionCoeffs", "moment_factors", "advance_moments", "TransformedField",
     "CostTerm", "PerformanceIndex", "terminal_index_set", "terminal_value",
     "running_weight", "evaluate",
     "FractionalPlant", "HJBProblem",
-    "ValueData", "NodeTable", "node_hamiltonian",
+    "ValueData", "GridPlan", "NodeTable", "node_hamiltonian",
     "minimize_node_hamiltonian",
     "aggregate_error",
     "SweepConfig", "SweepState", "forward_sweep", "backward_sweep", "solve",

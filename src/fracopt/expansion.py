@@ -44,7 +44,6 @@ node 1 (p = 150) while max|x| is about 1.0.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -59,6 +58,7 @@ __all__ = [
     "derivative_coeff",
     "moment_coeff",
     "ExpansionCoeffs",
+    "moment_factors",
     "advance_moments",
     "central_difference",
     "over_nodes",
@@ -71,8 +71,6 @@ __all__ = [
 #: for q near 0, where S is smallest).
 _DIRECT_MAX = 100_000
 _FD_STEP = 1e-6
-#: most times whose denominators a TransformedField keeps
-_MEMO_TIMES = 1 << 11
 
 
 def _poch(a: float, m: float) -> float:
@@ -205,40 +203,32 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@functools.lru_cache(maxsize=8)
-def _moment_p_vectors(n_moments: int) -> tuple:
-    """(p - 2, p - 1, 1 - p) as read-only float vectors over
-    p = 2..n_moments+1."""
-    ps = np.arange(2, n_moments + 2).astype(float)
-    return tuple(_read_only(v) for v in (ps - 2.0, ps - 1.0, 1.0 - ps))
-
-
-def advance_moments(grid: TimeGrid, m: np.ndarray, x: np.ndarray,
-                    node: int) -> np.ndarray:
-    """One explicit trapezoidal step of the moment IVP from node to node+1.
-
-    m[j, i] holds M_p(t_node) for p = j+2 and state component i (zero at
-    node 0: its limit -x(a) is never read, since the field is singular
-    there); the return value holds M_p(t_{node+1}).  The rate
-    (1-p)(t-a)^(p-2) x of W_p is integrated over the cell with the state
-    sample frozen at the left node, which makes the moments a pure
-    function of the node samples of x (the property the residual audit
-    relies on).  Exact for constant x.  Written for M_p, with
-    rho = (t_k-a)/(t_{k+1}-a) and rho^0 = 1 at the first node:
-
-        M_{k+1} = rho^(p-1) M_k
-                  + (1-p)/2 dt/(t_{k+1}-a) (rho^(p-2) + 1) x_k
+def moment_factors(grid: TimeGrid, n_moments: int):
+    """(decay, fac), each (n_steps, n_moments), of the explicit
+    trapezoidal step M_{k+1} = decay[k] M_k + fac[k] x_k of the moment
+    IVP, column j for p = j+2.  The rate (1-p)(t-a)^(p-2) x of W_p is
+    integrated over the cell with x frozen at the left node, which makes
+    the moments a pure function of the node samples of x (the property
+    the residual audit relies on).  Exact for constant x.  With
+    rho = (t_k-a)/(t_{k+1}-a) (rho^0 = 1 at the first node), decay[k] =
+    rho^(p-1) and fac[k] = (1-p)/2 dt/(t_{k+1}-a) (rho^(p-2) + 1).
     """
-    if not 0 <= node < grid.n_steps:
-        raise DomainError(f"cannot step from node {node}")
-    p_minus_2, p_minus_1, one_minus_p = _moment_p_vectors(m.shape[0])
-    a = grid.t0
-    t_next = grid.node(node + 1) - a
-    rho = (grid.node(node) - a) / t_next
-    half_step = 0.5 * grid.dt / t_next
-    fac = half_step * one_minus_p * (rho ** p_minus_2 + 1.0)
-    decay = rho ** p_minus_1
-    return decay[:, None] * m + np.outer(fac, np.asarray(x, dtype=float))
+    ps = np.arange(2, n_moments + 2).astype(float)
+    t_rel = grid.times() - grid.t0
+    rho = (t_rel[:-1] / t_rel[1:])[:, None]
+    fac = rho ** (ps - 2.0)
+    fac += 1.0
+    fac *= (0.5 * grid.dt / t_rel[1:])[:, None] * (1.0 - ps)
+    return _read_only(rho ** (ps - 1.0)), _read_only(fac)
+
+
+def advance_moments(m: np.ndarray, x: np.ndarray, decay: np.ndarray,
+                    fac: np.ndarray) -> np.ndarray:
+    """The moments at node k+1 from those at node k: m[j, i] holds
+    M_p(t_k) for p = j+2 and state component i (zero at node 0: its
+    limit -x(a) is never read, since the field is singular there), x is
+    the state x_k, and decay and fac are row k of moment_factors."""
+    return decay[:, None] * m + fac[:, None] * np.asarray(x, dtype=float)
 
 
 def central_difference(fn, x: np.ndarray) -> np.ndarray:
@@ -285,12 +275,9 @@ class TransformedField:
     where k_i is the memory correction.  Singular at t = a; the solver
     never evaluates there (start-offset policy).
 
-    The denominator depends on t alone.  It is computed once per time and
-    kept, keyed by the value of t, so grids that share a time share it and
-    no grid can read another's.  At most _MEMO_TIMES times are kept (every
-    node of a grid of up to 2048 nodes); past that the memo starts over.
-    The powers (t-a)^(-q_i) of the correction and of the Jacobian's
-    diagonal are taken per call: they cost less than keeping them.
+    The field keeps no per-time state: every factor is computed per call.
+    The denominator depends on t alone, so a sweep takes it once per grid
+    node, over all nodes at once (hjb.GridPlan), and reads it from there.
     """
 
     def __init__(self, plant, coeffs: tuple):
@@ -306,20 +293,14 @@ class TransformedField:
         self._q = np.asarray(plant.orders, dtype=float)
         self._x0_terms = [-x0_i / math.gamma(1 - c.q)
                           for x0_i, c in zip(plant.x0.tolist(), coeffs)]
-        self._denominators = {}
 
-    def denominator(self, t: float) -> np.ndarray:
-        """B_i (t-a)^(1-q_i), read-only."""
-        denom = self._denominators.get(t)
-        if denom is None:
-            t_rel = t - self.plant.t0
-            if t_rel <= 0.0:
-                raise SingularTimeError("transformed field is singular at t = a")
-            if len(self._denominators) >= _MEMO_TIMES:
-                self._denominators.clear()
-            denom = self._denominators[t] = _read_only(
-                self._b * t_rel ** (1.0 - self._q))
-        return denom
+    def denominator(self, t) -> np.ndarray:
+        """B_i (t-a)^(1-q_i), read-only; one row per time when t is an
+        array of times."""
+        t_rel = np.asarray(t, dtype=float)[..., None] - self.plant.t0
+        if (t_rel <= 0.0).any():
+            raise SingularTimeError("transformed field is singular at t = a")
+        return _read_only(self._b * t_rel ** (1.0 - self._q))
 
     def correction(self, t: float, x: np.ndarray,
                    m_node: np.ndarray) -> np.ndarray:
@@ -345,10 +326,9 @@ class TransformedField:
         return (self.plant.rhs(t, x, u) - shift) / self.denominator(t)
 
     def at_state(self, t: float, x: np.ndarray, m_node: np.ndarray):
-        """Freeze (t, x, M): the memory corrections and the denominators,
-        so that the field is (rhs(t, x, u) - correction) / denominator
-        for every control u."""
-        return self.correction(t, x, m_node), self.denominator(t)
+        """Freeze (t, x, M): the memory corrections, so that the field is
+        (rhs(t, x, u) - correction) / denominator(t) for every u."""
+        return self.correction(t, x, m_node)
 
     def jacobian_x(self, t: np.ndarray, x: np.ndarray,
                    u: np.ndarray) -> np.ndarray:

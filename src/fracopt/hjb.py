@@ -10,18 +10,18 @@ with w_j the running kernel weight of each cost term.  A sweep
 control, so V_t = -H_k(u_k), and the residual at node k is the Hamiltonian
 gap H_k(u*_k) - H_k(u_k) at the pointwise minimizer u*_k.
 
+What depends on the grid alone is computed once per solve into a GridPlan.
 Within one sweep evaluation x and M are fixed at every node, so the nodes
 no longer depend on each other.  Each node is frozen once, into one row of
-a NodeTable: its times, its state, its running weights, and the memory
-correction and denominator of the transformed field, computed there.  The
-Hamiltonian is then evaluated over all rows at once (node_hamiltonian),
-and so is every probe of its minimizer: the quadratic rule's three probes
-and vertex, or Brent's bounded search run in lockstep, one search per row.
-A row is never evaluated at a control its own minimization would not
-probe: a row with nothing left to probe in a batch is evaluated again at
-its latest probe.  A batched stage that aborts runs again node by node
-(first_failing_node), so that the abort names the node that node-by-node
-evaluation named.
+a NodeTable beside the plan's rows: its state and its memory correction.
+The Hamiltonian is then evaluated over all rows at once
+(node_hamiltonian), and so is every probe of its minimizer: the quadratic
+rule's three probes and vertex, or Brent's bounded search run in lockstep,
+one search per row.  A row is never evaluated at a control its own
+minimization would not probe: a row with nothing left to probe in a batch
+is evaluated again at its latest probe.  A batched stage that aborts runs
+again node by node (first_failing_node), so that the abort names the node
+that node-by-node evaluation named.
 
 Endpoint conventions (both endpoints of the grid host singular factors):
 at the final node the running weights of every order are evaluated at
@@ -39,11 +39,13 @@ import numpy as np
 
 from .cost import running_weight
 from .errors import DomainError, SweepAbort
+from .expansion import moment_factors
 from .grid import TimeGrid
 from .problem import HJBProblem
 
 __all__ = [
     "ValueData",
+    "GridPlan",
     "NodeTable",
     "node_hamiltonian",
     "minimize_node_hamiltonian",
@@ -86,46 +88,56 @@ class ValueData:
             raise DomainError("value data must be finite")
 
 
-def node_times(grid: TimeGrid, k: int):
-    """(t_run, t_field) at node k: the times at which the running weights
-    and the transformed field are evaluated, with the endpoint
-    substitutions applied."""
-    n = grid.n_steps
-    t_run = grid.node(n - 1) if k == n else grid.node(k)
-    t_field = grid.node(1) if k == 0 else grid.node(k)
-    return t_run, t_field
-
-
 def _running_cost(prob: HJBProblem, t: float) -> list:
     """The weights w_j(t) of the weighted running cost sum_j w_j g_j, one
-    per running term, each computed once per node."""
+    per running term."""
     return [running_weight(term.v, t, prob.tf)
             for term in prob.index.running_terms]
 
 
+class GridPlan:
+    """The factors of a sweep evaluation that depend on the grid alone,
+    read-only, for prob's field on grid.  Per node: t_run and t_field
+    (the times of the running weights and of the field, with the
+    endpoint substitutions), the running weights at t_run (one column
+    per running term) and the field's denominator at t_field.  Per step:
+    the moment step's decay and fac (expansion.moment_factors)."""
+
+    def __init__(self, prob: HJBProblem, grid: TimeGrid):
+        if prob.field is None:
+            raise DomainError("problem carries no transformed field")
+        self.prob = prob
+        self.grid = grid
+        times = grid.times()
+        self.t_run = np.append(times[:-1], times[-2])
+        self.t_field = np.append(times[1], times[1:])
+        self.weights = np.reshape(
+            [_running_cost(prob, t) for t in self.t_run.tolist()],
+            (grid.n_nodes, len(prob.index.running_terms)))
+        self.denominator = prob.field.denominator(self.t_field)
+        self.decay, self.fac = moment_factors(
+            grid, prob.field.coeffs[0].p_max - 1)
+        for arr in (self.t_run, self.t_field, self.weights):
+            arr.flags.writeable = False
+
+
 class NodeTable:
     """The data of every grid node that the Hamiltonians of one sweep
-    evaluation share, one row per node: the times of node_times (t_run,
-    t_field), the state x, the running weights (one column per running
-    term), and the memory correction and denominator of the transformed
-    field at the node's state and moments.  freeze fills one row.
+    evaluation share, one row per node: the plan's t_run, t_field,
+    running weights and denominators, and the state x and the memory
+    correction of the transformed field at the node's state and
+    moments, which freeze fills one row at a time.
 
     H at row k is sum_j weights[k, j] g_j(t_run[k], x[k], u)
     + V_x . (rhs(t_field[k], x[k], u) - correction[k]) / denominator[k].
     """
 
-    def __init__(self, prob: HJBProblem, grid: TimeGrid):
-        if prob.field is None:
-            raise DomainError("problem carries no transformed field")
-        n, nx = grid.n_nodes, prob.plant.n_states
-        self.prob = prob
-        self.grid = grid
-        self.t_run = np.empty(n)
-        self.t_field = np.empty(n)
-        self.x = np.empty((n, nx))
-        self.weights = np.empty((n, len(prob.index.running_terms)))
-        self.correction = np.empty((n, nx))
-        self.denominator = np.empty((n, nx))
+    def __init__(self, plan: GridPlan):
+        self.prob, self.grid = plan.prob, plan.grid
+        self.t_run, self.t_field = plan.t_run, plan.t_field
+        self.weights, self.denominator = plan.weights, plan.denominator
+        self.x = np.empty((len(self), plan.prob.plant.n_states))
+        self.correction = np.empty_like(self.x)
 
     def __len__(self) -> int:
         return self.t_run.shape[0]
@@ -143,14 +155,10 @@ class NodeTable:
 
     def freeze(self, k: int, x: np.ndarray, m_node: np.ndarray) -> None:
         """Freeze grid node k at state x and moments m_node into row k:
-        one memory correction and one set of running weights, with the
-        endpoint substitutions of node_times applied."""
-        t_run, t_field = node_times(self.grid, k)
-        self.t_run[k], self.t_field[k] = t_run, t_field
+        one memory correction, at t_field[k]."""
         self.x[k] = x
-        self.weights[k] = _running_cost(self.prob, t_run)
-        self.correction[k], self.denominator[k] = \
-            self.prob.field.at_state(t_field, x, m_node)
+        self.correction[k] = self.prob.field.at_state(
+            float(self.t_field[k]), x, m_node)
 
     def running(self, u: np.ndarray) -> np.ndarray:
         """The weighted running cost at every row, for controls u (one

@@ -1,17 +1,18 @@
 """Forward-backward sweep solver.
 
-One iteration evaluates the current control trajectory end to end:
-integrate the transformed dynamics and moment states forward, freezing
-each node into its row of a node table (hjb.NodeTable) as the sweep
-reaches it, integrate the costate and value backward on that table,
-minimize the Hamiltonian pointwise, and score the iterate by the
+A solve builds every grid-only factor once, into a GridPlan (hjb).  One
+iteration evaluates the current control trajectory end to end: integrate
+the transformed dynamics and moment states forward on the plan's rows,
+freezing each node into its row of a node table (hjb.NodeTable) as the
+sweep reaches it, integrate the costate and value backward on that
+table, minimize the Hamiltonian pointwise, and score the iterate by the
 root-sum-square residual of the dynamic-programming equation.  Only the
-state, moment and costate recursions run node by node: the costate's
-linearizations, the Hamiltonians, their minimization and the residuals
-are each one set of array operations over all nodes.  The control update
-is relaxed and accepted only when the aggregate residual does not
-increase; on rejection the relaxation factor is halved and the update
-retried.
+state, moment and costate recursions run node by node, and a forward
+node costs only what depends on x: the memory correction, the moment
+update, the rhs and the step.  The rest is array operations over all
+nodes.  The control update is relaxed and accepted only when the
+aggregate residual does not increase; on rejection the relaxation factor
+is halved and the update retried.
 
 The residual at node k is the Hamiltonian gap H_k(u*_k) - H_k(u_k), so
 Error = ||H(u*) - H(u)||_2 measures how far u is from pointwise optimal
@@ -34,8 +35,9 @@ from . import cost as cost_mod
 from .errors import DomainError, SweepAbort
 from .expansion import advance_moments
 from .grid import TimeGrid
-from .hjb import (NodeTable, ValueData, aggregate_error, first_failing_node,
-                  minimize_node_hamiltonian, node_hamiltonian)
+from .hjb import (GridPlan, NodeTable, ValueData, aggregate_error,
+                  first_failing_node, minimize_node_hamiltonian,
+                  node_hamiltonian)
 from .problem import HJBProblem
 
 __all__ = ["SweepConfig", "SweepState", "forward_sweep", "backward_sweep",
@@ -172,7 +174,7 @@ def _step(y: np.ndarray, h: float, slope: np.ndarray, slope_at_end,
     return y + 0.5 * h * (slope + slope_at_end(y_pred))
 
 
-def forward_sweep(prob: HJBProblem, u, cfg: SweepConfig):
+def forward_sweep(prob: HJBProblem, u, cfg: SweepConfig, plan=None):
     """Integrate states and moments forward under a control trajectory.
 
     The transformed field is singular at t0, so the first cell is crossed
@@ -181,10 +183,13 @@ def forward_sweep(prob: HJBProblem, u, cfg: SweepConfig):
     with the configured scheme.  Only the current moment state M_k is
     kept: node k is frozen into row k of a NodeTable at x_k and M_k as
     the sweep reaches it, and the step out of it takes that row's field.
-    Returns (x, nodes), the table of every grid node.
+    Grid-only factors are read from plan (solve's GridPlan), built here
+    when not given.  Returns (x, nodes), the table of every grid node.
     """
     prob = _ensure_field(prob, cfg)
     grid = _grid_for(prob, cfg)
+    if plan is None:
+        plan = GridPlan(prob, grid)
     u = _control_array(prob, grid, u)
     plant = prob.plant
     n = grid.n_steps
@@ -194,10 +199,10 @@ def forward_sweep(prob: HJBProblem, u, cfg: SweepConfig):
     heun = cfg.stepper == "heun"
     x[0] = plant.x0
     m = np.zeros((cfg.p_max - 1, plant.n_states))
-    nodes = NodeTable(prob, grid)
+    nodes = NodeTable(plan)
     for k in range(n):
         nodes.freeze(k, x[k], m)
-        m = advance_moments(grid, m, x[k], k)   # x_{k+1}-free
+        m = advance_moments(m, x[k], plan.decay[k], plan.fac[k])
         _check_finite(m, "moment state", k + 1)
         slope = nodes.field_at(k, u[k]) if k else np.asarray(
             plant.rhs(times[0], x[0], u[0]), dtype=float)
@@ -212,7 +217,7 @@ def forward_sweep(prob: HJBProblem, u, cfg: SweepConfig):
 def _weighted_running_gradient(prob: HJBProblem, t_run: np.ndarray,
                                x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """d/dx of the weighted running cost at nodes with running-weight
-    times t_run (node_times'), states x and controls u, one row each."""
+    times t_run (GridPlan's), states x and controls u, one row each."""
     weights = [[cost_mod.running_weight(term.v, t, prob.tf)
                 for term in prob.index.running_terms]
                for t in t_run.tolist()]
@@ -262,15 +267,18 @@ def backward_sweep(prob: HJBProblem, x: np.ndarray, nodes: NodeTable,
 
     lam = np.zeros((grid.n_nodes, nx))
     lam[n] = prob.index.terminal_gradient(prob.tf, x[n])
-    _check_finite(lam[n], "costate", n)
     heun = cfg.stepper == "heun"
-    for k in range(n - 1, -1, -1):
-        # the field is singular at t0, so node 0 has no linearization and
-        # the step into it is Euler
-        lam[k] = _step(lam[k + 1], -dt,
-                       -(grad[k + 1] + jac[k + 1].T @ lam[k + 1]),
-                       lambda y: -(grad[k] + jac[k].T @ y), heun and k > 0)
-        _check_finite(lam[k], "costate", k)
+    with np.errstate(all="ignore"):   # no user code: checked once below
+        for k in range(n - 1, -1, -1):
+            # node 0 has no linearization (the field is singular at t0):
+            # the step into it is Euler
+            lam[k] = _step(lam[k + 1], -dt,
+                           -(grad[k + 1] + jac[k + 1].T @ lam[k + 1]),
+                           lambda y: -(grad[k] + jac[k].T @ y),
+                           heun and k > 0)
+    bad = np.flatnonzero(~np.isfinite(lam).all(axis=1))
+    if bad.size:   # the first non-finite node the recursion reached
+        raise SweepAbort(f"non-finite costate at node {bad[-1]}")
 
     h = _finite_per_node("Hamiltonian along the sweep",
                          node_hamiltonian(nodes, u, lam))
@@ -288,8 +296,9 @@ def _pointwise_minimizers(prob: HJBProblem, value: ValueData) -> np.ndarray:
     return minimize_node_hamiltonian(prob, value.nodes, value.v_x)
 
 
-def _evaluate(prob: HJBProblem, u: np.ndarray, cfg: SweepConfig):
-    x, nodes = forward_sweep(prob, u, cfg)
+def _evaluate(prob: HJBProblem, u: np.ndarray, cfg: SweepConfig,
+              plan: GridPlan = None):
+    x, nodes = forward_sweep(prob, u, cfg, plan)
     value = backward_sweep(prob, x, nodes, u, cfg)
     u_star = _pointwise_minimizers(prob, value)
     residuals = _finite_per_node(
@@ -301,9 +310,10 @@ def audit_residuals(prob: HJBProblem, x: np.ndarray, u,
                     cfg: SweepConfig):
     """Recompute residuals and value data from stored trajectories alone.
 
-    Steps the moment states over the node samples of x, freezing each
-    node into a node table as forward_sweep does, reruns the backward
-    sweep on that table under the supplied control, and evaluates the
+    Steps the moment states over the node samples of x on its own
+    GridPlan, freezing each node into a node table as forward_sweep
+    does, reruns the backward sweep on that table under the supplied
+    control, and evaluates the
     residuals at the pointwise minimizers: the audit path behind the
     command-line verify.  Returns (residuals, value).
     """
@@ -312,12 +322,13 @@ def audit_residuals(prob: HJBProblem, x: np.ndarray, u,
     u = _control_array(prob, grid, u)
     if x.shape != (grid.n_nodes, prob.plant.n_states):
         raise DomainError("state trajectory does not match the grid")
+    plan = GridPlan(prob, grid)
     m = np.zeros((cfg.p_max - 1, prob.plant.n_states))
-    nodes = NodeTable(prob, grid)
+    nodes = NodeTable(plan)
     for k in range(grid.n_nodes):
         nodes.freeze(k, x[k], m)
         if k < grid.n_steps:
-            m = advance_moments(grid, m, x[k], k)
+            m = advance_moments(m, x[k], plan.decay[k], plan.fac[k])
     value = backward_sweep(prob, x, nodes, u, cfg)
     u_star = _pointwise_minimizers(prob, value)
     residuals = _finite_per_node(
@@ -335,8 +346,9 @@ def solve(prob: HJBProblem, cfg: SweepConfig) -> SweepState:
     """
     prob = _ensure_field(prob, cfg)
     grid = _grid_for(prob, cfg)
+    plan = GridPlan(prob, grid)
     u = _control_array(prob, grid, cfg.u_init)
-    x, value, u_star, residuals, err = _evaluate(prob, u, cfg)
+    x, value, u_star, residuals, err = _evaluate(prob, u, cfg, plan)
     history = [err]
     iteration = 0
     stagnated = False
@@ -346,7 +358,7 @@ def solve(prob: HJBProblem, cfg: SweepConfig) -> SweepState:
         for _ in range(_MAX_HALVINGS + 1):
             u_try = np.clip(theta * u_star + (1.0 - theta) * u,
                             prob.u_lower, prob.u_upper)
-            trial = _evaluate(prob, u_try, cfg)
+            trial = _evaluate(prob, u_try, cfg, plan)
             if trial[-1] <= history[-1]:
                 accepted = True
                 break

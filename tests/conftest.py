@@ -26,15 +26,16 @@ def moment_trajectory(grid, p_max, xs):
     (n_nodes, p_max - 1, n_states)."""
     xs = np.asarray(xs, dtype=float)
     out = np.zeros((grid.n_nodes, p_max - 1, xs.shape[1]))
+    decay, fac = fo.moment_factors(grid, p_max - 1)
     for k in range(grid.n_steps):
-        out[k + 1] = fo.advance_moments(grid, out[k], xs[k], k)
+        out[k + 1] = fo.advance_moments(out[k], xs[k], decay[k], fac[k])
     return out
 
 
 def frozen_table(prob, grid, xs, m_nodes):
     """The NodeTable of grid with node k frozen at state xs[k] and moments
     m_nodes[k], as the forward sweep freezes it."""
-    table = fo.NodeTable(prob, grid)
+    table = fo.NodeTable(fo.GridPlan(prob, grid))
     for k in range(grid.n_nodes):
         table.freeze(k, xs[k], m_nodes[k])
     return table

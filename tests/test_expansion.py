@@ -12,8 +12,8 @@ import fracopt as fo
 from fracopt import (DomainError, ExpansionCoeffs,
                      SampledFunction, SingularTimeError, TimeGrid,
                      TransformedField, advance_moments, caputo_derivative,
-                     derivative_coeff, gamma, moment_coeff, rl_derivative,
-                     series_partial_sum, state_coeff)
+                     derivative_coeff, gamma, moment_coeff, moment_factors,
+                     rl_derivative, series_partial_sum, state_coeff)
 from fracopt.expansion import _poch
 
 from conftest import bracket_closed_form, moment_trajectory, one_state_field
@@ -343,11 +343,13 @@ def test_field_integer_order_limit_recovers_plant_rhs():
     x[0] = plant.x0
     u = np.array([0.3])
     x[1] = x[0] + grid.dt * plant.rhs(0.0, x[0], u)
-    moments[1] = advance_moments(grid, moments[0], x[0], 0)
+    decay, fac = moment_factors(grid, n - 1)
+    moments[1] = advance_moments(moments[0], x[0], decay[0], fac[0])
     for k in range(1, grid.n_steps):
         x[k + 1] = x[k] + grid.dt * field(grid.node(k), x[k],
                                           moments[k], u)
-        moments[k + 1] = advance_moments(grid, moments[k], x[k], k)
+        moments[k + 1] = advance_moments(moments[k], x[k], decay[k],
+                                         fac[k])
     for k in (20, 50, 80):
         ft = field(grid.node(k), x[k], moments[k], u)
         f0 = plant.rhs(grid.node(k), x[k], u)
@@ -418,6 +420,7 @@ def test_moment_step_equals_its_formula_on_interleaved_grids():
     rng = np.random.default_rng(4)
     for grid in INTERLEAVED:
         m = np.zeros((149, 2))
+        decay, fac = moment_factors(grid, 149)
         for k in range(grid.n_steps):
             x = rng.uniform(-2, 2, 2)
             t_next = grid.node(k + 1) - grid.t0
@@ -425,8 +428,30 @@ def test_moment_step_equals_its_formula_on_interleaved_grids():
             want = (rho ** (ps - 1.0))[:, None] * m + np.outer(
                 0.5 * grid.dt / t_next * (1.0 - ps) * (rho ** (ps - 2.0) + 1.0),
                 x)
-            m = advance_moments(grid, m, x, k)
+            m = advance_moments(m, x, decay[k], fac[k])
             assert np.array_equal(m, want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(t0=st.floats(-10.0, 10.0), span=st.floats(1e-3, 100.0),
+       n_steps=st.integers(1, 3000), p_max=st.integers(2, 200))
+def test_moment_tables_equal_the_scalar_step_at_every_node(t0, span,
+                                                           n_steps, p_max):
+    # the tables are taken with the base rho as a column against the
+    # p-vectors; each row must round as the step of one node does, with
+    # rho a float base: t_{k+1} - a, rho and the powers as
+    # advance_moments took them before the tables
+    grid = TimeGrid(t0, t0 + span, n_steps)
+    decay, fac = moment_factors(grid, p_max - 1)
+    assert decay.shape == fac.shape == (n_steps, p_max - 1)
+    ps = np.arange(2, p_max + 1).astype(float)
+    for k in range(n_steps):
+        t_next = grid.node(k + 1) - grid.t0
+        rho = (grid.node(k) - grid.t0) / t_next
+        half_step = 0.5 * grid.dt / t_next
+        assert np.array_equal(decay[k], rho ** (ps - 1.0))
+        assert np.array_equal(
+            fac[k], half_step * (1.0 - ps) * (rho ** (ps - 2.0) + 1.0))
 
 
 # ------------------------------------------------------- reconstruction

@@ -105,7 +105,8 @@ def test_node_hamiltonian_on_record_equals_from_scratch():
     m_nodes = rng.uniform(-2, 2, (n + 1, 39, 2))
     us = rng.uniform(-2, 2, (n + 1, 1))
     lams = rng.uniform(-1, 1, (n + 1, 2))
-    got = node_hamiltonian(frozen_table(prob, grid, xs, m_nodes), us, lams)
+    table = frozen_table(prob, grid, xs, m_nodes)
+    got = node_hamiltonian(table, us, lams)
     for k in (0, 1, 37, n - 1, n):
         x, m_node, u, lam = xs[k], m_nodes[k], us[k], lams[k]
         t_run = grid.node(n - 1) if k == n else grid.node(k)
@@ -115,7 +116,7 @@ def test_node_hamiltonian_on_record_equals_from_scratch():
             total += running_weight(term.v, t_run, prob.tf) \
                 * term.running(t_run, x, u)
         ref = total + float(np.dot(lam, prob.field(t_field, x, m_node, u)))
-        assert hjb.node_times(grid, k) == (t_run, t_field)
+        assert (table.t_run[k], table.t_field[k]) == (t_run, t_field)
         assert got[k] == ref
 
 

@@ -293,6 +293,24 @@ def test_forward_records_equal_records_frozen_from_scratch(stepper):
         assert np.array_equal(nodes.running(us), fresh.running(us))
 
 
+def test_tables_past_2048_nodes_equal_tables_frozen_from_scratch():
+    # 2501 nodes: more times than the field's old denominator memo kept
+    # (2048), which it cleared and refilled within every sweep
+    cfg = two_state_config(dt=1 / 2500, n_a=10 ** 4, n_b=10 ** 4, p_max=20)
+    prob = two_state_problem().with_field(cfg.n_a, cfg.n_b, cfg.p_max)
+    u = np.linspace(-0.5, 0.3, 2501)
+    x, nodes = forward_sweep(prob, u, cfg)
+    grid = fo.TimeGrid(0.0, 1.0, 2500)
+    fresh = frozen_table(prob, grid, x, moment_trajectory(grid, cfg.p_max, x))
+    _, value = sweep.audit_residuals(prob, x, u, cfg)
+    assert len(nodes) == len(value.nodes) == 2501
+    for name in ("t_run", "t_field", "x", "weights", "correction",
+                 "denominator"):
+        assert np.array_equal(getattr(nodes, name), getattr(fresh, name))
+        assert np.array_equal(getattr(value.nodes, name),
+                              getattr(fresh, name))
+
+
 _MISMATCHED_SETTINGS = [
     {"n_a": 10 ** 3}, {"n_b": 10 ** 3}, {"p_max": 10},
     {"b_series": "convergent"}]
