@@ -15,8 +15,11 @@ the transformed field built once outside the timer (the set-up of
 
 Per-node work dominates every row, so the rows show how solve time scales
 with the node count.  The run adds its round times, under the label
-BENCH_SIDE ("change" unless set), to BENCH_node_path.json at the root of
-this checkout, and keeps what earlier runs wrote.  Runs on one machine
+BENCH_SIDE ("change" unless set), to BENCH_<topic>.json at the root of
+this checkout, and keeps what earlier runs wrote; the topic is
+BENCH_TOPIC ("node_path" unless set), so that each change measured
+keeps its own file (BENCH_node_cost.json, BENCH_node_batch.json and
+BENCH_grid_plan.json were written with those topics).  Runs on one machine
 with the source tree of each commit on PYTHONPATH, alternating between
 the two, give a before/after table; delete the file to start a new one.
 Each row pools the rounds of every run of its side and holds the median,
@@ -26,13 +29,11 @@ to be identical.  It also holds peak_rss_mb, the median over the runs of
 the process's peak resident memory once the row has run (getrusage
 ru_maxrss): the rows run in order, so the dt = 1e-4 row's is the peak
 of one evaluation on 10^4 + 1 nodes.
-
-ROWS and solve_row are imported by the other harnesses that time these
-rows under their own topic (test_bench_node_cost.py).
 """
 
 from __future__ import annotations
 
+import os
 import resource
 from pathlib import Path
 
@@ -44,7 +45,8 @@ from fracopt.config import parse_problem
 from fracopt.sweep import solve
 
 ROOT = Path(__file__).resolve().parent.parent
-OUT = ROOT / "BENCH_node_path.json"
+TOPIC = os.environ.get("BENCH_TOPIC", "node_path")
+OUT = ROOT / f"BENCH_{TOPIC}.json"
 WORKLOAD = "problems/example.yaml solved by fracopt.sweep.solve"
 
 #: (row name, overrides, rounds, warm-up rounds); the warm-up round of the
@@ -82,7 +84,7 @@ def solve_row(benchmark, name, overrides, rounds, warmup) -> dict:
 def rows():
     out = []
     yield out
-    append_run(OUT, "node_path", WORKLOAD, out)
+    append_run(OUT, TOPIC, WORKLOAD, out)
 
 
 @pytest.mark.parametrize("name, overrides, rounds, warmup", ROWS,

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import parse_problem
+from .config import file_errors, parse_problem
 from .errors import ConfigError, DomainError, SweepAbort
 from .expansion import ExpansionCoeffs
 from .grid import TimeGrid
@@ -63,7 +63,8 @@ def write_csv(path: str, state: SweepState) -> None:
 
 
 def read_csv(path: str, n_states: int, n_controls: int):
-    text = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    with file_errors(path):
+        text = Path(path).read_text(encoding="utf-8").strip().splitlines()
     if not text:
         raise ConfigError(f"{path}: empty CSV")
     header = text[0].split(",")
@@ -128,13 +129,15 @@ def cmd_run(args) -> int:
     start = time.perf_counter()
     state = solve(parsed.problem, parsed.config)
     wall = time.perf_counter() - start
-    for parent in {Path(csv_path).parent, Path(report_path).parent}:
-        parent.mkdir(parents=True, exist_ok=True)
-    write_csv(csv_path, state)
     rep = _report_dict(state, wall)
     rep["csv"] = str(csv_path)
-    Path(report_path).write_text(json.dumps(rep, indent=2) + "\n",
-                                 encoding="utf-8")
+    with file_errors(csv_path):
+        Path(csv_path).parent.mkdir(parents=True, exist_ok=True)
+        write_csv(csv_path, state)
+    with file_errors(report_path):
+        Path(report_path).parent.mkdir(parents=True, exist_ok=True)
+        Path(report_path).write_text(json.dumps(rep, indent=2) + "\n",
+                                     encoding="utf-8")
     _print_report(rep)
     print(f"trajectory   -> {csv_path}")
     print(f"report       -> {report_path}")

@@ -26,6 +26,7 @@ field; YAML syntax errors carry the parser's line/column mark.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence
 
@@ -101,13 +102,22 @@ def _float_list(value, where: str) -> List[float]:
     return out
 
 
+@contextmanager
+def file_errors(path):
+    """A file error in the block as a ConfigError that names path."""
+    try:
+        yield
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = "file not found" if isinstance(exc, FileNotFoundError) \
+            else getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"{path}: {reason}") from None
+
+
 def load_raw(path: str) -> Dict:
     """Read and parse the YAML document, reporting line/column on errors."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with file_errors(path), open(path, "r", encoding="utf-8") as fh:
             doc = yaml.safe_load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"problem file not found: {path}")
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark
         loc = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""

@@ -336,11 +336,10 @@ class TransformedField:
         arrays t, x and u: the plant's rhs_x on the plant part, exact on
         the expansion part (the correction is linear in x with a diagonal
         coefficient A_i (t-a)^(-q_i))."""
+        denominator = self.denominator(t)
         t_rel = (np.asarray(t, dtype=float) - self.plant.t0)[:, None]
-        if np.any(t_rel <= 0.0):
-            raise SingularTimeError("transformed field is singular at t = a")
         jac = np.array(self.plant.rhs_x(t, x, u), dtype=float)
         i = np.arange(self._q.shape[0])
         jac[:, i, i] -= self._a * t_rel ** (-self._q)
-        return jac / (self._b * t_rel ** (1.0 - self._q))[:, :, None]
+        return jac / denominator[:, :, None]
 

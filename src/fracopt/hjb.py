@@ -12,8 +12,8 @@ gap H_k(u*_k) - H_k(u_k) at the pointwise minimizer u*_k.
 
 What depends on the grid alone is computed once per solve into a GridPlan.
 Within one sweep evaluation x and M are fixed at every node, so the nodes
-no longer depend on each other.  Each node is frozen once, into one row of
-a NodeTable beside the plan's rows: its state and its memory correction.
+no longer depend on each other.  Each node is frozen into one row of a
+NodeTable beside the plan's rows: its state and its memory correction.
 The Hamiltonian is then evaluated over all rows at once
 (node_hamiltonian), and so is every probe of its minimizer: the quadratic
 rule's three probes and vertex, or Brent's bounded search run in lockstep,
@@ -69,23 +69,24 @@ class ValueData:
     Per node: v the value chain (the leapfrog integral of h back from the
     terminal value v[-1], not the cost-to-go), v_x the costate, h the
     Hamiltonian at the sweep's own control, and nodes the NodeTable the
-    Hamiltonians were taken on.
+    Hamiltonians were taken on, with its grid.
     """
 
-    grid: TimeGrid
     v: np.ndarray = field(repr=False)
     v_x: np.ndarray = field(repr=False)
     h: np.ndarray = field(repr=False)
     nodes: "NodeTable" = field(repr=False)
 
     def __post_init__(self):
-        n = self.grid.n_nodes
-        if self.v.shape[0] != n or self.v_x.shape[0] != n \
-                or self.h.shape[0] != n or len(self.nodes) != n:
+        arrays = (self.v, self.v_x, self.h)
+        if any(a.shape[0] != len(self.nodes) for a in arrays):
             raise DomainError("value data must cover every grid node")
-        if not (np.all(np.isfinite(self.v)) and np.all(np.isfinite(self.v_x))
-                and np.all(np.isfinite(self.h))):
+        if not all(np.isfinite(a).all() for a in arrays):
             raise DomainError("value data must be finite")
+
+    @property
+    def grid(self) -> TimeGrid:
+        return self.nodes.grid
 
 
 def _running_cost(prob: HJBProblem, t: float) -> list:

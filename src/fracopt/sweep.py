@@ -1,18 +1,18 @@
 """Forward-backward sweep solver.
 
 A solve builds every grid-only factor once, into a GridPlan (hjb).  One
-iteration evaluates the current control trajectory end to end: integrate
-the transformed dynamics and moment states forward on the plan's rows,
-freezing each node into its row of a node table (hjb.NodeTable) as the
-sweep reaches it, integrate the costate and value backward on that
-table, minimize the Hamiltonian pointwise, and score the iterate by the
-root-sum-square residual of the dynamic-programming equation.  Only the
-state, moment and costate recursions run node by node, and a forward
-node costs only what depends on x: the memory correction, the moment
-update, the rhs and the step.  The rest is array operations over all
-nodes.  The control update is relaxed and accepted only when the
-aggregate residual does not increase; on rejection the relaxation factor
-is halved and the update retried.
+iteration evaluates the current control trajectory end to end on a node
+table (hjb.NodeTable): integrate the transformed dynamics and moment
+states forward, freezing each node into its row as the sweep reaches it
+and taking every slope of the field on the rows, integrate the costate
+and value backward on the table alone, minimize the Hamiltonian
+pointwise, and score the iterate by the root-sum-square residual of the
+dynamic-programming equation.  Only the state, moment and costate
+recursions run node by node, and a forward node costs only what depends
+on x: the memory correction, the moment update, the rhs and the step.
+The rest is array operations over all nodes.  The control update is
+relaxed and accepted only when the aggregate residual does not increase;
+on rejection the relaxation factor is halved and the update retried.
 
 The residual at node k is the Hamiltonian gap H_k(u*_k) - H_k(u_k), so
 Error = ||H(u*) - H(u)||_2 measures how far u is from pointwise optimal
@@ -117,8 +117,9 @@ class SweepState:
         return self.x[-1]
 
 
-def _grid_for(prob: HJBProblem, cfg: SweepConfig) -> TimeGrid:
-    return TimeGrid.from_step(prob.plant.t0, prob.tf, cfg.dt)
+def _plan_for(prob: HJBProblem, cfg: SweepConfig) -> GridPlan:
+    prob = _ensure_field(prob, cfg)
+    return GridPlan(prob, TimeGrid.from_step(prob.plant.t0, prob.tf, cfg.dt))
 
 
 def _control_array(prob: HJBProblem, grid: TimeGrid, u_init) -> np.ndarray:
@@ -163,17 +164,6 @@ def _finite_per_node(what: str, values) -> np.ndarray:
     return values
 
 
-def _step(y: np.ndarray, h: float, slope: np.ndarray, slope_at_end,
-          heun: bool) -> np.ndarray:
-    """One explicit step of size h (negative when integrating backward)
-    from y, whose slope is slope: Euler, or Heun, which averages slope
-    with slope_at_end evaluated at the Euler predictor."""
-    y_pred = y + h * slope
-    if not heun:
-        return y_pred
-    return y + 0.5 * h * (slope + slope_at_end(y_pred))
-
-
 def forward_sweep(prob: HJBProblem, u, cfg: SweepConfig, plan=None):
     """Integrate states and moments forward under a control trajectory.
 
@@ -182,33 +172,35 @@ def forward_sweep(prob: HJBProblem, u, cfg: SweepConfig, plan=None):
     (which is regular); stepping then proceeds on the transformed system
     with the configured scheme.  Only the current moment state M_k is
     kept: node k is frozen into row k of a NodeTable at x_k and M_k as
-    the sweep reaches it, and the step out of it takes that row's field.
-    Grid-only factors are read from plan (solve's GridPlan), built here
-    when not given.  Returns (x, nodes), the table of every grid node.
+    the sweep reaches it, and the step out of it takes that row's field
+    (Heun's predictor, row k+1 frozen at the Euler predictor).  The
+    problem, grid and grid-only factors are read from plan (solve's
+    GridPlan), built here when not given.  Returns (x, nodes): the
+    table's states and the table of every grid node.
     """
-    prob = _ensure_field(prob, cfg)
-    grid = _grid_for(prob, cfg)
     if plan is None:
-        plan = GridPlan(prob, grid)
+        plan = _plan_for(prob, cfg)
+    prob, grid = plan.prob, plan.grid
     u = _control_array(prob, grid, u)
     plant = prob.plant
     n = grid.n_steps
     dt = grid.dt
-    times = grid.times()
-    x = np.empty((grid.n_nodes, plant.n_states))
     heun = cfg.stepper == "heun"
-    x[0] = plant.x0
-    m = np.zeros((cfg.p_max - 1, plant.n_states))
+    m = np.zeros((plan.decay.shape[1], plant.n_states))
     nodes = NodeTable(plan)
+    x = nodes.x
+    x[0] = plant.x0
     for k in range(n):
         nodes.freeze(k, x[k], m)
         m = advance_moments(m, x[k], plan.decay[k], plan.fac[k])
         _check_finite(m, "moment state", k + 1)
         slope = nodes.field_at(k, u[k]) if k else np.asarray(
-            plant.rhs(times[0], x[0], u[0]), dtype=float)
-        x[k + 1] = _step(
-            x[k], dt, slope,
-            lambda y: prob.field(times[k + 1], y, m, u[k + 1]), heun and k > 0)
+            plant.rhs(grid.t0, x[0], u[0]), dtype=float)
+        x[k + 1] = x[k] + dt * slope
+        if heun and k:   # Heun: the slope at the predictor, on row k+1
+            nodes.freeze(k + 1, x[k + 1], m)
+            x[k + 1] = x[k] + 0.5 * dt * (
+                slope + nodes.field_at(k + 1, u[k + 1]))
         _check_finite(x[k + 1], "state", k + 1)
     nodes.freeze(n, x[n], m)
     return x, nodes
@@ -225,8 +217,7 @@ def _weighted_running_gradient(prob: HJBProblem, t_run: np.ndarray,
         np.array(weights).reshape(t_run.shape[0], -1), t_run, x, u)
 
 
-def backward_sweep(prob: HJBProblem, x: np.ndarray, nodes: NodeTable,
-                   u, cfg: SweepConfig) -> ValueData:
+def backward_sweep(nodes: NodeTable, u, cfg: SweepConfig) -> ValueData:
     """Integrate costates backward and build the value chain.
 
     The costate solves lambda' = -(dg/dx + (dfield/dx)^T lambda) with
@@ -240,23 +231,21 @@ def backward_sweep(prob: HJBProblem, x: np.ndarray, nodes: NodeTable,
     linearizations; the step into node 0, where the field is singular,
     is Euler.
 
-    nodes is x's node table (forward_sweep's, or audit_residuals'); the
-    value chain's Hamiltonians are taken on it, and it goes out on the
-    ValueData for the minimization and the residuals of the same
-    evaluation.
+    nodes is an evaluation's node table (forward_sweep's or
+    audit_residuals'): the problem, grid, states and node times are read
+    from it, and it goes out on the ValueData for the minimization and
+    the residuals of the same evaluation.
     """
-    prob = _ensure_field(prob, cfg)
-    grid = _grid_for(prob, cfg)
+    prob, grid, x = nodes.prob, nodes.grid, nodes.x
     u = _control_array(prob, grid, u)
     n = grid.n_steps
     dt = grid.dt
-    times = grid.times()
     nx = prob.plant.n_states
     # the costate's linearization at nodes 1..n (row 0 is never used):
     # lambda' = -(grad[k] + jac[k]^T lambda) at node k
     grad = np.zeros((grid.n_nodes, nx))
     jac = np.zeros((grid.n_nodes, nx, nx))
-    at_nodes = (nodes.t_run[1:], times[1:], x[1:], u[1:])
+    at_nodes = (nodes.t_run[1:], nodes.t_field[1:], x[1:], u[1:])
 
     def linearize(rows):
         t_run, t, x_rows, u_rows = (a[rows] for a in at_nodes)
@@ -270,12 +259,13 @@ def backward_sweep(prob: HJBProblem, x: np.ndarray, nodes: NodeTable,
     heun = cfg.stepper == "heun"
     with np.errstate(all="ignore"):   # no user code: checked once below
         for k in range(n - 1, -1, -1):
-            # node 0 has no linearization (the field is singular at t0):
-            # the step into it is Euler
-            lam[k] = _step(lam[k + 1], -dt,
-                           -(grad[k + 1] + jac[k + 1].T @ lam[k + 1]),
-                           lambda y: -(grad[k] + jac[k].T @ y),
-                           heun and k > 0)
+            # slope is -lambda'; node 0 has no linearization (the
+            # field is singular at t0): the step into it is Euler
+            slope = grad[k + 1] + jac[k + 1].T @ lam[k + 1]
+            lam[k] = lam[k + 1] + dt * slope
+            if heun and k:
+                lam[k] = lam[k + 1] + 0.5 * dt * (
+                    slope + (grad[k] + jac[k].T @ lam[k]))
     bad = np.flatnonzero(~np.isfinite(lam).all(axis=1))
     if bad.size:   # the first non-finite node the recursion reached
         raise SweepAbort(f"non-finite costate at node {bad[-1]}")
@@ -289,7 +279,7 @@ def backward_sweep(prob: HJBProblem, x: np.ndarray, nodes: NodeTable,
     v[n - 1] = v[n] + dt * h[n]
     for k in range(n - 1, 0, -1):
         v[k - 1] = v[k + 1] + 2.0 * dt * h[k]
-    return ValueData(grid, v, lam, h, nodes)
+    return ValueData(v, lam, h, nodes)
 
 
 def _pointwise_minimizers(prob: HJBProblem, value: ValueData) -> np.ndarray:
@@ -299,7 +289,7 @@ def _pointwise_minimizers(prob: HJBProblem, value: ValueData) -> np.ndarray:
 def _evaluate(prob: HJBProblem, u: np.ndarray, cfg: SweepConfig,
               plan: GridPlan = None):
     x, nodes = forward_sweep(prob, u, cfg, plan)
-    value = backward_sweep(prob, x, nodes, u, cfg)
+    value = backward_sweep(nodes, u, cfg)
     u_star = _pointwise_minimizers(prob, value)
     residuals = _finite_per_node(
         "residual", node_hamiltonian(nodes, u_star, value.v_x) - value.h)
@@ -317,19 +307,17 @@ def audit_residuals(prob: HJBProblem, x: np.ndarray, u,
     residuals at the pointwise minimizers: the audit path behind the
     command-line verify.  Returns (residuals, value).
     """
-    prob = _ensure_field(prob, cfg)
-    grid = _grid_for(prob, cfg)
-    u = _control_array(prob, grid, u)
+    plan = _plan_for(prob, cfg)
+    prob, grid = plan.prob, plan.grid
     if x.shape != (grid.n_nodes, prob.plant.n_states):
         raise DomainError("state trajectory does not match the grid")
-    plan = GridPlan(prob, grid)
     m = np.zeros((cfg.p_max - 1, prob.plant.n_states))
     nodes = NodeTable(plan)
     for k in range(grid.n_nodes):
         nodes.freeze(k, x[k], m)
         if k < grid.n_steps:
             m = advance_moments(m, x[k], plan.decay[k], plan.fac[k])
-    value = backward_sweep(prob, x, nodes, u, cfg)
+    value = backward_sweep(nodes, u, cfg)
     u_star = _pointwise_minimizers(prob, value)
     residuals = _finite_per_node(
         "residual", node_hamiltonian(nodes, u_star, value.v_x) - value.h)
@@ -344,9 +332,8 @@ def solve(prob: HJBProblem, cfg: SweepConfig) -> SweepState:
     and stagnated=True when 20 relaxation halvings failed to find a
     non-increasing update), never as an exception.
     """
-    prob = _ensure_field(prob, cfg)
-    grid = _grid_for(prob, cfg)
-    plan = GridPlan(prob, grid)
+    plan = _plan_for(prob, cfg)
+    prob, grid = plan.prob, plan.grid
     u = _control_array(prob, grid, cfg.u_init)
     x, value, u_star, residuals, err = _evaluate(prob, u, cfg, plan)
     history = [err]

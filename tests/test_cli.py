@@ -113,6 +113,33 @@ def test_error_exit_one(tmp_path):
     assert run_cli("run", str(bad)) == 1
 
 
+def test_missing_csv_exits_one(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    assert run_cli("verify", EXAMPLE_FILE, "--csv", str(missing)) == 1
+    assert capsys.readouterr().err.startswith(f"error: {missing}: ")
+
+
+def test_directory_as_problem_file_exits_one(tmp_path, capsys):
+    assert run_cli("run", str(tmp_path)) == 1
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path}: ")
+
+
+def test_non_utf8_problem_file_exits_one(tmp_path, capsys):
+    prob = tmp_path / "latin1.yaml"
+    prob.write_bytes(b"plant: {orders: [0.5]}  # caf\xe9\n")
+    assert run_cli("run", str(prob)) == 1
+    assert capsys.readouterr().err.startswith(f"error: {prob}: ")
+
+
+def test_directory_as_csv_output_exits_one(tmp_path, capsys):
+    target = tmp_path / "out"
+    target.mkdir()
+    assert run_cli("run", EXAMPLE_FILE, *CHEAP,
+                   "--override", "solver.max_iters=0", "--csv", str(target),
+                   "--report", str(tmp_path / "r.json")) == 1
+    assert capsys.readouterr().err.startswith(f"error: {target}: ")
+
+
 def test_bad_step_sizes_exit_one(tmp_path, capsys):
     # a zero and a non-finite grid step are input errors, reported on
     # stderr, not tracebacks from deep in the sweep

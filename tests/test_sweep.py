@@ -131,7 +131,7 @@ def test_backward_zero_costs_give_zero_value_and_costate():
     prob = prob.with_field(cfg.n_a, cfg.n_b, cfg.p_max)
     u = np.zeros((101, 1))
     x, nodes = forward_sweep(prob, u, cfg)
-    value = backward_sweep(prob, x, nodes, u, cfg)
+    value = backward_sweep(nodes, u, cfg)
     assert np.all(value.v == 0.0)
     assert np.all(value.v_x == 0.0)
 
@@ -166,7 +166,7 @@ def test_backward_names_the_first_node_of_a_non_finite_hamiltonian():
     x, nodes = forward_sweep(prob, 0.0, cfg)
     with pytest.raises(SweepAbort, match="Hamiltonian along the sweep, "
                                          "first at node 51$"):
-        backward_sweep(prob, x, nodes, 0.0, cfg)
+        backward_sweep(nodes, 0.0, cfg)
 
 
 def _count_calls(monkeypatch, owner, name, rows=lambda *args: 1):
@@ -311,6 +311,47 @@ def test_tables_past_2048_nodes_equal_tables_frozen_from_scratch():
                               getattr(fresh, name))
 
 
+def test_heun_forward_sweep_on_a_plan_evaluates_the_field_on_its_rows(
+        monkeypatch):
+    # the predictor's slope comes from the node table's row k+1, frozen
+    # at the predictor, and its denominator from the plan
+    cfg = two_state_config(n_a=10 ** 4, n_b=10 ** 4, p_max=20,
+                           stepper="heun")
+    prob = two_state_problem().with_field(cfg.n_a, cfg.n_b, cfg.p_max)
+    plan = hjb.GridPlan(prob, fo.TimeGrid(0.0, 1.0, 100))
+    calls = _count_calls(monkeypatch, fo.TransformedField, "__call__")
+    denominators = _count_calls(monkeypatch, fo.TransformedField,
+                                "denominator")
+    forward_sweep(prob, 5.0, cfg, plan)
+    assert (calls, denominators) == ([], [])
+
+
+def test_heun_forward_sweep_equals_a_reference_loop():
+    cfg = two_state_config(n_a=10 ** 4, n_b=10 ** 4, p_max=20,
+                           stepper="heun")
+    prob = two_state_problem().with_field(cfg.n_a, cfg.n_b, cfg.p_max)
+    u = np.linspace(-0.5, 0.3, 101)[:, None]
+    grid = fo.TimeGrid(0.0, 1.0, 100)
+    times, dt = grid.times(), grid.dt
+    decay, fac = fo.moment_factors(grid, cfg.p_max - 1)
+    x = np.empty((101, 2))
+    x[0] = prob.plant.x0
+    m = np.zeros((cfg.p_max - 1, 2))
+    # the first cell is one Euler step of the Caputo rhs; from node 1 on
+    # Heun steps the transformed field, computed from scratch at each
+    # stage, with the moments M_{k+1} at the predictor
+    x[1] = x[0] + dt * prob.plant.rhs(times[0], x[0], u[0])
+    m = fo.advance_moments(m, x[0], decay[0], fac[0])
+    for k in range(1, grid.n_steps):
+        slope = prob.field(times[k], x[k], m, u[k])
+        m = fo.advance_moments(m, x[k], decay[k], fac[k])
+        y = x[k] + dt * slope
+        x[k + 1] = x[k] + 0.5 * dt * (
+            slope + prob.field(times[k + 1], y, m, u[k + 1]))
+    got, _ = forward_sweep(prob, u[:, 0], cfg)
+    assert np.array_equal(got, x)
+
+
 _MISMATCHED_SETTINGS = [
     {"n_a": 10 ** 3}, {"n_b": 10 ** 3}, {"p_max": 10},
     {"b_series": "convergent"}]
@@ -328,7 +369,7 @@ def test_mismatched_attached_field_is_rebuilt_by_each_sweep(setting):
     for prob in (stale, two_state_problem()):
         x, nodes = forward_sweep(prob, u, cfg)
         results.append((x, nodes.field(np.ones((101, 1))),
-                        backward_sweep(prob, x, nodes, u, cfg)))
+                        backward_sweep(nodes, u, cfg)))
     (x, fields, value), (x_ref, fields_ref, value_ref) = results
     assert np.array_equal(x, x_ref)
     assert np.array_equal(fields, fields_ref)
@@ -522,7 +563,7 @@ def test_costate_equals_per_stage_transcription(which, stepper):
                                stepper=stepper)
     u = np.linspace(-0.5, 0.3, 101)[:, None]
     x, nodes = forward_sweep(prob, u, cfg)
-    value = backward_sweep(prob, x, nodes, u, cfg)
+    value = backward_sweep(nodes, u, cfg)
     expected = _per_stage_costate(prob, value.grid, x, u, stepper)
     assert np.array_equal(value.v_x, expected)
 
@@ -535,7 +576,7 @@ def test_backward_sweep_linearizes_each_node_once(monkeypatch, stepper):
     # counted in node rows linearized
     calls = _count_calls(monkeypatch, fo.TransformedField, "jacobian_x",
                          lambda field, t, x, u: len(t))
-    value = backward_sweep(prob, x, nodes, 0.0, cfg)
+    value = backward_sweep(nodes, 0.0, cfg)
     assert len(calls) == value.grid.n_steps
 
 
