@@ -14,7 +14,7 @@ from .expansion import (ExpansionCoeffs, TransformedField, advance_moments,
                         derivative_coeff, moment_coeff, moment_factors,
                         series_partial_sum, state_coeff)
 from .grid import SampledFunction, TimeGrid
-from .hjb import (GridPlan, NodeTable, ValueData, aggregate_error,
+from .hjb import (GridPlan, NodeTable, aggregate_error,
                   minimize_node_hamiltonian, node_hamiltonian)
 from .operators import (caputo_derivative, gamma, rl_derivative,
                         rl_integral_left, rl_integral_right)
@@ -34,8 +34,7 @@ __all__ = [
     "CostTerm", "PerformanceIndex", "terminal_index_set", "terminal_value",
     "running_weight", "evaluate",
     "FractionalPlant", "HJBProblem",
-    "ValueData", "GridPlan", "NodeTable", "node_hamiltonian",
-    "minimize_node_hamiltonian",
+    "GridPlan", "NodeTable", "node_hamiltonian", "minimize_node_hamiltonian",
     "aggregate_error",
     "SweepConfig", "SweepState", "forward_sweep", "backward_sweep", "solve",
     "DomainError", "SingularTimeError", "SweepAbort", "ConfigError",

@@ -126,16 +126,19 @@ def cmd_run(args) -> int:
     stem = Path(args.problem).stem
     csv_path = args.csv or parsed.csv_path or f"{stem}_trajectory.csv"
     report_path = args.report or parsed.report_path or f"{stem}_report.json"
+    for path in (csv_path, report_path):   # before the solve, not after
+        with file_errors(path):
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+        if Path(path).is_dir():
+            raise ConfigError(f"{path}: Is a directory")
     start = time.perf_counter()
     state = solve(parsed.problem, parsed.config)
     wall = time.perf_counter() - start
     rep = _report_dict(state, wall)
     rep["csv"] = str(csv_path)
     with file_errors(csv_path):
-        Path(csv_path).parent.mkdir(parents=True, exist_ok=True)
         write_csv(csv_path, state)
     with file_errors(report_path):
-        Path(report_path).parent.mkdir(parents=True, exist_ok=True)
         Path(report_path).write_text(json.dumps(rep, indent=2) + "\n",
                                      encoding="utf-8")
     _print_report(rep)

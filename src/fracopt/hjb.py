@@ -21,7 +21,9 @@ one search per row.  A row is never evaluated at a control its own
 minimization would not probe: a row with nothing left to probe in a batch
 is evaluated again at its latest probe.  A batched stage that aborts runs
 again node by node (first_failing_node), so that the abort names the node
-that node-by-node evaluation named.
+that node-by-node evaluation named.  The table is the one record of the
+evaluation: the backward sweep stores its value chain, costate and
+Hamiltonian on it too.
 
 Endpoint conventions (both endpoints of the grid host singular factors):
 at the final node the running weights of every order are evaluated at
@@ -32,7 +34,6 @@ at dt = 0.01; at the initial node the transformed field is evaluated at t_1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -44,7 +45,6 @@ from .grid import TimeGrid
 from .problem import HJBProblem
 
 __all__ = [
-    "ValueData",
     "GridPlan",
     "NodeTable",
     "node_hamiltonian",
@@ -60,33 +60,6 @@ _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 _SQRT_EPS = math.sqrt(2.2e-16)
 _MAX_EVALS = 500
 _FLOAT = np.dtype(float)
-
-
-@dataclass(frozen=True)
-class ValueData:
-    """Value and costate data along a swept trajectory.
-
-    Per node: v the value chain (the leapfrog integral of h back from the
-    terminal value v[-1], not the cost-to-go), v_x the costate, h the
-    Hamiltonian at the sweep's own control, and nodes the NodeTable the
-    Hamiltonians were taken on, with its grid.
-    """
-
-    v: np.ndarray = field(repr=False)
-    v_x: np.ndarray = field(repr=False)
-    h: np.ndarray = field(repr=False)
-    nodes: "NodeTable" = field(repr=False)
-
-    def __post_init__(self):
-        arrays = (self.v, self.v_x, self.h)
-        if any(a.shape[0] != len(self.nodes) for a in arrays):
-            raise DomainError("value data must cover every grid node")
-        if not all(np.isfinite(a).all() for a in arrays):
-            raise DomainError("value data must be finite")
-
-    @property
-    def grid(self) -> TimeGrid:
-        return self.nodes.grid
 
 
 def _running_cost(prob: HJBProblem, t: float) -> list:
@@ -123,11 +96,14 @@ class GridPlan:
 
 
 class NodeTable:
-    """The data of every grid node that the Hamiltonians of one sweep
-    evaluation share, one row per node: the plan's t_run, t_field,
-    running weights and denominators, and the state x and the memory
-    correction of the transformed field at the node's state and
-    moments, which freeze fills one row at a time.
+    """The record of one sweep evaluation, one row per grid node: the
+    plan's t_run, t_field, running weights and denominators, the state x
+    and the memory correction of the transformed field at the node's
+    state and moments, which freeze fills one row at a time, and v, v_x
+    and h, which the backward sweep stores (None before it): the value
+    chain (the leapfrog integral of h back from the terminal value v[-1],
+    not the cost-to-go), the costate and the Hamiltonian at the sweep's
+    own control.
 
     H at row k is sum_j weights[k, j] g_j(t_run[k], x[k], u)
     + V_x . (rhs(t_field[k], x[k], u) - correction[k]) / denominator[k].
@@ -139,9 +115,13 @@ class NodeTable:
         self.weights, self.denominator = plan.weights, plan.denominator
         self.x = np.empty((len(self), plan.prob.plant.n_states))
         self.correction = np.empty_like(self.x)
+        self.v = self.v_x = self.h = None
 
     def __len__(self) -> int:
         return self.t_run.shape[0]
+
+    def __repr__(self) -> str:
+        return f"NodeTable(grid={self.grid!r}, nodes={len(self)})"
 
     def __getitem__(self, rows: slice) -> "NodeTable":
         """The table of the rows in the slice rows (views, not copies)."""
@@ -353,16 +333,15 @@ def _minimize_box(h: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
     return u
 
 
-def minimize_node_hamiltonian(prob: HJBProblem, table: NodeTable,
-                              v_x: np.ndarray) -> np.ndarray:
+def minimize_node_hamiltonian(table: NodeTable, v_x: np.ndarray) -> np.ndarray:
     """Minimizers of the Hamiltonian at every row of a node table over
-    the problem's control box, one row per node, for costates v_x (H is
+    its problem's control box, one row per node, for costates v_x (H is
     not evaluated at them here)."""
     def minimize(rows):
         part, v_rows = table[rows], v_x[rows]
         return _minimize_box(lambda u: node_hamiltonian(part, u, v_rows),
-                             prob.u_lower, prob.u_upper,
-                             prob.quadratic_control, len(part))
+                             part.prob.u_lower, part.prob.u_upper,
+                             part.prob.quadratic_control, len(part))
     return first_failing_node(minimize, len(table))
 
 

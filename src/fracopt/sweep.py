@@ -5,14 +5,16 @@ iteration evaluates the current control trajectory end to end on a node
 table (hjb.NodeTable): integrate the transformed dynamics and moment
 states forward, freezing each node into its row as the sweep reaches it
 and taking every slope of the field on the rows, integrate the costate
-and value backward on the table alone, minimize the Hamiltonian
-pointwise, and score the iterate by the root-sum-square residual of the
-dynamic-programming equation.  Only the state, moment and costate
-recursions run node by node, and a forward node costs only what depends
-on x: the memory correction, the moment update, the rhs and the step.
-The rest is array operations over all nodes.  The control update is
-relaxed and accepted only when the aggregate residual does not increase;
-on rejection the relaxation factor is halved and the update retried.
+and value backward on the table alone and store them, with the
+Hamiltonian, on it (the table is the one record of the evaluation),
+minimize the Hamiltonian pointwise, and score the iterate by the
+root-sum-square residual of the dynamic-programming equation.  Only the
+state, moment and costate recursions run node by node, and a forward
+node costs only what depends on x: the memory correction, the moment
+update, the rhs and the step.  The rest is array operations over all
+nodes.  The control update is relaxed and accepted only when the
+aggregate residual does not increase; on rejection the relaxation factor
+is halved and the update retried.
 
 The residual at node k is the Hamiltonian gap H_k(u*_k) - H_k(u_k), so
 Error = ||H(u*) - H(u)||_2 measures how far u is from pointwise optimal
@@ -35,9 +37,8 @@ from . import cost as cost_mod
 from .errors import DomainError, SweepAbort
 from .expansion import advance_moments
 from .grid import TimeGrid
-from .hjb import (GridPlan, NodeTable, ValueData, aggregate_error,
-                  first_failing_node, minimize_node_hamiltonian,
-                  node_hamiltonian)
+from .hjb import (GridPlan, NodeTable, aggregate_error, first_failing_node,
+                  minimize_node_hamiltonian, node_hamiltonian)
 from .problem import HJBProblem
 
 __all__ = ["SweepConfig", "SweepState", "forward_sweep", "backward_sweep",
@@ -103,7 +104,7 @@ class SweepState:
     iteration: int
     u: np.ndarray = field(repr=False)
     x: np.ndarray = field(repr=False)
-    value: ValueData = field(repr=False)
+    value: NodeTable = field(repr=False)
     u_star: np.ndarray = field(repr=False)
     residuals: np.ndarray = field(repr=False)
     error: float
@@ -190,19 +191,20 @@ def forward_sweep(prob: HJBProblem, u, cfg: SweepConfig, plan=None):
     nodes = NodeTable(plan)
     x = nodes.x
     x[0] = plant.x0
-    for k in range(n):
-        nodes.freeze(k, x[k], m)
-        m = advance_moments(m, x[k], plan.decay[k], plan.fac[k])
-        _check_finite(m, "moment state", k + 1)
-        slope = nodes.field_at(k, u[k]) if k else np.asarray(
-            plant.rhs(grid.t0, x[0], u[0]), dtype=float)
-        x[k + 1] = x[k] + dt * slope
-        if heun and k:   # Heun: the slope at the predictor, on row k+1
-            nodes.freeze(k + 1, x[k + 1], m)
-            x[k + 1] = x[k] + 0.5 * dt * (
-                slope + nodes.field_at(k + 1, u[k + 1]))
-        _check_finite(x[k + 1], "state", k + 1)
-    nodes.freeze(n, x[n], m)
+    with np.errstate(all="ignore"):   # each node is checked below
+        for k in range(n):
+            nodes.freeze(k, x[k], m)
+            m = advance_moments(m, x[k], plan.decay[k], plan.fac[k])
+            _check_finite(m, "moment state", k + 1)
+            slope = nodes.field_at(k, u[k]) if k else np.asarray(
+                plant.rhs(grid.t0, x[0], u[0]), dtype=float)
+            x[k + 1] = x[k] + dt * slope
+            if heun and k:   # Heun: the slope at the predictor, on row k+1
+                nodes.freeze(k + 1, x[k + 1], m)
+                x[k + 1] = x[k] + 0.5 * dt * (
+                    slope + nodes.field_at(k + 1, u[k + 1]))
+            _check_finite(x[k + 1], "state", k + 1)
+        nodes.freeze(n, x[n], m)
     return x, nodes
 
 
@@ -217,7 +219,7 @@ def _weighted_running_gradient(prob: HJBProblem, t_run: np.ndarray,
         np.array(weights).reshape(t_run.shape[0], -1), t_run, x, u)
 
 
-def backward_sweep(nodes: NodeTable, u, cfg: SweepConfig) -> ValueData:
+def backward_sweep(nodes: NodeTable, u, cfg: SweepConfig) -> NodeTable:
     """Integrate costates backward and build the value chain.
 
     The costate solves lambda' = -(dg/dx + (dfield/dx)^T lambda) with
@@ -233,8 +235,8 @@ def backward_sweep(nodes: NodeTable, u, cfg: SweepConfig) -> ValueData:
 
     nodes is an evaluation's node table (forward_sweep's or
     audit_residuals'): the problem, grid, states and node times are read
-    from it, and it goes out on the ValueData for the minimization and
-    the residuals of the same evaluation.
+    from it, and v, v_x and h are stored on it for the minimization and
+    the residuals of the same evaluation.  Returns nodes.
     """
     prob, grid, x = nodes.prob, nodes.grid, nodes.x
     u = _control_array(prob, grid, u)
@@ -276,24 +278,29 @@ def backward_sweep(nodes: NodeTable, u, cfg: SweepConfig) -> ValueData:
     v = np.empty(grid.n_nodes)
     v[n] = cost_mod.terminal_value(prob.index, prob.tf, x[n])
     _check_finite(v[n], "terminal value", n)
-    v[n - 1] = v[n] + dt * h[n]
-    for k in range(n - 1, 0, -1):
-        v[k - 1] = v[k + 1] + 2.0 * dt * h[k]
-    return ValueData(v, lam, h, nodes)
+    with np.errstate(all="ignore"):   # no user code: checked once below
+        v[n - 1] = v[n] + dt * h[n]
+        for k in range(n - 1, 0, -1):
+            v[k - 1] = v[k + 1] + 2.0 * dt * h[k]
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:   # the first non-finite node the recursion reached
+        raise SweepAbort(f"non-finite value at node {bad[-1]}")
+    nodes.v, nodes.v_x, nodes.h = v, lam, h
+    return nodes
 
 
-def _pointwise_minimizers(prob: HJBProblem, value: ValueData) -> np.ndarray:
-    return minimize_node_hamiltonian(prob, value.nodes, value.v_x)
+def _pointwise_minimizers(nodes: NodeTable) -> np.ndarray:
+    return minimize_node_hamiltonian(nodes, nodes.v_x)
 
 
 def _evaluate(prob: HJBProblem, u: np.ndarray, cfg: SweepConfig,
               plan: GridPlan = None):
     x, nodes = forward_sweep(prob, u, cfg, plan)
-    value = backward_sweep(nodes, u, cfg)
-    u_star = _pointwise_minimizers(prob, value)
+    backward_sweep(nodes, u, cfg)
+    u_star = _pointwise_minimizers(nodes)
     residuals = _finite_per_node(
-        "residual", node_hamiltonian(nodes, u_star, value.v_x) - value.h)
-    return x, value, u_star, residuals, aggregate_error(residuals)
+        "residual", node_hamiltonian(nodes, u_star, nodes.v_x) - nodes.h)
+    return x, nodes, u_star, residuals, aggregate_error(residuals)
 
 
 def audit_residuals(prob: HJBProblem, x: np.ndarray, u,
@@ -305,23 +312,24 @@ def audit_residuals(prob: HJBProblem, x: np.ndarray, u,
     does, reruns the backward sweep on that table under the supplied
     control, and evaluates the
     residuals at the pointwise minimizers: the audit path behind the
-    command-line verify.  Returns (residuals, value).
+    command-line verify.  Returns (residuals, nodes): the table carries
+    the value data v, v_x and h.
     """
     plan = _plan_for(prob, cfg)
     prob, grid = plan.prob, plan.grid
     if x.shape != (grid.n_nodes, prob.plant.n_states):
         raise DomainError("state trajectory does not match the grid")
-    m = np.zeros((cfg.p_max - 1, prob.plant.n_states))
+    m = np.zeros((plan.decay.shape[1], prob.plant.n_states))
     nodes = NodeTable(plan)
     for k in range(grid.n_nodes):
         nodes.freeze(k, x[k], m)
         if k < grid.n_steps:
             m = advance_moments(m, x[k], plan.decay[k], plan.fac[k])
-    value = backward_sweep(nodes, u, cfg)
-    u_star = _pointwise_minimizers(prob, value)
+    backward_sweep(nodes, u, cfg)
+    u_star = _pointwise_minimizers(nodes)
     residuals = _finite_per_node(
-        "residual", node_hamiltonian(nodes, u_star, value.v_x) - value.h)
-    return residuals, value
+        "residual", node_hamiltonian(nodes, u_star, nodes.v_x) - nodes.h)
+    return residuals, nodes
 
 
 def solve(prob: HJBProblem, cfg: SweepConfig) -> SweepState:

@@ -131,12 +131,31 @@ def test_non_utf8_problem_file_exits_one(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {prob}: ")
 
 
-def test_directory_as_csv_output_exits_one(tmp_path, capsys):
+def _refuse_to_solve(monkeypatch):
+    def solve_(*args):
+        raise AssertionError("solved before the output paths were checked")
+    monkeypatch.setattr(fracopt.cli, "solve", solve_)
+
+
+def test_directory_as_csv_output_exits_one(tmp_path, capsys, monkeypatch):
+    _refuse_to_solve(monkeypatch)
     target = tmp_path / "out"
     target.mkdir()
     assert run_cli("run", EXAMPLE_FILE, *CHEAP,
                    "--override", "solver.max_iters=0", "--csv", str(target),
                    "--report", str(tmp_path / "r.json")) == 1
+    assert capsys.readouterr().err.startswith(f"error: {target}: ")
+
+
+def test_directory_as_report_output_exits_one(tmp_path, capsys,
+                                              monkeypatch):
+    _refuse_to_solve(monkeypatch)
+    target = tmp_path / "out"
+    target.mkdir()
+    assert run_cli("run", EXAMPLE_FILE, *CHEAP,
+                   "--override", "solver.max_iters=0",
+                   "--csv", str(tmp_path / "t.csv"),
+                   "--report", str(target)) == 1
     assert capsys.readouterr().err.startswith(f"error: {target}: ")
 
 

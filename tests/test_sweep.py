@@ -1,13 +1,16 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from scipy.integrate import solve_ivp
 
 import fracopt as fo
 from fracopt import (SweepAbort, SweepConfig, backward_sweep, forward_sweep,
                      hjb, solve, sweep)
+from fracopt.config import build_problem
 
 from conftest import (frozen_table, moment_trajectory, two_state_config,
                       two_state_problem)
@@ -117,6 +120,25 @@ def test_forward_aborts_on_blowup():
         forward_sweep(prob, 0.0, cfg)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("edit, message", [
+    ({"plant": {"dynamics": ["1.0e308 + 0*x1 + 0*u1"]}},
+     "non-finite state at node 2$"),
+    ({"cost": {"terms": [{"order": 1.0, "operand": "1.5e308 + 0*x1"}]},
+      "solver": {"tf": 2.0, "max_iters": 0}},
+     "non-finite value at node 80$"),
+], ids=["state", "value-chain"])
+def test_overflow_aborts_without_a_warning(edit, message):
+    # an overflow in the forward loop or in the value chain is the sweep's
+    # own check to report: no RuntimeWarning escapes before the abort
+    doc = yaml.safe_load(Path("perfbench/lq_bounded.yaml").read_text())
+    for block, values in edit.items():
+        doc[block].update(values)
+    parsed = build_problem(doc)
+    with pytest.raises(SweepAbort, match=message):
+        solve(parsed.problem, parsed.config)
+
+
 # ------------------------------------------------------------ backward
 
 def test_backward_zero_costs_give_zero_value_and_costate():
@@ -134,6 +156,28 @@ def test_backward_zero_costs_give_zero_value_and_costate():
     value = backward_sweep(nodes, u, cfg)
     assert np.all(value.v == 0.0)
     assert np.all(value.v_x == 0.0)
+
+
+def test_backward_sweep_stores_its_value_data_on_the_node_table():
+    # the table is the evaluation's one record: the backward sweep fills
+    # it, and the minimizer takes its box from the table's problem
+    prob = dataclasses.replace(lq_problem().with_field(4, 4, 4, "convergent"),
+                               u_lower=np.array([-0.01]),
+                               u_upper=np.array([0.02]))
+    u = np.linspace(-0.01, 0.02, 101)[:, None]
+    x, nodes = forward_sweep(prob, u, LQ_CFG)
+    assert backward_sweep(nodes, u, LQ_CFG) is nodes
+    assert nodes.v.shape == nodes.h.shape == (101,)
+    assert nodes.v_x.shape == (101, 1)
+    assert np.array_equal(nodes.h, hjb.node_hamiltonian(nodes, u, nodes.v_x))
+    u_star = hjb.minimize_node_hamiltonian(nodes, nodes.v_x)
+    assert np.all((-0.01 <= u_star) & (u_star <= 0.02))
+    assert np.any(u_star == -0.01)
+
+
+def test_node_table_repr_names_its_grid_and_node_count(cheap_state):
+    assert repr(cheap_state.value) == (
+        "NodeTable(grid=TimeGrid(t0=0.0, tf=1.0, n_steps=100), nodes=101)")
 
 
 def test_backward_classical_limit_matches_riccati_costate():
@@ -303,11 +347,11 @@ def test_tables_past_2048_nodes_equal_tables_frozen_from_scratch():
     grid = fo.TimeGrid(0.0, 1.0, 2500)
     fresh = frozen_table(prob, grid, x, moment_trajectory(grid, cfg.p_max, x))
     _, value = sweep.audit_residuals(prob, x, u, cfg)
-    assert len(nodes) == len(value.nodes) == 2501
+    assert len(nodes) == len(value) == 2501
     for name in ("t_run", "t_field", "x", "weights", "correction",
                  "denominator"):
         assert np.array_equal(getattr(nodes, name), getattr(fresh, name))
-        assert np.array_equal(getattr(value.nodes, name),
+        assert np.array_equal(getattr(value, name),
                               getattr(fresh, name))
 
 
