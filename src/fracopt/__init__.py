@@ -7,8 +7,8 @@ order, the associated dynamic-programming (HJB-type) equation, and a
 forward-backward sweep solver for fixed-final-time problems.
 """
 
-from .cost import (CostTerm, PerformanceIndex, evaluate, running_weight,
-                   terminal_index_set, terminal_value)
+from .cost import (CostTerm, PerformanceIndex, cost_to_go, evaluate,
+                   running_weight, terminal_index_set, terminal_value)
 from .errors import ConfigError, DomainError, SingularTimeError, SweepAbort
 from .expansion import (ExpansionCoeffs, TransformedField, advance_moments,
                         derivative_coeff, moment_coeff, moment_factors,
@@ -32,7 +32,7 @@ __all__ = [
     "series_partial_sum", "state_coeff", "derivative_coeff", "moment_coeff",
     "ExpansionCoeffs", "moment_factors", "advance_moments", "TransformedField",
     "CostTerm", "PerformanceIndex", "terminal_index_set", "terminal_value",
-    "running_weight", "evaluate",
+    "running_weight", "evaluate", "cost_to_go",
     "FractionalPlant", "HJBProblem",
     "GridPlan", "NodeTable", "node_hamiltonian", "minimize_node_hamiltonian",
     "aggregate_error",

@@ -18,7 +18,8 @@ import numpy as np
 from .errors import DomainError, SingularTimeError
 from .expansion import central_difference, over_nodes
 from .grid import TimeGrid
-from .operators import gamma, singular_kernel_weights
+from .operators import (gamma, kernel_cell_weights,
+                        singular_kernel_weights)
 
 __all__ = [
     "CostTerm",
@@ -27,6 +28,7 @@ __all__ = [
     "terminal_value",
     "running_weight",
     "evaluate",
+    "cost_to_go",
 ]
 
 
@@ -176,3 +178,27 @@ def evaluate(pi: PerformanceIndex, grid: TimeGrid, x: np.ndarray,
                             for k in range(from_node, grid.n_nodes)])
         total += float(w[from_node:] @ samples)
     return total
+
+
+def cost_to_go(pi: PerformanceIndex, grid: TimeGrid, x: np.ndarray,
+               u: np.ndarray) -> np.ndarray:
+    """Cost-to-go of a sampled trajectory pair from every grid node:
+    V[k] is evaluate(pi, grid, x, u, k) up to the order of summation.
+
+    The running kernel is anchored at tf, so a cell's quadrature term is
+    the same from whichever node the sum starts, and V is the terminal
+    value plus the reverse cumulative sum of the cell terms, one pass.
+    A non-finite operand or sum is returned, not raised.
+    """
+    times = grid.times()
+    n = grid.n_steps
+    cells = np.zeros(n)
+    for term in pi.running_terms:
+        g = term.running_nodes(times, x, u)
+        far_w, near_w, far, near = kernel_cell_weights(grid, term.v, 0, n,
+                                                       "upper")
+        with np.errstate(all="ignore"):
+            cells += (far_w * g[far] + near_w * g[near]) / gamma(term.v)
+    total = np.append(cells, terminal_value(pi, grid.tf, x[-1]))
+    with np.errstate(all="ignore"):
+        return np.cumsum(total[::-1])[::-1]

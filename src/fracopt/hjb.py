@@ -6,9 +6,11 @@ The equation under test is
     -V_t(t, x) = min_u { sum_j w_j(t) g_j(t, x, u) + V_x . field(t, x, M, u) }
 
 with w_j the running kernel weight of each cost term.  A sweep
-(fracopt.sweep) integrates V backward from the Hamiltonian at its own
-control, so V_t = -H_k(u_k), and the residual at node k is the Hamiltonian
-gap H_k(u*_k) - H_k(u_k) at the pointwise minimizer u*_k.
+(fracopt.sweep) integrates the costate V_x backward and takes the
+Hamiltonian at its own control, H_k(u_k), and the residual at node k is
+the Hamiltonian gap H_k(u*_k) - H_k(u_k) at the pointwise minimizer
+u*_k.  V itself is the cost-to-go, summed once per solve from the cost
+quadrature (cost.cost_to_go).
 
 What depends on the grid alone is computed once per solve into a GridPlan.
 Within one sweep evaluation x and M are fixed at every node, so the nodes
@@ -22,8 +24,8 @@ minimization would not probe: a row with nothing left to probe in a batch
 is evaluated again at its latest probe.  A batched stage that aborts runs
 again node by node (first_failing_node), so that the abort names the node
 that node-by-node evaluation named.  The table is the one record of the
-evaluation: the backward sweep stores its value chain, costate and
-Hamiltonian on it too.
+evaluation: the backward sweep stores its costate and Hamiltonian on it
+too, and a solve stores the cost-to-go on its final table.
 
 Endpoint conventions (both endpoints of the grid host singular factors):
 at the final node the running weights of every order are evaluated at
@@ -99,11 +101,12 @@ class NodeTable:
     """The record of one sweep evaluation, one row per grid node: the
     plan's t_run, t_field, running weights and denominators, the state x
     and the memory correction of the transformed field at the node's
-    state and moments, which freeze fills one row at a time, and v, v_x
-    and h, which the backward sweep stores (None before it): the value
-    chain (the leapfrog integral of h back from the terminal value v[-1],
-    not the cost-to-go), the costate and the Hamiltonian at the sweep's
-    own control.
+    state and moments, which freeze fills one row at a time, v_x and h,
+    which the backward sweep stores (None before it): the costate and
+    the Hamiltonian at the sweep's own control, and v, the cost-to-go
+    from each node (cost.cost_to_go, v[-1] the terminal value), which
+    solve and audit_residuals store on their final table alone (None on
+    every other).
 
     H at row k is sum_j weights[k, j] g_j(t_run[k], x[k], u)
     + V_x . (rhs(t_field[k], x[k], u) - correction[k]) / denominator[k].

@@ -54,26 +54,16 @@ def _check_node(f: SampledFunction, node: int) -> None:
         raise DomainError(f"node {node} outside grid 0..{f.grid.n_steps}")
 
 
-def singular_kernel_weights(grid, v: float, lo: int, hi: int,
-                            singular_at: str) -> np.ndarray:
-    """Quadrature weights for a power-law kernel against piecewise-linear data.
-
-    Returns w of length n_nodes with support on nodes lo..hi such that
-    w @ samples approximates
-
-        (1/Gamma(v)) * integral_{t_lo}^{t_hi} K(tau) f(tau) dtau,
-
-    where K(tau) = (t_hi - tau)^(v-1) for singular_at='upper' and
-    K(tau) = (tau - t_lo)^(v-1) for singular_at='lower'.  Kernel moments
-    are exact per cell, so the v<1 endpoint singularity is integrable
-    analytically and never sampled.
+def kernel_cell_weights(grid, v: float, lo: int, hi: int,
+                        singular_at: str):
+    """The per-cell weights that singular_kernel_weights sums, before its
+    division by Gamma(v): (far_w, near_w, far, near), where cell c of
+    lo..hi weights its node farther from the singular end (index slice
+    far) by far_w[c] and its nearer node (slice near) by near_w[c].
+    Kernel moments are exact per cell, so the v<1 endpoint singularity
+    is integrated analytically and never sampled.
     """
-    if v <= 0:
-        raise DomainError(f"integration order must be positive, got {v}")
     dt = grid.dt
-    w = np.zeros(grid.n_nodes)
-    if hi <= lo:
-        return w
     times = grid.times()
     if singular_at == "upper":
         anchor = times[hi]
@@ -92,8 +82,30 @@ def singular_kernel_weights(grid, v: float, lo: int, hi: int,
     i1 = (b ** v - a ** v) / v
     # linear shape functions: (s - a)/dt weighting the far node,
     # (b - s)/dt weighting the node nearer the singular end
-    np.add.at(w, far, (i0 - a * i1) / dt)
-    np.add.at(w, near, (b * i1 - i0) / dt)
+    return (i0 - a * i1) / dt, (b * i1 - i0) / dt, far, near
+
+
+def singular_kernel_weights(grid, v: float, lo: int, hi: int,
+                            singular_at: str) -> np.ndarray:
+    """Quadrature weights for a power-law kernel against piecewise-linear data.
+
+    Returns w of length n_nodes with support on nodes lo..hi such that
+    w @ samples approximates
+
+        (1/Gamma(v)) * integral_{t_lo}^{t_hi} K(tau) f(tau) dtau,
+
+    where K(tau) = (t_hi - tau)^(v-1) for singular_at='upper' and
+    K(tau) = (tau - t_lo)^(v-1) for singular_at='lower'.
+    """
+    if v <= 0:
+        raise DomainError(f"integration order must be positive, got {v}")
+    w = np.zeros(grid.n_nodes)
+    if hi <= lo:
+        return w
+    far_w, near_w, far, near = kernel_cell_weights(grid, v, lo, hi,
+                                                   singular_at)
+    np.add.at(w, far, far_w)
+    np.add.at(w, near, near_w)
     return w / gamma(v)
 
 

@@ -5,23 +5,25 @@ iteration evaluates the current control trajectory end to end on a node
 table (hjb.NodeTable): integrate the transformed dynamics and moment
 states forward, freezing each node into its row as the sweep reaches it
 and taking every slope of the field on the rows, integrate the costate
-and value backward on the table alone and store them, with the
-Hamiltonian, on it (the table is the one record of the evaluation),
-minimize the Hamiltonian pointwise, and score the iterate by the
-root-sum-square residual of the dynamic-programming equation.  Only the
-state, moment and costate recursions run node by node, and a forward
-node costs only what depends on x: the memory correction, the moment
-update, the rhs and the step.  The rest is array operations over all
-nodes.  The control update is relaxed and accepted only when the
-aggregate residual does not increase; on rejection the relaxation factor
-is halved and the update retried.
+backward on the table alone and store it, with the Hamiltonian, on it
+(the table is the one record of the evaluation), minimize the
+Hamiltonian pointwise, and score the iterate by the root-sum-square
+residual of the dynamic-programming equation.  Only the state, moment
+and costate recursions run node by node, and a forward node costs only
+what depends on x: the memory correction, the moment update, the rhs
+and the step.  The rest is array operations over all nodes.  The
+control update is relaxed and accepted only when the aggregate residual
+does not increase; on rejection the relaxation factor is halved and the
+update retried.
 
 The residual at node k is the Hamiltonian gap H_k(u*_k) - H_k(u_k), so
 Error = ||H(u*) - H(u)||_2 measures how far u is from pointwise optimal
 along its own trajectory, not whether that trajectory solves the stated
-Caputo problem.  The value chain V is the leapfrog integral of the full
-Hamiltonian H(u), which is NOT the cost-to-go; the optimal cost is
-reported from the cost quadrature of the converged pair instead.
+Caputo problem.  Nothing in the iteration reads V itself (the minimizer
+reads the costate v_x, the residual h): V, the cost-to-go from every
+node (cost.cost_to_go), is summed once, on the final pair, and stored as
+the final table's v, so V[0] is J* up to the order of summation; J*
+itself is the cost quadrature cost.evaluate.
 """
 
 from __future__ import annotations
@@ -98,7 +100,11 @@ class SweepConfig:
 
 @dataclass
 class SweepState:
-    """Result of a solve: final trajectories and iteration diagnostics."""
+    """Result of a solve: final trajectories and iteration diagnostics.
+
+    value is the node table of the final evaluation, with the costate
+    v_x, the Hamiltonian h and the cost-to-go v from every node (v[0]
+    is j_star up to the order of summation)."""
 
     grid: TimeGrid
     iteration: int
@@ -220,13 +226,12 @@ def _weighted_running_gradient(prob: HJBProblem, t_run: np.ndarray,
 
 
 def backward_sweep(nodes: NodeTable, u, cfg: SweepConfig) -> NodeTable:
-    """Integrate costates backward and build the value chain.
+    """Integrate costates backward, and take the Hamiltonian at u.
 
     The costate solves lambda' = -(dg/dx + (dfield/dx)^T lambda) with
     lambda(tf) set to the terminal-value gradient.  h is the Hamiltonian
-    at u and lambda per node, and the value chain integrates it backward
-    from the terminal value: one Euler step from the final node, then
-    V_{k-1} = V_{k+1} + 2 dt h_k (leapfrog).  It is not the cost-to-go.
+    at u and lambda per node, which the residual reads.  No value is
+    integrated here: the cost-to-go is summed once per solve.
 
     Each node 1..n is linearized once (running-cost gradient and field
     Jacobian at its state and control), and both steppers step on those
@@ -235,8 +240,8 @@ def backward_sweep(nodes: NodeTable, u, cfg: SweepConfig) -> NodeTable:
 
     nodes is an evaluation's node table (forward_sweep's or
     audit_residuals'): the problem, grid, states and node times are read
-    from it, and v, v_x and h are stored on it for the minimization and
-    the residuals of the same evaluation.  Returns nodes.
+    from it, and v_x and h are stored on it for the minimization and the
+    residuals of the same evaluation; its v stays None.  Returns nodes.
     """
     prob, grid, x = nodes.prob, nodes.grid, nodes.x
     u = _control_array(prob, grid, u)
@@ -274,19 +279,22 @@ def backward_sweep(nodes: NodeTable, u, cfg: SweepConfig) -> NodeTable:
 
     h = _finite_per_node("Hamiltonian along the sweep",
                          node_hamiltonian(nodes, u, lam))
-
-    v = np.empty(grid.n_nodes)
-    v[n] = cost_mod.terminal_value(prob.index, prob.tf, x[n])
-    _check_finite(v[n], "terminal value", n)
-    with np.errstate(all="ignore"):   # no user code: checked once below
-        v[n - 1] = v[n] + dt * h[n]
-        for k in range(n - 1, 0, -1):
-            v[k - 1] = v[k + 1] + 2.0 * dt * h[k]
-    bad = np.flatnonzero(~np.isfinite(v))
-    if bad.size:   # the first non-finite node the recursion reached
-        raise SweepAbort(f"non-finite value at node {bad[-1]}")
-    nodes.v, nodes.v_x, nodes.h = v, lam, h
+    nodes.v_x, nodes.h = lam, h
     return nodes
+
+
+def _store_cost_to_go(nodes: NodeTable, u: np.ndarray) -> None:
+    """Store the cost-to-go of the table's states under u as its v
+    (cost.cost_to_go), once per solve or audit, on the final table.  A
+    non-finite terminal value aborts at the last node, and any other
+    non-finite V at the latest node the backward sum reached."""
+    n = nodes.grid.n_steps
+    v = cost_mod.cost_to_go(nodes.prob.index, nodes.grid, nodes.x, u)
+    _check_finite(v[n], "terminal value", n)
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        raise SweepAbort(f"non-finite value at node {bad[-1]}")
+    nodes.v = v
 
 
 def _pointwise_minimizers(nodes: NodeTable) -> np.ndarray:
@@ -310,15 +318,15 @@ def audit_residuals(prob: HJBProblem, x: np.ndarray, u,
     Steps the moment states over the node samples of x on its own
     GridPlan, freezing each node into a node table as forward_sweep
     does, reruns the backward sweep on that table under the supplied
-    control, and evaluates the
-    residuals at the pointwise minimizers: the audit path behind the
-    command-line verify.  Returns (residuals, nodes): the table carries
-    the value data v, v_x and h.
+    control, evaluates the residuals at the pointwise minimizers and
+    sums the cost-to-go: the audit path behind the command-line verify.
+    Returns (residuals, nodes): the table carries v, v_x and h.
     """
     plan = _plan_for(prob, cfg)
     prob, grid = plan.prob, plan.grid
     if x.shape != (grid.n_nodes, prob.plant.n_states):
         raise DomainError("state trajectory does not match the grid")
+    u = _control_array(prob, grid, u)
     m = np.zeros((plan.decay.shape[1], prob.plant.n_states))
     nodes = NodeTable(plan)
     for k in range(grid.n_nodes):
@@ -329,6 +337,7 @@ def audit_residuals(prob: HJBProblem, x: np.ndarray, u,
     u_star = _pointwise_minimizers(nodes)
     residuals = _finite_per_node(
         "residual", node_hamiltonian(nodes, u_star, nodes.v_x) - nodes.h)
+    _store_cost_to_go(nodes, u)
     return residuals, nodes
 
 
@@ -365,6 +374,7 @@ def solve(prob: HJBProblem, cfg: SweepConfig) -> SweepState:
         x, value, u_star, residuals, err = trial
         history.append(err)
         iteration += 1
+    _store_cost_to_go(value, u)
     j_star = cost_mod.evaluate(prob.index, grid, x, u, 0)
     return SweepState(
         grid=grid, iteration=iteration, u=u, x=x,

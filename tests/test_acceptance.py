@@ -11,9 +11,12 @@ kept as a named constant, printed beside the reference that replaces it:
 - the cost is checked against an independent mpmath quadrature of the
   performance index on the same samples (1e-10 relative), and the
   converged cost must be a local minimum of the discrete cost;
+- the package's own V(0), the cost-to-go it reports, is checked against
+  the same references;
 - the floor that rules out each published value figure is asserted.
 """
 
+import dataclasses
 import math
 import time
 
@@ -170,10 +173,13 @@ def test_criterion_1_end_to_end_reproduction(example_state, example_parsed,
             u = state.u + eps * phi
             x, _ = forward_sweep(prob, u, example_parsed.config)
             gains.append(fo.evaluate(prob.index, state.grid, x, u) - j)
+    v0 = float(state.value.v[0])
     checks = [
         ("J* vs quadrature oracle 1e-10", within(j, j_ref, COST_RTOL),
          f"{j:.10g} vs {j_ref:.10g}, rel {abs(j / j_ref - 1):.1e}; "
          f"published V(0,x0) {PUBLISHED_V0_CONVERGED}"),
+        ("V(0,x0) vs quadrature oracle 1e-10", within(v0, j_ref, COST_RTOL),
+         f"{v0:.10g}, rel {abs(v0 / j_ref - 1):.1e}"),
         ("J* local minimum over 12 probes", min(gains) > 0.0,
          f"least gain {min(gains):.2e}"),
         ("published V(0,x0) below x2 floor",
@@ -200,6 +206,8 @@ def test_criterion_2_first_sweep_checkpoint(example_parsed, capsys):
     wall = time.perf_counter() - start
     x1, x2 = x[-1]
     j_ref = cost_oracle(x, u)
+    first = solve(prob, dataclasses.replace(cfg, max_iters=0))
+    v0 = float(first.value.v[0])
     gap = scheme_gap(x, u)
     checks = [
         ("x(t_k) vs scheme oracle 1e-12", gap <= SCHEME_RTOL,
@@ -210,6 +218,10 @@ def test_criterion_2_first_sweep_checkpoint(example_parsed, capsys):
          f"{j:.10g} vs {j_ref:.10g}, rel {abs(j / j_ref - 1):.1e}"),
         ("J(u=5) >= 25/G(1.4)", j >= V0_FIRST_FLOOR,
          f"{j:.5g} >= {V0_FIRST_FLOOR:.5g}"),
+        ("first-sweep V(0) = J(u=5) 1e-15", within(v0, j, 1e-15),
+         f"{v0!r} vs {j!r}"),
+        ("first-sweep V(0) >= 25/G(1.4)", v0 >= V0_FIRST_FLOOR,
+         f"{v0:.5g} >= {V0_FIRST_FLOOR:.5g}"),
         ("published V(0) below u floor", PUBLISHED_V0_FIRST < V0_FIRST_FLOOR,
          f"{PUBLISHED_V0_FIRST} < 25/G(1.4) = {V0_FIRST_FLOOR:.5g}"),
         ("runtime<1min", wall < 60.0, f"{wall:.1f}s"),

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
 from fracopt import (CostTerm, DomainError, PerformanceIndex,
-                     SingularTimeError, TimeGrid, evaluate, gamma,
+                     SingularTimeError, TimeGrid, cost_to_go, evaluate, gamma,
                      running_weight, terminal_index_set, terminal_value)
+from fracopt.operators import kernel_cell_weights
 
 
 def running(v, fn):
@@ -152,3 +153,51 @@ def test_evaluate_nonnegative_for_nonnegative_operands(v, seed):
     u = rng.uniform(-1, 1, (31, 1))
     pi = PerformanceIndex((running(v, lambda t, xv, uv: xv[0] ** 2 + 0.1),))
     assert evaluate(pi, grid, x, u) >= 0.0
+
+
+def cell_scale(pi, grid, x, u):
+    """|terminal value| plus, over the running terms and cells, the
+    absolute parts of each cell's quadrature term: the scale of the sums
+    that cost_to_go and evaluate round."""
+    times = grid.times()
+    total = abs(terminal_value(pi, grid.tf, x[-1]))
+    for term in pi.running_terms:
+        g = np.abs(term.running_nodes(times, x, u))
+        far_w, near_w, far, near = kernel_cell_weights(
+            grid, term.v, 0, grid.n_steps, "upper")
+        total += np.sum(np.abs(far_w) * g[far]
+                        + np.abs(near_w) * g[near]) / gamma(term.v)
+    return total
+
+
+_ORDERS = st.one_of(st.floats(0.05, 0.95), st.just(1.0), st.floats(1.05, 2.0))
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(1, 2000), tf=st.floats(0.25, 4.0),
+       orders=st.lists(_ORDERS, min_size=1, max_size=2),
+       with_terminal=st.booleans(),
+       seed=st.integers(min_value=0, max_value=2 ** 31 - 1))
+def test_cost_to_go_is_the_reference_quadrature_from_every_node(
+        n, tf, orders, with_terminal, seed):
+    # V[k] and evaluate(from_node=k) sum the same cell terms in different
+    # orders, so they differ by rounding alone.  Each side rounds a sum
+    # of at most n + 1 cell terms, at most two running terms and a few
+    # operations per cell term, so it is within (n + 5) eps/2 times the
+    # scale of its terms, and the two within (n + 5) eps times it
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(0.0, tf, n)
+    x = rng.uniform(-2, 2, (n + 1, 2))
+    u = rng.uniform(-2, 2, (n + 1, 1))
+    terms = [running(v, lambda t, xv, uv, c=rng.uniform(-1, 1):
+                     xv[0] * uv[0] + c * xv[1] ** 2 + t)
+             for v in orders]
+    if with_terminal:
+        terms.append(terminal(lambda tf, xv: xv[0] - xv[1] ** 2))
+    pi = PerformanceIndex(tuple(terms))
+    v = cost_to_go(pi, grid, x, u)
+    ref = np.array([evaluate(pi, grid, x, u, k) for k in range(n + 1)])
+    bound = (n + 5) * np.finfo(float).eps * cell_scale(pi, grid, x, u)
+    assert v.shape == (n + 1,)
+    assert v[-1] == terminal_value(pi, tf, x[-1])
+    assert np.max(np.abs(v - ref)) <= bound

@@ -10,7 +10,7 @@ from scipy.integrate import solve_ivp
 import fracopt as fo
 from fracopt import (SweepAbort, SweepConfig, backward_sweep, forward_sweep,
                      hjb, solve, sweep)
-from fracopt.config import build_problem
+from fracopt.config import build_problem, parse_problem
 
 from conftest import (frozen_table, moment_trajectory, two_state_config,
                       two_state_problem)
@@ -154,7 +154,7 @@ def test_backward_zero_costs_give_zero_value_and_costate():
     u = np.zeros((101, 1))
     x, nodes = forward_sweep(prob, u, cfg)
     value = backward_sweep(nodes, u, cfg)
-    assert np.all(value.v == 0.0)
+    assert np.all(fo.cost_to_go(prob.index, nodes.grid, x, u) == 0.0)
     assert np.all(value.v_x == 0.0)
 
 
@@ -167,7 +167,8 @@ def test_backward_sweep_stores_its_value_data_on_the_node_table():
     u = np.linspace(-0.01, 0.02, 101)[:, None]
     x, nodes = forward_sweep(prob, u, LQ_CFG)
     assert backward_sweep(nodes, u, LQ_CFG) is nodes
-    assert nodes.v.shape == nodes.h.shape == (101,)
+    assert nodes.v is None   # the cost-to-go is summed once, by solve
+    assert nodes.h.shape == (101,)
     assert nodes.v_x.shape == (101, 1)
     assert np.array_equal(nodes.h, hjb.node_hamiltonian(nodes, u, nodes.v_x))
     u_star = hjb.minimize_node_hamiltonian(nodes, nodes.v_x)
@@ -178,6 +179,44 @@ def test_backward_sweep_stores_its_value_data_on_the_node_table():
 def test_node_table_repr_names_its_grid_and_node_count(cheap_state):
     assert repr(cheap_state.value) == (
         "NodeTable(grid=TimeGrid(t0=0.0, tf=1.0, n_steps=100), nodes=101)")
+
+
+def test_cost_to_go_is_summed_once_per_solve_and_once_per_audit(
+        monkeypatch):
+    # V is summed on the final pair alone: every other evaluation's table
+    # keeps v None, and the audit sums it once on its own table
+    summed = _count_calls(monkeypatch, fo.cost, "cost_to_go")
+    tables = []
+    evaluate = sweep._evaluate
+
+    def recorded(*args):
+        out = evaluate(*args)
+        assert out[1].v is None
+        tables.append(out[1])
+        return out
+
+    monkeypatch.setattr(sweep, "_evaluate", recorded)
+    prob = lq_problem()
+    state = solve(prob, LQ_CFG)
+    assert len(summed) == 1 and len(tables) > 2
+    assert [t for t in tables if t.v is not None] == [state.value]
+    _, nodes = sweep.audit_residuals(prob, state.x, state.u, LQ_CFG)
+    assert len(summed) == 2
+    assert np.array_equal(nodes.v, state.value.v)
+
+
+@pytest.mark.parametrize("path", ["problems/example.yaml",
+                                  "perfbench/lq_bounded.yaml"])
+def test_value_is_the_reference_cost_to_go_on_the_bundled_problems(path):
+    # V[k] is cost.evaluate from node k up to the order of summation, and
+    # V[0] is J*
+    parsed = parse_problem(path)
+    state = solve(parsed.problem, parsed.config)
+    index = parsed.problem.index
+    ref = [fo.evaluate(index, state.grid, state.x, state.u, k)
+           for k in range(state.grid.n_nodes)]
+    assert np.max(np.abs(state.value.v - ref)) <= 1e-15
+    assert abs(state.value.v[0] - state.j_star) <= 1e-15
 
 
 def test_backward_classical_limit_matches_riccati_costate():
