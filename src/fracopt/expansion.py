@@ -223,12 +223,21 @@ def moment_factors(grid: TimeGrid, n_moments: int):
 
 
 def advance_moments(m: np.ndarray, x: np.ndarray, decay: np.ndarray,
-                    fac: np.ndarray) -> np.ndarray:
+                    fac: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     """The moments at node k+1 from those at node k: m[j, i] holds
     M_p(t_k) for p = j+2 and state component i (zero at node 0: its
     limit -x(a) is never read, since the field is singular there), x is
-    the state x_k, and decay and fac are row k of moment_factors."""
-    return decay[:, None] * m + fac[:, None] * np.asarray(x, dtype=float)
+    the state x_k, and decay and fac are row k of moment_factors.
+
+    A new array, or with out (which may be m itself, for a step in
+    place) the step written into out and out returned.  Both forms round
+    the same two products and their sum, so they agree bit for bit."""
+    x = np.asarray(x, dtype=float)
+    if out is None:
+        return decay[:, None] * m + fac[:, None] * x
+    np.multiply(decay[:, None], m, out=out)
+    out += fac[:, None] * x
+    return out
 
 
 def central_difference(fn, x: np.ndarray) -> np.ndarray:

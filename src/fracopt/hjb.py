@@ -156,12 +156,6 @@ class NodeTable:
         return (self.prob.plant.rhs_nodes(self.t_field, self.x, u)
                 - self.correction) / self.denominator
 
-    def field_at(self, k: int, u: np.ndarray) -> np.ndarray:
-        """The transformed field at row k alone, for the control vector
-        u, by the plant's rhs at one node."""
-        return (self.prob.plant.rhs(self.t_field[k], self.x[k], u)
-                - self.correction[k]) / self.denominator[k]
-
 
 def node_hamiltonian(table: NodeTable, u, v_x: np.ndarray) -> np.ndarray:
     """Weighted running cost plus V_x . field at every row of a node

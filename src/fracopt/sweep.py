@@ -10,11 +10,11 @@ backward on the table alone and store it, with the Hamiltonian, on it
 Hamiltonian pointwise, and score the iterate by the root-sum-square
 residual of the dynamic-programming equation.  Only the state, moment
 and costate recursions run node by node, and a forward node costs only
-what depends on x: the memory correction, the moment update, the rhs
-and the step.  The rest is array operations over all nodes.  The
-control update is relaxed and accepted only when the aggregate residual
-does not increase; on rejection the relaxation factor is halved and the
-update retried.
+what depends on x: the memory correction, the in-place moment update,
+the rhs and the step on Python floats.  The rest is array operations
+over all nodes.  The control update is relaxed and accepted only when
+the aggregate residual does not increase; on rejection the relaxation
+factor is halved and the update retried.
 
 The residual at node k is the Hamiltonian gap H_k(u*_k) - H_k(u_k), so
 Error = ||H(u*) - H(u)||_2 measures how far u is from pointwise optimal
@@ -171,46 +171,84 @@ def _finite_per_node(what: str, values) -> np.ndarray:
     return values
 
 
+def _rates(value, shape: tuple) -> list:
+    """A value of the plant's rhs as Python floats, one per state
+    component: a list or an int array is converted, and a scalar
+    broadcast, as numpy arithmetic on the value would."""
+    rates = np.asarray(value, dtype=float)
+    if rates.shape != shape:
+        rates = np.broadcast_to(rates, shape)
+    return rates.tolist()
+
+
 def forward_sweep(prob: HJBProblem, u, cfg: SweepConfig, plan=None):
     """Integrate states and moments forward under a control trajectory.
 
     The transformed field is singular at t0, so the first cell is crossed
     with one explicit Euler step of the original Caputo right-hand side
     (which is regular); stepping then proceeds on the transformed system
-    with the configured scheme.  Only the current moment state M_k is
-    kept: node k is frozen into row k of a NodeTable at x_k and M_k as
-    the sweep reaches it, and the step out of it takes that row's field
-    (Heun's predictor, row k+1 frozen at the Euler predictor).  The
-    problem, grid and grid-only factors are read from plan (solve's
-    GridPlan), built here when not given.  Returns (x, nodes): the
-    table's states and the table of every grid node.
+    with the configured scheme.  The problem, grid and grid-only factors
+    are read from plan (solve's GridPlan), built here when not given.
+    Returns (x, nodes): the table's states and the table of every grid
+    node.
+
+    A node k pays only for what depends on x: one memory correction at
+    x_k and M_k, stored into row k of a NodeTable; one in-place step of
+    the moment buffer to M_{k+1} (one buffer per sweep, in the
+    (p_max - 1, n_states) layout the correction reads); the check that
+    M_{k+1} is finite, before any user expression runs at the node; one
+    rhs call; and the Euler or Heun update of the n_states components as
+    Python floats, with the check that x_{k+1} is finite.  Heun's
+    predictor takes a second correction, on row k+1 at the predicted
+    state and M_{k+1}.  The float update rounds the same operations, in
+    the same order, as the array form (rhs - correction) / denominator
+    of a row and the step on it, so states and rows match that form bit
+    for bit.
     """
     if plan is None:
         plan = _plan_for(prob, cfg)
     prob, grid = plan.prob, plan.grid
     u = _control_array(prob, grid, u)
-    plant = prob.plant
-    n = grid.n_steps
-    dt = grid.dt
+    rhs, correction = prob.plant.rhs, prob.field.correction
+    n, dt = grid.n_steps, grid.dt
+    half_dt = 0.5 * dt
     heun = cfg.stepper == "heun"
-    m = np.zeros((plan.decay.shape[1], plant.n_states))
     nodes = NodeTable(plan)
-    x = nodes.x
-    x[0] = plant.x0
+    x, corr = nodes.x, nodes.correction
+    shape = x.shape[1:]
+    t_field, denominator = plan.t_field.tolist(), plan.denominator.tolist()
+    decay, fac = plan.decay, plan.fac
+    m = np.zeros((decay.shape[1],) + shape)
+    isfinite = math.isfinite
+
+    def field_row(k: int) -> list:
+        """The transformed field at row k of the table, as floats."""
+        return [(r - c) / d for r, c, d in zip(
+            _rates(rhs(t_field[k], x[k], u[k]), shape), corr[k].tolist(),
+            denominator[k])]
+
+    x[0] = prob.plant.x0
+    x_k = x[0].tolist()
     with np.errstate(all="ignore"):   # each node is checked below
         for k in range(n):
-            nodes.freeze(k, x[k], m)
-            m = advance_moments(m, x[k], plan.decay[k], plan.fac[k])
-            _check_finite(m, "moment state", k + 1)
-            slope = nodes.field_at(k, u[k]) if k else np.asarray(
-                plant.rhs(grid.t0, x[0], u[0]), dtype=float)
-            x[k + 1] = x[k] + dt * slope
+            corr[k] = correction(t_field[k], x[k], m)
+            advance_moments(m, x[k], decay[k], fac[k], out=m)
+            # a finite sum has finite terms; finite terms may overflow it
+            if not isfinite(m.sum()) and not np.isfinite(m).all():
+                raise SweepAbort(f"non-finite moment state at node {k + 1}")
+            slope = field_row(k) if k else _rates(
+                rhs(grid.t0, x[0], u[0]), shape)
+            x_next = [xi + dt * s for xi, s in zip(x_k, slope)]
             if heun and k:   # Heun: the slope at the predictor, on row k+1
-                nodes.freeze(k + 1, x[k + 1], m)
-                x[k + 1] = x[k] + 0.5 * dt * (
-                    slope + nodes.field_at(k + 1, u[k + 1]))
-            _check_finite(x[k + 1], "state", k + 1)
-        nodes.freeze(n, x[n], m)
+                x[k + 1] = x_next
+                corr[k + 1] = correction(t_field[k + 1], x[k + 1], m)
+                x_next = [xi + half_dt * (s + s_next) for xi, s, s_next
+                          in zip(x_k, slope, field_row(k + 1))]
+            x[k + 1] = x_next
+            if not all(map(isfinite, x_next)):
+                raise SweepAbort(f"non-finite state at node {k + 1}")
+            x_k = x_next
+        corr[n] = correction(t_field[n], x[n], m)
     return x, nodes
 
 
@@ -332,7 +370,7 @@ def audit_residuals(prob: HJBProblem, x: np.ndarray, u,
     for k in range(grid.n_nodes):
         nodes.freeze(k, x[k], m)
         if k < grid.n_steps:
-            m = advance_moments(m, x[k], plan.decay[k], plan.fac[k])
+            advance_moments(m, x[k], plan.decay[k], plan.fac[k], out=m)
     backward_sweep(nodes, u, cfg)
     u_star = _pointwise_minimizers(nodes)
     residuals = _finite_per_node(

@@ -432,6 +432,28 @@ def test_moment_step_equals_its_formula_on_interleaved_grids():
             assert np.array_equal(m, want)
 
 
+@pytest.mark.parametrize("n_states", [1, 3])
+def test_moment_step_in_place_equals_the_allocating_step(n_states):
+    # out= returns out itself, in place on m or into another buffer, with
+    # the allocating form's bits at every node of a grid
+    grid = TimeGrid(0.0, 1.0, 200)
+    decay, fac = moment_factors(grid, 39)
+    rng = np.random.default_rng(5)
+    m = np.zeros((39, n_states))
+    in_place = m.copy()
+    for k in range(grid.n_steps):
+        x = rng.uniform(-3, 3, n_states)
+        want = advance_moments(m, x, decay[k], fac[k])
+        other = np.empty_like(m)
+        assert advance_moments(m, x, decay[k], fac[k], out=other) is other
+        assert advance_moments(in_place, x, decay[k], fac[k],
+                               out=in_place) is in_place
+        assert np.array_equal(other, want)
+        assert np.array_equal(in_place, want)
+        m = want
+    assert np.abs(m).max() > 0.0
+
+
 @settings(max_examples=25, deadline=None)
 @given(t0=st.floats(-10.0, 10.0), span=st.floats(1e-3, 100.0),
        n_steps=st.integers(1, 3000), p_max=st.integers(2, 200))

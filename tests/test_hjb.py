@@ -147,7 +147,9 @@ def test_node_arrays_give_the_scalar_bits_of_a_problem_file(operand):
     ref = [sum(w * term.running(table.t_run[k], table.x[k], us[k])
                for w, term in zip(table.weights[k].tolist(),
                                   prob.index.running_terms))
-           + float(np.dot(lams[k], table.field_at(k, us[k])))
+           + float(np.dot(lams[k], (prob.plant.rhs(
+               table.t_field[k], table.x[k], us[k]) - table.correction[k])
+               / table.denominator[k]))
            for k in range(101)]
     assert node_hamiltonian(table, us, lams).tolist() == ref
     grad = prob.index.running_gradient(table.weights, table.t_run,

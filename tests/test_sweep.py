@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import fracopt as fo
@@ -433,6 +435,109 @@ def test_heun_forward_sweep_equals_a_reference_loop():
             slope + prob.field(times[k + 1], y, m, u[k + 1]))
     got, _ = forward_sweep(prob, u[:, 0], cfg)
     assert np.array_equal(got, x)
+
+
+def _reference_forward(prob, grid, u, stepper):
+    """x and the final correction rows of forward_sweep, from scratch:
+    the field called at the node times (node 0's correction at t_1), the
+    allocating moment step, and the Euler or Heun step as array
+    arithmetic."""
+    times, dt = grid.times(), grid.dt
+    decay, fac = fo.moment_factors(grid, prob.field.coeffs[0].p_max - 1)
+    n, n_states = grid.n_steps, prob.plant.n_states
+    x, corr = np.empty((n + 1, n_states)), np.empty((n + 1, n_states))
+    x[0] = prob.plant.x0
+    m = np.zeros((decay.shape[1], n_states))
+    for k in range(n):
+        corr[k] = prob.field.correction(float(times[max(k, 1)]), x[k], m)
+        slope = prob.field(times[k], x[k], m, u[k]) if k else \
+            prob.plant.rhs(times[0], x[0], u[0])
+        m = fo.advance_moments(m, x[k], decay[k], fac[k])
+        x[k + 1] = x[k] + dt * slope
+        if stepper == "heun" and k:
+            x[k + 1] = x[k] + 0.5 * dt * (
+                slope + prob.field(times[k + 1], x[k + 1], m, u[k + 1]))
+    corr[n] = prob.field.correction(float(times[n]), x[n], m)
+    return x, corr
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_states=st.integers(1, 3), p_max=st.integers(2, 40),
+       n_steps=st.integers(1, 300), n_terms=st.integers(2, 10 ** 4),
+       stepper=st.sampled_from(["euler", "heun"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_forward_sweep_equals_a_reference_loop_bit_for_bit(
+        n_states, p_max, n_steps, n_terms, stepper, seed):
+    # random orders, a random plant that reads t, x and u, and random
+    # controls: the sweep's states and every correction row of its table
+    # are those of the from-scratch loop, bit for bit
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1, 1, (n_states, n_states))
+    b = rng.uniform(-1, 1, n_states)
+    plant = fo.FractionalPlant(
+        orders=tuple(rng.uniform(0.05, 0.95, n_states)),
+        rhs=lambda t, x, u: a @ x + b * u[0] + 0.5 * np.sin(x + 3.0 * t),
+        x0=rng.uniform(-2, 2, n_states), n_controls=1)
+    index = fo.PerformanceIndex((fo.CostTerm(
+        v=0.5, running=lambda t, x, u: float(x @ x + u[0] ** 2)),))
+    prob = fo.HJBProblem(plant=plant, index=index, tf=1.0,
+                         u_lower=np.array([-1.0]), u_upper=np.array([1.0]))
+    prob = prob.with_field(n_terms, n_terms, p_max)
+    grid = fo.TimeGrid(0.0, 1.0, n_steps)
+    u = rng.uniform(-1, 1, (grid.n_nodes, 1))
+    cfg = SweepConfig(dt=grid.dt, n_a=n_terms, n_b=n_terms, p_max=p_max,
+                      stepper=stepper)
+    x, nodes = forward_sweep(prob, u, cfg, hjb.GridPlan(prob, grid))
+    x_ref, corr_ref = _reference_forward(prob, grid, u, stepper)
+    assert np.array_equal(x, x_ref)
+    assert np.array_equal(nodes.correction, corr_ref)
+
+
+def test_moment_overflow_aborts_before_the_rhs_is_called():
+    # x0 = 1e306 is finite, but the first moment step takes M_p(t_1) =
+    # (1 - p) x0 / 2, which overflows for p > 360: the moment check at
+    # node 1 must fire before any user expression runs at node 0
+    calls = []
+
+    def rhs(t, x, u):
+        calls.append(t)
+        return np.zeros(1)
+
+    plant = fo.FractionalPlant(orders=(0.5,), rhs=rhs,
+                               x0=np.array([1e306]), n_controls=1)
+    index = fo.PerformanceIndex((fo.CostTerm(
+        v=1.0, running=lambda t, x, u: 0.0),))
+    prob = fo.HJBProblem(plant=plant, index=index, tf=1.0,
+                         u_lower=np.array([-1.0]), u_upper=np.array([1.0]))
+    cfg = SweepConfig(dt=0.01, n_a=10, n_b=10, p_max=1000)
+    with pytest.raises(SweepAbort,
+                       match="^non-finite moment state at node 1$"):
+        forward_sweep(prob, 0.0, cfg)
+    assert calls == []
+
+
+def _floor_rates(t, x, u):
+    """Integer-valued rates of the two-state plant, as a float array."""
+    return np.array([np.floor(4.0 * x[1]) + u[0], -np.floor(3.0 * x[0])])
+
+
+@pytest.mark.parametrize("stepper", ["euler", "heun"])
+@pytest.mark.parametrize("form", [
+    lambda t, x, u: _floor_rates(t, x, u).tolist(),
+    lambda t, x, u: _floor_rates(t, x, u).astype(int),
+], ids=["list", "int-array"])
+def test_rhs_returning_a_list_or_an_int_array_gives_the_same_states(
+        form, stepper):
+    cfg = two_state_config(n_a=10 ** 4, n_b=10 ** 4, p_max=20,
+                           stepper=stepper)
+    base = two_state_problem()
+    states = []
+    for rhs in (_floor_rates, form):
+        prob = dataclasses.replace(
+            base, plant=dataclasses.replace(base.plant, rhs=rhs))
+        states.append(forward_sweep(prob, 5.0, cfg)[0])
+    assert np.array_equal(states[0], states[1])
+    assert np.ptp(states[0][:, 1]) > 0.0
 
 
 _MISMATCHED_SETTINGS = [
