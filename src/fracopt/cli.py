@@ -48,18 +48,13 @@ def _csv_header(n_states: int, n_controls: int) -> list:
 
 
 def write_csv(path: str, state: SweepState) -> None:
-    grid = state.grid
-    times = grid.times()
-    n_states = state.x.shape[1]
-    n_controls = state.u.shape[1]
-    rows = [",".join(_csv_header(n_states, n_controls))]
-    for k in range(grid.n_nodes):
-        cells = ([_FMT % times[k]]
-                 + [_FMT % v for v in state.x[k]]
-                 + [_FMT % v for v in state.u[k]]
-                 + [_FMT % state.value.v[k], _FMT % state.residuals[k]])
-        rows.append(",".join(cells))
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
+    header = ",".join(_csv_header(state.x.shape[1], state.u.shape[1]))
+    columns = (state.grid.times(), state.x, state.u, state.value.v,
+               state.residuals)
+    # an open file: np.savetxt would gzip a path ending in .gz
+    with open(path, "w", encoding="utf-8") as fh:
+        np.savetxt(fh, np.column_stack(columns), fmt=_FMT, delimiter=",",
+                   header=header, comments="")
 
 
 def read_csv(path: str, n_states: int, n_controls: int):

@@ -20,7 +20,7 @@ grid node at once; a non-finite value there is evaluated again at its
 node by the scalar form, so the same math error aborts the sweep.
 
 Unknown keys anywhere are rejected.  Validation errors name the offending
-field; YAML syntax errors carry the parser's line/column mark.
+field; YAML errors name the file or override, with their line/column mark.
 """
 
 from __future__ import annotations
@@ -113,15 +113,22 @@ def file_errors(path):
         raise ConfigError(f"{path}: {reason}") from None
 
 
+def _yaml_error(exc: yaml.YAMLError) -> str:
+    """A YAML error in one line, with its line and column if it has a
+    mark (a reader error, a non-printable character, has none)."""
+    mark = getattr(exc, "problem_mark", None)
+    loc = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+    problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
+    return f"YAML parse error{loc}: {problem}"
+
+
 def load_raw(path: str) -> Dict:
     """Read and parse the YAML document, reporting line/column on errors."""
     try:
         with file_errors(path), open(path, "r", encoding="utf-8") as fh:
             doc = yaml.safe_load(fh)
-    except yaml.MarkedYAMLError as exc:
-        mark = exc.problem_mark
-        loc = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-        raise ConfigError(f"{path}: YAML parse error{loc}: {exc.problem}")
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{path}: {_yaml_error(exc)}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: document must be a mapping")
     return doc
@@ -166,6 +173,9 @@ def apply_overrides(doc: Dict, overrides: List[str]) -> Dict:
             raise ConfigError(
                 f"override {dotted!r}: cannot coerce {text!r} to "
                 f"{type(current).__name__}")
+        except yaml.YAMLError as exc:
+            raise ConfigError(
+                f"override {dotted!r}: {_yaml_error(exc)}") from None
     return doc
 
 

@@ -158,7 +158,8 @@ def evaluate(pi: PerformanceIndex, grid: TimeGrid, x: np.ndarray,
              u: np.ndarray, from_node: int = 0) -> float:
     """Cost-to-go of a sampled trajectory pair from a grid node.
 
-    Each nonzero-order term is integrated over [t_from, tf] with the
+    Each nonzero-order term's operand is sampled over the node arrays
+    (CostTerm.running_nodes) and integrated over [t_from, tf] with the
     singularity-safe product quadrature; zero-order terms add their
     terminal operands.  Trajectories are node-sampled arrays of shape
     (n_nodes, n_states) and (n_nodes, n_controls).
@@ -171,12 +172,11 @@ def evaluate(pi: PerformanceIndex, grid: TimeGrid, x: np.ndarray,
         raise DomainError(f"node {from_node} outside grid")
     times = grid.times()
     total = terminal_value(pi, grid.tf, x[-1])
+    k = from_node
     for term in pi.running_terms:
-        w = singular_kernel_weights(grid, term.v, from_node,
-                                    grid.n_steps, "upper")
-        samples = np.array([term.running(times[k], x[k], u[k])
-                            for k in range(from_node, grid.n_nodes)])
-        total += float(w[from_node:] @ samples)
+        w = singular_kernel_weights(grid, term.v, k, grid.n_steps, "upper")
+        samples = term.running_nodes(times[k:], x[k:], u[k:])
+        total += float(w[k:] @ samples)
     return total
 
 

@@ -104,8 +104,8 @@ def singular_kernel_weights(grid, v: float, lo: int, hi: int,
         return w
     far_w, near_w, far, near = kernel_cell_weights(grid, v, lo, hi,
                                                    singular_at)
-    np.add.at(w, far, far_w)
-    np.add.at(w, near, near_w)
+    w[far] += far_w
+    w[near] += near_w
     return w / gamma(v)
 
 

@@ -8,13 +8,16 @@ and taking every slope of the field on the rows, integrate the costate
 backward on the table alone and store it, with the Hamiltonian, on it
 (the table is the one record of the evaluation), minimize the
 Hamiltonian pointwise, and score the iterate by the root-sum-square
-residual of the dynamic-programming equation.  Only the state, moment
-and costate recursions run node by node, and a forward node costs only
-what depends on x: the memory correction, the in-place moment update,
-the rhs and the step on Python floats.  The rest is array operations
-over all nodes.  The control update is relaxed and accepted only when
-the aggregate residual does not increase; on rejection the relaxation
-factor is halved and the update retried.
+residual of the dynamic-programming equation.  Node by node run only
+the state, moment and costate recursions, where a forward node costs
+only what depends on x (the memory correction, the in-place moment
+update, the rhs and the step on Python floats), and two loops kept while
+the benchmark's tracer binds to them by name: GridPlan's running weights
+and _weighted_running_gradient's.  The rest, the cost quadrature's
+operand samples included, is array operations over all nodes.  The
+control update is relaxed and accepted only when the aggregate residual
+does not increase; on rejection the relaxation factor is halved and the
+update retried.
 
 The residual at node k is the Hamiltonian gap H_k(u*_k) - H_k(u_k), so
 Error = ||H(u*) - H(u)||_2 measures how far u is from pointwise optimal

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import os
@@ -12,7 +13,7 @@ import yaml
 
 import fracopt
 from fracopt import SweepAbort, forward_sweep, solve
-from fracopt.cli import main, read_csv
+from fracopt.cli import main, read_csv, write_csv
 from fracopt.config import parse_problem
 from fracopt.sweep import audit_residuals
 
@@ -129,6 +130,35 @@ def test_non_utf8_problem_file_exits_one(tmp_path, capsys):
     prob.write_bytes(b"plant: {orders: [0.5]}  # caf\xe9\n")
     assert run_cli("run", str(prob)) == 1
     assert capsys.readouterr().err.startswith(f"error: {prob}: ")
+
+
+@pytest.mark.parametrize("content, message", [
+    # a reader error: the character has no line/column mark
+    (b"plant:\n  orders: [0.5]\x07\n", "YAML parse error: unacceptable "
+     "character #x0007: special characters are not allowed"),
+    (b"plant: [1,\n", "YAML parse error at line 2, column 1: expected the "
+     "node content, but found '<stream end>'")])
+def test_unreadable_yaml_problem_file_exits_one(tmp_path, capsys, content,
+                                                message):
+    prob = tmp_path / "bad.yaml"
+    prob.write_bytes(content)
+    assert run_cli("run", str(prob)) == 1
+    assert capsys.readouterr().err == f"error: {prob}: {message}\n"
+
+
+@pytest.mark.parametrize("override, message", [
+    ("plant.dynamics=[x2 + u1", "YAML parse error at line 1, column 9: "
+     "expected ',' or ']', but got '<stream end>'"),
+    ("plant.dynamics=[x2\x07]", "YAML parse error: unacceptable character "
+     "#x0007: special characters are not allowed")])
+def test_unparsable_override_exits_one(tmp_path, capsys, monkeypatch,
+                                       override, message):
+    _refuse_to_solve(monkeypatch)
+    assert run_cli("run", EXAMPLE_FILE, "--override", override,
+                   "--csv", str(tmp_path / "t.csv"),
+                   "--report", str(tmp_path / "r.json")) == 1
+    assert capsys.readouterr().err == \
+        f"error: override 'plant.dynamics': {message}\n"
 
 
 def _refuse_to_solve(monkeypatch):
@@ -433,6 +463,32 @@ def test_determinism_byte_identical_csv(tmp_path):
         assert rc == 0
         paths.append(csv)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_write_csv_prints_every_value_to_17_significant_digits(
+        tmp_path, cheap_state):
+    x = -cheap_state.x
+    x[:4, 0] = [-0.0, 5e-324, 1.7976931348623157e308, -2.5e-310]
+    state = dataclasses.replace(cheap_state, x=x)
+    path = tmp_path / "edge.csv"
+    write_csv(str(path), state)
+    columns = [state.grid.times(), *x.T, *state.u.T, state.value.v,
+               state.residuals]
+    lines = ["t,x_1,x_2,u_1,V,error"] + [
+        ",".join("%.17g" % column[k] for column in columns)
+        for k in range(state.grid.n_nodes)]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert [line.split(",")[1]
+            for line in path.read_text().splitlines()[1:5]] == [
+        "-0", "4.9406564584124654e-324", "1.7976931348623157e+308",
+        "-2.5000000000000171e-310"]
+
+
+def test_write_csv_writes_text_to_a_gz_path(tmp_path, cheap_state):
+    path = tmp_path / "trajectory.csv.gz"
+    write_csv(str(path), cheap_state)
+    t, x, u, v, err = read_csv(str(path), 2, 1)
+    assert np.array_equal(x, cheap_state.x)
 
 
 def test_print_coeffs(capsys):

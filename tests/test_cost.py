@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,12 @@ from scipy.integrate import trapezoid
 
 from fracopt import (CostTerm, DomainError, PerformanceIndex,
                      SingularTimeError, TimeGrid, cost_to_go, evaluate, gamma,
-                     running_weight, terminal_index_set, terminal_value)
-from fracopt.operators import kernel_cell_weights
+                     running_weight, solve, terminal_index_set,
+                     terminal_value)
+from fracopt.config import parse_problem
+from fracopt.operators import kernel_cell_weights, singular_kernel_weights
+
+from conftest import EXAMPLE_FILE
 
 
 def running(v, fn):
@@ -201,3 +207,53 @@ def test_cost_to_go_is_the_reference_quadrature_from_every_node(
     assert v.shape == (n + 1,)
     assert v[-1] == terminal_value(pi, tf, x[-1])
     assert np.max(np.abs(v - ref)) <= bound
+
+
+def evaluate_by_scalar_forms(pi, grid, x, u, from_node):
+    """evaluate with each running operand's scalar form called node by
+    node from from_node on."""
+    times = grid.times()
+    total = terminal_value(pi, grid.tf, x[-1])
+    for term in pi.running_terms:
+        w = singular_kernel_weights(grid, term.v, from_node, grid.n_steps,
+                                    "upper")
+        samples = np.array([term.running(times[k], x[k], u[k])
+                            for k in range(from_node, grid.n_nodes)])
+        total += float(w[from_node:] @ samples)
+    return total
+
+
+@pytest.mark.parametrize("path", [EXAMPLE_FILE, "perfbench/lq_bounded.yaml"])
+def test_evaluate_is_the_scalar_forms_quadrature_on_the_bundled_problems(
+        path):
+    # bit for bit: the node forms of these polynomial operands round as
+    # their scalar forms do, and both sums take the same order
+    parsed = parse_problem(path)
+    state = solve(parsed.problem, parsed.config)
+    pi, grid = parsed.problem.index, state.grid
+    for k in range(grid.n_nodes):
+        assert evaluate(pi, grid, state.x, state.u, k) == \
+            evaluate_by_scalar_forms(pi, grid, state.x, state.u, k)
+
+
+def test_evaluate_calls_each_running_operand_once_over_the_nodes():
+    parsed = parse_problem(EXAMPLE_FILE)
+    calls = []
+
+    def counted(fn, kind):
+        def call(*args):
+            calls.append(kind)
+            return fn(*args)
+        return call
+
+    terms = []
+    for term in parsed.problem.index.terms:
+        running = counted(term.running, "scalar")
+        running.nodes = counted(term.running.nodes, "nodes")
+        terms.append(dataclasses.replace(term, running=running))
+    pi = PerformanceIndex(tuple(terms))
+    grid, x, u = grid_and_trajs()
+    for from_node in (0, 37, grid.n_steps):
+        calls.clear()
+        evaluate(pi, grid, x, u, from_node)
+        assert calls == ["nodes"] * len(pi.running_terms)

@@ -10,6 +10,7 @@ from scipy.integrate import quad, trapezoid
 from fracopt import (DomainError, SampledFunction, TimeGrid,
                      caputo_derivative, gamma, rl_derivative,
                      rl_integral_left, rl_integral_right)
+from fracopt.operators import kernel_cell_weights, singular_kernel_weights
 
 mp.mp.dps = 30
 
@@ -254,3 +255,23 @@ def test_power_rule_exact_for_piecewise_linear_inputs():
         gamma(2) / gamma(2.5), rel=1e-13)
     assert caputo_derivative(lin, 0.5, 100) == pytest.approx(
         1 / gamma(1.5), rel=1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 1000), tf=st.floats(0.25, 4.0),
+       v=st.one_of(st.floats(0.05, 0.95), st.just(1.0), st.floats(1.05, 2.0)),
+       side=st.sampled_from(["upper", "lower"]), data=st.data())
+def test_kernel_weights_equal_a_scatter_add_reference(n, tf, v, side, data):
+    # the far and near cells are contiguous slices with no repeated
+    # index, so slice adds give np.add.at's bits
+    lo = data.draw(st.integers(0, n), label="lo")
+    hi = data.draw(st.integers(lo, n), label="hi")
+    grid = TimeGrid(0.0, tf, n)
+    ref = np.zeros(grid.n_nodes)
+    if hi > lo:
+        far_w, near_w, far, near = kernel_cell_weights(grid, v, lo, hi, side)
+        np.add.at(ref, far, far_w)
+        np.add.at(ref, near, near_w)
+        ref = ref / gamma(v)
+    w = singular_kernel_weights(grid, v, lo, hi, side)
+    assert w.tobytes() == ref.tobytes()

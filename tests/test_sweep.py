@@ -1,6 +1,9 @@
 import dataclasses
 import math
+import re
 from pathlib import Path
+
+import mpmath as mp
 
 import numpy as np
 import pytest
@@ -798,3 +801,67 @@ def test_divergent_j_star_falls_under_refinement(example_parsed,
     j_fine = solve(example_parsed.problem,
                    dataclasses.replace(example_parsed.config, dt=0.005)).j_star
     assert j_fine / j_coarse < 0.6, (j_coarse, j_fine)
+
+
+MANUFACTURED_FILE = "problems/manufactured.yaml"
+MANUFACTURED_DTS = (0.01, 0.005, 0.0025, 0.001)
+
+
+@pytest.fixture(scope="module")
+def manufactured():
+    """The manufactured problem file, parsed, and the J* its header states."""
+    header = re.search(r"^#\s+J\* = .* = (\S+)$",
+                       Path(MANUFACTURED_FILE).read_text(), re.M)
+    return parse_problem(MANUFACTURED_FILE), float(header.group(1))
+
+
+def test_manufactured_optimum_is_the_one_its_header_states(manufactured):
+    # J* of x* = 1 + t^2, u* = -(1 - t)^2 by mpmath quadrature at 30
+    # digits, where x* - r = (1 - t)^2 + c (1 - t)^1.5
+    parsed, j_star = manufactured
+    with mp.workdps(30):
+        c = mp.gamma(3) / mp.gamma(mp.mpf(5) / 2)
+        quad = mp.quad(lambda t: ((1 - t) ** 2 + c * (1 - t) ** 1.5) ** 2 / 2
+                       + (1 - t) ** 4 / 2, [0, 1])
+    assert abs(float(quad) - j_star) <= 1e-15
+    # the file's expressions at the optimum: D^0.5 x* = c t^1.5 is the
+    # dynamics, the integrand is the one above, and the costate
+    # lambda* = (1 - t)^2 has tD1^0.5 lambda* = c (1 - t)^1.5 = H_x
+    c = float(c)
+    prob = parsed.problem
+    (term,) = prob.index.running_terms
+    for t in np.linspace(0.0, 1.0, 11):
+        x, u, lam = np.array([1 + t * t]), np.array([-(1 - t) ** 2]), \
+            (1 - t) ** 2
+        assert prob.plant.rhs(t, x, u)[0] == pytest.approx(c * t ** 1.5,
+                                                             abs=1e-14)
+        g = ((1 - t) ** 2 + c * (1 - t) ** 1.5) ** 2 / 2 + (1 - t) ** 4 / 2
+        assert term.running(t, x, u) == pytest.approx(g, abs=1e-14)
+        h_x = term.gradient(t, x, u)[0] \
+            + lam * prob.plant.rhs_jacobian(t, x, u)[0, 0]
+        assert h_x == pytest.approx(c * (1 - t) ** 1.5, abs=1e-14)
+
+
+@pytest.mark.parametrize("dt", MANUFACTURED_DTS)
+def test_manufactured_divergent_mode_stops_at_iteration_0_far_below_j_star(
+        manufactured, dt):
+    # characterization: B = 4.0e4 leaves the control a gain of about
+    # 3.5e-5, so u = 0 already meets error_tol; J* - J* measured
+    # -0.166 / -0.183 / -0.193 / -0.201 over the four grids
+    parsed, j_star = manufactured
+    state = solve(parsed.problem, dataclasses.replace(parsed.config, dt=dt))
+    assert state.converged and state.iteration == 0
+    assert state.j_star - j_star < -0.1, state.j_star
+
+
+@pytest.mark.parametrize("dt", MANUFACTURED_DTS)
+def test_manufactured_convergent_n4_mode_converges_above_j_star(
+        manufactured, dt):
+    # characterization: J* - J* measured +0.0204 / +0.0192 / +0.0186 /
+    # +0.0179 over the four grids
+    parsed, j_star = manufactured
+    cfg = dataclasses.replace(parsed.config, dt=dt, n_a=4, n_b=4, p_max=4,
+                              b_series="convergent")
+    state = solve(parsed.problem, cfg)
+    assert state.converged
+    assert state.j_star - j_star > 0.015, state.j_star
