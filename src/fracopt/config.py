@@ -192,19 +192,15 @@ def _evaluator(fns: Sequence, what: str = "", stacked: bool = False,
     the array of every fn's value.  They get Python floats, not numpy
     scalars: they do scalar arithmetic, which is cheaper on floats and
     gives the same bits.  A math error aborts the sweep naming the first
-    fn that fails there, prefixed by what.  node_fns, fns compiled over
-    node arrays, become the function's nodes attribute (_node_evaluator).
+    fn that fails there, prefixed by what.  With stacked, the function's
+    floats attribute takes t and x and u as Python floats and sequences
+    of them, and returns the list of every fn's value, with no array
+    made or read.  node_fns, fns compiled over node arrays, become the
+    function's nodes attribute (_node_evaluator).
     """
-    if stacked:
-        def call(*args):
-            return np.array([fn(*args) for fn in fns])
-    else:
-        call = fns[0]
-
-    def evaluate(t, x, u=_NO_CONTROLS):
-        args = (float(t), *x.tolist(), *u.tolist())
+    def call(args):
         try:
-            return call(*args)
+            return [fn(*args) for fn in fns] if stacked else fns[0](*args)
         except _MATH_ERRORS as exc:
             for fn in fns:
                 try:
@@ -213,6 +209,12 @@ def _evaluator(fns: Sequence, what: str = "", stacked: bool = False,
                     break
             raise SweepAbort(f"cannot evaluate {what}{fn.source!r} at "
                              f"t = {args[0]!r}: {exc}") from None
+
+    def evaluate(t, x, u=_NO_CONTROLS):
+        value = call((float(t), *x.tolist(), *u.tolist()))
+        return np.array(value) if stacked else value
+    if stacked:
+        evaluate.floats = lambda t, x, u: call((t, *x, *u))
     if node_fns is not None:
         evaluate.nodes = _node_evaluator(node_fns, evaluate, stacked)
     return evaluate
@@ -230,7 +232,10 @@ def _node_evaluator(fns: Sequence, scalar, stacked: bool):
     """The node-array forms fns as one function of node arrays t (N,),
     x (N, n) and u (N, m), with scalar's value at each row.  Where a row
     is not finite, scalar evaluates that row again, lowest row first, so
-    a math error there aborts the sweep as it does at one node."""
+    a math error there aborts the sweep as it does at one node.  The
+    function's forms attribute is fns themselves, unchecked: each takes
+    the columns t, x1..xn, u1..um by position and gives nan or inf where
+    a math error would abort."""
     def evaluate(t, x, u):
         n = t.shape[0]
         args = (t, *x.T, *u.T)
@@ -242,6 +247,7 @@ def _node_evaluator(fns: Sequence, scalar, stacked: bool):
                     ~np.isfinite(out.reshape(n, -1)).all(axis=1)):
                 scalar(t[k], x[k], u[k])
         return out
+    evaluate.forms = tuple(fns)
     return evaluate
 
 

@@ -300,8 +300,9 @@ class TransformedField:
         self._a = np.array([c.a_val for c in coeffs])
         self._b = np.array([c.b_val for c in coeffs])
         self._q = np.asarray(plant.orders, dtype=float)
-        self._x0_terms = [-x0_i / math.gamma(1 - c.q)
-                          for x0_i, c in zip(plant.x0.tolist(), coeffs)]
+        # per component: -q_i, -x_i(a)/Gamma(1-q_i), A_i and the C(q_i,p)
+        self._terms = [(-c.q, -x0_i / math.gamma(1 - c.q), c.a_val, c.c_vals)
+                       for x0_i, c in zip(plant.x0.tolist(), coeffs)]
 
     def denominator(self, t) -> np.ndarray:
         """B_i (t-a)^(1-q_i), read-only; one row per time when t is an
@@ -311,27 +312,26 @@ class TransformedField:
             raise SingularTimeError("transformed field is singular at t = a")
         return _read_only(self._b * t_rel ** (1.0 - self._q))
 
-    def correction(self, t: float, x: np.ndarray,
-                   m_node: np.ndarray) -> np.ndarray:
+    def correction(self, t: float, x, m_node: np.ndarray) -> list:
         """The memory corrections, component i being
 
             k_i = (t-a)^(-q_i) (-x_i(a)/Gamma(1-q_i) + A_i x_i
                                 - sum_p C(q_i,p) M_p),
 
-        with M_p = m_node[p-2, i].  Singular at t = a."""
+        with M_p = m_node[p-2, i], as a list, one per component: Python
+        floats for a state x of Python floats (the forward sweep's), the
+        same values as numpy floats for an array x.  Singular at t = a."""
         t_rel = t - self.plant.t0
         if t_rel <= 0.0:
             raise SingularTimeError("memory correction is singular at t = a")
-        return np.array([
-            t_rel ** (-c.q) * (x0_term + c.a_val * x_i
-                               - float(np.dot(c.c_vals, m_node[:, i])))
-            for i, (c, x0_term, x_i) in enumerate(
-                zip(self.coeffs, self._x0_terms, x.tolist()))
-        ])
+        return [t_rel ** neg_q * (x0_term + a_val * x_i
+                                  - float(c_vals.dot(m_i)))
+                for (neg_q, x0_term, a_val, c_vals), x_i, m_i
+                in zip(self._terms, x, m_node.T)]
 
     def __call__(self, t: float, x: np.ndarray, m_node: np.ndarray,
                  u: np.ndarray) -> np.ndarray:
-        shift = self.correction(t, x, m_node)
+        shift = np.array(self.correction(t, x, m_node))
         return (self.plant.rhs(t, x, u) - shift) / self.denominator(t)
 
     def at_state(self, t: float, x: np.ndarray, m_node: np.ndarray):

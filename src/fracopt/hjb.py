@@ -23,7 +23,14 @@ one search per row.  A row is never evaluated at a control its own
 minimization would not probe: a row with nothing left to probe in a batch
 is evaluated again at its latest probe.  A batched stage that aborts runs
 again node by node (first_failing_node), so that the abort names the node
-that node-by-node evaluation named.  The table is the one record of the
+that node-by-node evaluation named.  On a problem file's compiled
+expressions a Hamiltonian is evaluated unchecked, and only a non-finite
+one is evaluated again by the checked path that names the failing
+expression.  The cost of a batch is call overhead, not row count: on
+perfbench/lq_bounded.yaml (101 nodes, about 29 lockstep rounds per
+evaluation) a round is one Hamiltonian probe of about 20 us and about 90
+numpy calls of the search's own logic, about 60 us (a shared 2-core
+x86-64 machine, numpy 2.4).  The table is the one record of the
 evaluation: the backward sweep stores its costate and Hamiltonian on it
 too, and a solve stores the cost-to-go on its final table.
 
@@ -71,13 +78,28 @@ def _running_cost(prob: HJBProblem, t: float) -> list:
             for term in prob.index.running_terms]
 
 
+def _node_forms(prob: HJBProblem):
+    """(running, rhs): the compiled node-array forms of prob's running
+    operands, one per running term, and of its rhs components, unchecked
+    (config._node_evaluator's forms); None when an operand or the rhs is
+    a Python callable, which has none."""
+    def forms(fn):
+        return getattr(getattr(fn, "nodes", None), "forms", None)
+    running = [forms(term.running) for term in prob.index.running_terms]
+    rhs = forms(prob.plant.rhs)
+    if rhs is None or None in running:
+        return None
+    return tuple(f for f, in running), rhs
+
+
 class GridPlan:
     """The factors of a sweep evaluation that depend on the grid alone,
     read-only, for prob's field on grid.  Per node: t_run and t_field
     (the times of the running weights and of the field, with the
     endpoint substitutions), the running weights at t_run (one column
     per running term) and the field's denominator at t_field.  Per step:
-    the moment step's decay and fac (expansion.moment_factors)."""
+    the moment step's decay and fac (expansion.moment_factors).  And
+    forms, the compiled node forms of the Hamiltonian (_node_forms)."""
 
     def __init__(self, prob: HJBProblem, grid: TimeGrid):
         if prob.field is None:
@@ -93,6 +115,7 @@ class GridPlan:
         self.denominator = prob.field.denominator(self.t_field)
         self.decay, self.fac = moment_factors(
             grid, prob.field.coeffs[0].p_max - 1)
+        self.forms = _node_forms(prob)
         for arr in (self.t_run, self.t_field, self.weights):
             arr.flags.writeable = False
 
@@ -106,7 +129,8 @@ class NodeTable:
     the Hamiltonian at the sweep's own control, and v, the cost-to-go
     from each node (cost.cost_to_go, v[-1] the terminal value), which
     solve and audit_residuals store on their final table alone (None on
-    every other).
+    every other).  x_columns are the columns of x, views taken once, and
+    forms the plan's.
 
     H at row k is sum_j weights[k, j] g_j(t_run[k], x[k], u)
     + V_x . (rhs(t_field[k], x[k], u) - correction[k]) / denominator[k].
@@ -116,7 +140,9 @@ class NodeTable:
         self.prob, self.grid = plan.prob, plan.grid
         self.t_run, self.t_field = plan.t_run, plan.t_field
         self.weights, self.denominator = plan.weights, plan.denominator
+        self.forms = plan.forms
         self.x = np.empty((len(self), plan.prob.plant.n_states))
+        self.x_columns = tuple(self.x.T)
         self.correction = np.empty_like(self.x)
         self.v = self.v_x = self.h = None
 
@@ -131,10 +157,11 @@ class NodeTable:
         if rows == slice(None):
             return self
         part = object.__new__(NodeTable)
-        part.prob, part.grid = self.prob, self.grid
+        part.prob, part.grid, part.forms = self.prob, self.grid, self.forms
         for name in ("t_run", "t_field", "x", "weights", "correction",
                      "denominator"):
             setattr(part, name, getattr(self, name)[rows])
+        part.x_columns = tuple(part.x.T)
         return part
 
     def freeze(self, k: int, x: np.ndarray, m_node: np.ndarray) -> None:
@@ -157,16 +184,53 @@ class NodeTable:
                 - self.correction) / self.denominator
 
 
+def _all_finite(values: np.ndarray) -> bool:
+    # a finite sum has finite terms; finite terms may overflow it (call
+    # under np.errstate: the sum's overflow is no error)
+    return math.isfinite(values.sum()) or bool(np.isfinite(values).all())
+
+
+def _unchecked_hamiltonian(table: NodeTable, u: np.ndarray,
+                           v_x: np.ndarray) -> np.ndarray:
+    """node_hamiltonian on the table's compiled node forms, each called
+    once on the columns of every row, with no check: nan or inf where an
+    expression fails.  The same operations as NodeTable.running and
+    NodeTable.field, so the same bits."""
+    running, rhs = table.forms
+    args = (table.t_run, *table.x_columns, *u.T)
+    h = 0.0
+    for w, g in zip(table.weights.T, running):
+        h += w * g(*args)
+    args = (table.t_field, *args[1:])
+    field = np.empty(table.x.shape)
+    for i, f in enumerate(rhs):
+        field[:, i] = f(*args)
+    field -= table.correction
+    field /= table.denominator
+    return h + (v_x[:, None, :] @ field[:, :, None])[:, 0, 0]
+
+
 def node_hamiltonian(table: NodeTable, u, v_x: np.ndarray) -> np.ndarray:
     """Weighted running cost plus V_x . field at every row of a node
     table, for controls u and costates v_x with one row per node (u may
     also be one control vector, or anything that broadcasts to the rows).
     V_x . field is the matrix product of each row, as np.dot takes it.
-    An abort names the first node that fails (first_failing_node)."""
+
+    Batched first, checked on failure: on a problem file's compiled
+    forms H is evaluated unchecked (_unchecked_hamiltonian) and checked
+    once.  Only a non-finite H, or a problem with a Python callable,
+    takes the checked path, whose evaluators name a failing expression,
+    and whose abort names the first node that fails
+    (first_failing_node); it returns the same bits."""
     shape = (len(table), table.prob.plant.n_controls)
     if not (type(u) is np.ndarray and u.dtype == _FLOAT
             and u.shape == shape):
         u = np.broadcast_to(np.asarray(u, dtype=float), shape)
+    if table.forms is not None:
+        with np.errstate(all="ignore"):
+            h = _unchecked_hamiltonian(table, u, v_x)
+            if _all_finite(h):
+                return h
 
     def hamiltonian(rows):
         part, u_rows, v_rows = table[rows], u[rows], v_x[rows]
@@ -210,21 +274,33 @@ def minimize_scalar(func: Callable[[np.ndarray], np.ndarray], lo, hi,
     best point.  Each row's minimizer is that of a plain-float
     transcription of scipy's minimize_scalar(method="bounded") on that
     row alone.
+
+    The state is updated in place under masks, over every row: a
+    stopped row's bracket and second and third points may change, but
+    never its best point, the one output, and it never resumes.
     """
-    # [a, b] brackets the minimum; xf, nfc and fulc are the best, second
-    # and third best points so far, fx, fnfc and ffulc their values
-    a = np.array(lo, dtype=float, ndmin=1)
-    b = np.array(hi, dtype=float, ndmin=1)
-    xf = nfc = fulc = a + _GOLDEN * (b - a)
-    fx = ffulc = fnfc = np.asarray(func(xf), dtype=float)
+    lo, hi = np.broadcast_arrays(np.array(lo, dtype=float, ndmin=1),
+                                 np.array(hi, dtype=float, ndmin=1))
+    # bracket = [a, b] brackets the minimum; points[i] is the best
+    # (xf, fx), second best (nfc, fnfc) and third best (fulc, ffulc)
+    # point so far with its value, and trial the latest probe (x, fu)
+    bracket = np.stack([lo, hi])
+    a, b = bracket
+    points = np.empty((3,) + bracket.shape)
+    (xf, fx), (nfc, fnfc), (fulc, ffulc) = points
+    trial = np.empty_like(bracket)
+    x, fu = trial
+    points[:, 0] = a + _GOLDEN * (b - a)
+    points[:, 1] = func(xf)
     num = 1
     rat = e = np.zeros_like(xf)
+    xatol_3 = xatol / 3.0
     xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
+    tol1 = _SQRT_EPS * np.abs(xf) + xatol_3
     tol2 = 2.0 * tol1
     active = np.abs(xf - xm) > tol2 - 0.5 * (b - a)
     with np.errstate(all="ignore"):
-        while active.any():
+        while np.count_nonzero(active):
             # parabola through the three best points, where the step
             # before last was longer than tol1
             to_nfc, to_fulc = xf - nfc, xf - fulc
@@ -232,38 +308,48 @@ def minimize_scalar(func: Callable[[np.ndarray], np.ndarray], lo, hi,
             q = to_fulc * (fx - fnfc)
             p = to_fulc * q - to_nfc * r
             q = 2.0 * (q - r)
-            p = np.where(q > 0.0, -p, p)
-            q = np.abs(q)
+            np.negative(p, out=p, where=q > 0.0)
+            np.abs(q, out=q)
+            to_ends = bracket - xf          # a - xf, b - xf
+            q_ends = q * to_ends
             parabolic = ((np.abs(e) > tol1) & (np.abs(p) < np.abs(0.5 * q * e))
-                         & (q * (a - xf) < p) & (p < q * (b - xf)))
+                         & (q_ends[0] < p) & (p < q_ends[1]))
             step = p / q
-            x = xf + step
-            step = np.where((x - a < tol2) | (b - x < tol2),
-                            np.where(xm >= xf, tol1, -tol1), step)
-            e = np.where(parabolic, rat,
-                         np.where(xf >= xm, a - xf, b - xf))
-            rat = np.where(parabolic, step, _GOLDEN * e)
-            x = np.where(active, xf + np.where(rat < 0, -1.0, 1.0)
-                         * np.maximum(np.abs(rat), tol1), xf)
-            fu = np.asarray(func(x), dtype=float)
+            x_par = xf + step
+            near_end = (x_par - a < tol2) | (b - x_par < tol2)
+            np.copyto(step, tol1, where=near_end)
+            np.negative(step, out=step, where=near_end & (xm < xf))
+            # otherwise a golden section of the larger part
+            e_new = np.where(xf >= xm, to_ends[0], to_ends[1])
+            rat_new = _GOLDEN * e_new
+            np.copyto(e_new, rat, where=parabolic)
+            np.copyto(rat_new, step, where=parabolic)
+            e, rat = e_new, rat_new
+            # a step of at least tol1; a stopped row stays at xf
+            np.maximum(np.abs(rat), tol1, out=x)
+            np.negative(x, out=x, where=rat < 0)
+            x += xf
+            np.copyto(x, xf, where=~active)
+            fu[...] = func(x)
             num += 1
             improved = fu <= fx
-            better, worse = active & improved, active & ~improved
-            right = x >= xf
+            # a better x moves the end opposite it to xf, a worse x
+            # becomes the end on its side
+            end = np.where(improved, xf, x)
+            lower = improved == (x >= xf)
+            np.copyto(a, end, where=lower)
+            np.copyto(b, end, where=~lower)
+            worse = ~improved
             second = worse & ((fu <= fnfc) | (nfc == xf))
             third = worse & ~second & ((fu <= ffulc) | (fulc == xf)
                                        | (fulc == nfc))
-            a = np.where(better & right, xf, np.where(worse & ~right, x, a))
-            b = np.where(better & ~right, xf, np.where(worse & right, x, b))
-            shifted = better | second
-            fulc, ffulc = (np.where(shifted, nfc, np.where(third, x, fulc)),
-                           np.where(shifted, fnfc,
-                                    np.where(third, fu, ffulc)))
-            nfc, fnfc = (np.where(better, xf, np.where(second, x, nfc)),
-                         np.where(better, fx, np.where(second, fu, fnfc)))
-            xf, fx = np.where(better, x, xf), np.where(better, fu, fx)
+            np.copyto(points[2], points[1], where=improved | second)
+            np.copyto(points[2], trial, where=third)
+            np.copyto(points[1], points[0], where=improved)
+            np.copyto(points[1], trial, where=second)
+            np.copyto(points[0], trial, where=improved)
             xm = 0.5 * (a + b)
-            tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
+            tol1 = _SQRT_EPS * np.abs(xf) + xatol_3
             tol2 = 2.0 * tol1
             if num >= _MAX_EVALS:
                 break
@@ -293,13 +379,13 @@ def _minimize_box(h: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
     latest = u.copy()
 
     def probe(j, val, live):
-        """h at u with column j set to val on the live rows."""
-        nonlocal latest
-        trial = u.copy()
-        trial[:, j] = val
-        latest = np.where(live[:, None], trial, latest)
+        """h at u with column j set to val on the live rows: latest
+        takes those rows in place (with one control, column j is u)."""
+        if m > 1:
+            np.copyto(latest, u, where=live[:, None])
+        np.copyto(latest[:, j], val, where=live)
         values = h(latest)
-        if not np.isfinite(values).all():
+        if not _all_finite(values):
             raise SweepAbort("non-finite Hamiltonian during minimization")
         return values
 

@@ -164,6 +164,32 @@ def test_node_arrays_give_the_scalar_bits_of_a_problem_file(operand):
             table.t_field[k], table.x[k], us[k]))
 
 
+@pytest.mark.parametrize("operand, dynamics", [
+    ("x1**2 + u1**2", "-x1"),
+    ("2.5", "0.25"),
+    ("t*u1", "-x1 + t"),
+    ("exp(x2)*u1 - log(1 + x1**2)", "sin(x1)*u1"),
+], ids=["polynomial", "constants", "time", "transcendental"])
+def test_unchecked_hamiltonian_has_the_bits_of_the_checked_path(operand,
+                                                                dynamics):
+    # a problem file's Hamiltonian is evaluated on its compiled forms,
+    # unchecked; the checked evaluators' running cost and field give the
+    # same bytes, also where a form reads no variable and returns a float
+    doc = load_raw(EXAMPLE_FILE)
+    doc["cost"]["terms"][1]["operand"] = operand
+    doc["plant"]["dynamics"][1] = dynamics
+    prob = build_problem(doc).problem.with_field(10 ** 5, 10 ** 5, 40)
+    grid = fo.TimeGrid(0.0, 1.0, 100)
+    rng = np.random.default_rng(14)
+    table = random_table(prob, grid, rng, m_scale=2.0)
+    assert table.forms is not None
+    us = rng.uniform(-2.0, 2.0, (101, 1))
+    lams = rng.uniform(-1, 1, (101, 2))
+    checked = table.running(us) + (
+        lams[:, None, :] @ table.field(us)[:, :, None])[:, 0, 0]
+    assert node_hamiltonian(table, us, lams).tobytes() == checked.tobytes()
+
+
 # ---------------------------------------------------------- minimizers
 
 def _counting_scalar_search(monkeypatch):
@@ -256,6 +282,66 @@ def test_lockstep_search_equals_one_search_per_node(c, lo, width):
     assert len(rounds) == 500
     for f, a, b, tol, x in zip(fns, los, his, xatol, got):
         assert x == _scipy_bounded(f, a, b, tol)
+
+
+#: one node of a lockstep search: the kind of its function, its
+#: curvature, where its minimum lies, the box and the tolerance
+_SEARCH_ROW = st.tuples(
+    st.sampled_from(["quadratic", "quartic", "flat"]),
+    st.floats(0.01, 5.0),
+    st.sampled_from(["inside", "at lo", "at hi", "near lo", "near hi",
+                     "beyond lo", "beyond hi"]),
+    st.floats(0.0, 1.0),
+    st.floats(-10.0, 10.0),
+    st.one_of(st.sampled_from([0.0, 1e-9, 1e-3]), st.floats(0.0, 20.0)),
+    st.sampled_from([1e-10, 1e-6, 1e-3]),
+)
+
+
+def _search_row(kind, curvature, where, position, lo, width, xatol):
+    """(f, lo, hi, xatol) of one node: f a quadratic or quartic with its
+    minimum at where, or flat, on the box [lo, lo + width] (one point
+    when width is 0)."""
+    hi = lo + width
+    centre = {"inside": lo + position * width, "at lo": lo, "at hi": hi,
+              "near lo": lo + 1e-7, "near hi": hi - 1e-7,
+              "beyond lo": lo - 1.0, "beyond hi": hi + 1.0}[where]
+
+    def f(v):
+        if kind == "flat":
+            return curvature
+        square = (v - centre) * (v - centre)
+        if kind == "quadratic":
+            return curvature * square
+        return curvature * square * square
+    return f, lo, hi, xatol
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(_SEARCH_ROW, min_size=1, max_size=8))
+def test_lockstep_rows_are_scipy_bounded_searches_bit_for_bit(rows):
+    # quadratics, quartics and flat rows, minima inside, at, near or
+    # beyond either bound, one-point brackets, and tolerances and widths
+    # that stop the rows in different rounds: each row's minimizer has
+    # the bytes of scipy's search of that row alone, and func is called
+    # once per round until the last row stops, as often as scipy calls
+    # the row that runs longest
+    fns, los, his, tols = zip(*(_search_row(*row) for row in rows))
+    calls = []
+
+    def batch(v):
+        calls.append(1)
+        return np.array([f(x) for f, x in zip(fns, v.tolist())])
+
+    got = hjb.minimize_scalar(batch, np.array(los), np.array(his),
+                              np.array(tols))
+    evaluations = []
+    for f, lo, hi, xatol, x in zip(fns, los, his, tols, got):
+        ref = sopt.minimize_scalar(f, bounds=(lo, hi), method="bounded",
+                                   options={"xatol": xatol})
+        assert x.tobytes() == np.float64(ref.x).tobytes()
+        evaluations.append(ref.nfev)
+    assert len(calls) == max(evaluations)
 
 
 def test_minimize_box_one_control_takes_one_search(monkeypatch):

@@ -8,7 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -541,6 +541,144 @@ def test_rhs_returning_a_list_or_an_int_array_gives_the_same_states(
         states.append(forward_sweep(prob, 5.0, cfg)[0])
     assert np.array_equal(states[0], states[1])
     assert np.ptp(states[0][:, 1]) > 0.0
+
+
+def _floor_rate(t, x, u):
+    """One integer-valued rate for both states of the two-state plant."""
+    return math.floor(4.0 * x[1]) + float(u[0])
+
+
+@pytest.mark.parametrize("stepper", ["euler", "heun"])
+def test_rhs_returning_a_broadcast_scalar_gives_the_same_states(stepper):
+    # one rate for every state is broadcast, as numpy arithmetic would
+    cfg = two_state_config(n_a=10 ** 4, n_b=10 ** 4, p_max=20,
+                           stepper=stepper)
+    base = two_state_problem()
+    sweeps = []
+    for rhs in (lambda t, x, u: np.full(2, _floor_rate(t, x, u)),
+                _floor_rate):
+        prob = dataclasses.replace(
+            base, plant=dataclasses.replace(base.plant, rhs=rhs))
+        sweeps.append(forward_sweep(prob, 5.0, cfg))
+    (x_array, nodes_array), (x_scalar, nodes_scalar) = sweeps
+    assert x_scalar.tobytes() == x_array.tobytes()
+    assert nodes_scalar.correction.tobytes() == \
+        nodes_array.correction.tobytes()
+    assert np.ptp(x_array[:, 1]) > 0.0
+
+
+@pytest.mark.parametrize("stepper", ["euler", "heun"])
+@pytest.mark.parametrize("problem", ["problems/example.yaml",
+                                     "perfbench/lq_bounded.yaml"])
+def test_compiled_rhs_floats_give_the_states_of_its_array_form(problem,
+                                                               stepper):
+    # the forward step reads a problem file's rhs as Python floats; the
+    # same evaluator called as a Python callable returns its array,
+    # which the step converts: the states and rows are the same bits
+    parsed = parse_problem(problem, [f"solver.stepper={stepper}"])
+    prob, cfg = parsed.problem, parsed.config
+    assert hasattr(prob.plant.rhs, "floats")
+    rhs = prob.plant.rhs
+    as_callable = dataclasses.replace(prob, plant=dataclasses.replace(
+        prob.plant, rhs=lambda t, x, u: rhs(t, x, u)))
+    u = np.linspace(-1.0, 3.0, 101)
+    (x_floats, nodes_floats), (x_array, nodes_array) = (
+        forward_sweep(p, u, cfg) for p in (prob, as_callable))
+    assert x_floats.tobytes() == x_array.tobytes()
+    assert nodes_floats.correction.tobytes() == \
+        nodes_array.correction.tobytes()
+
+
+def _array_costate(grad, jac, lam_n, dt, heun):
+    """backward_sweep's costate recursion on numpy rows (any number of
+    states): the reference of the one-state float recursion."""
+    n = grad.shape[0] - 1
+    lam = np.zeros(grad.shape)
+    lam[n] = lam_n
+    with np.errstate(all="ignore"):
+        for k in range(n - 1, -1, -1):
+            slope = grad[k + 1] + jac[k + 1].T @ lam[k + 1]
+            lam[k] = lam[k + 1] + dt * slope
+            if heun and k:
+                lam[k] = lam[k + 1] + 0.5 * dt * (
+                    slope + (grad[k] + jac[k].T @ lam[k]))
+    return lam
+
+
+_COSTATE_VALUE = st.one_of(
+    st.floats(-10.0, 10.0), st.sampled_from([0.0, -0.0, 5e-324, -5e-324,
+                                             1e-300, -1e-300, 1e300]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(st.tuples(_COSTATE_VALUE, _COSTATE_VALUE),
+                       min_size=2, max_size=40),
+       lam_n=_COSTATE_VALUE, dt=st.sampled_from([0.01, 0.37, 1e-4]),
+       heun=st.booleans())
+@example(values=[(-0.0, 1.0)] * 3, lam_n=-0.0, dt=0.01, heun=False)
+@example(values=[(-0.0, -2.0)] * 3, lam_n=-0.0, dt=0.01, heun=True)
+def test_one_state_costate_has_the_bits_of_the_array_recursion(
+        values, lam_n, dt, heun):
+    # zeros of either sign, subnormals and overflowing products included:
+    # the matrix product of one state sums from 0.0, as the float
+    # recursion does, and every other operation is the same (the
+    # examples: a -0.0 product beside a -0.0 gradient and costate)
+    grad = np.array([[g] for g, _ in values])
+    jac = np.array([[[j]] for _, j in values])
+    ref = _array_costate(grad, jac, np.array([lam_n]), dt, heun)
+    got = sweep._one_state_costate(grad[:, 0].tolist(),
+                                   jac[:, 0, 0].tolist(), lam_n, dt, heun)
+    assert np.array(got).tobytes() == ref[:, 0].tobytes()
+
+
+def _box_doc(block: str, expression: str, quadratic: bool) -> dict:
+    """perfbench/lq_bounded.yaml with expression as its dynamics or its
+    running operand, the control box [-2, 2] and the quadratic rule or
+    the bounded search."""
+    doc = yaml.safe_load(Path("perfbench/lq_bounded.yaml").read_text())
+    if block == "plant":
+        doc["plant"]["dynamics"] = [expression]
+    else:
+        doc["cost"]["terms"][1]["operand"] = expression
+    doc["plant"]["control_lower"] = [-2.0]
+    doc["plant"]["control_upper"] = [2.0]
+    doc["solver"]["quadratic_control"] = quadratic
+    return doc
+
+
+@pytest.mark.parametrize("block, expression, quadratic, node_time", [
+    ("cost", "x1**2 + u1**2 + log(u1 + 1)", False, "0.0"),
+    ("cost", "x1**2 + u1**2 + log(u1 + 1)", True, "0.0"),
+    ("cost", "x1**2 + u1**2 + sqrt(u1)", False, "0.0"),
+    ("cost", "x1**2 + u1**2 + sqrt(u1)", True, "0.0"),
+    ("cost", "x1**2 + log(u1 + 3 - 2*t)", False, "0.51"),
+    ("cost", "x1**2 + log(u1 + 3 - 2*t)", True, "0.5"),
+    ("cost", "x1**2 + u1**2 + sqrt(u1 + 3 - 2*t)", False, "0.97"),
+    ("plant", "-x1 + u1 + 0.1*log(u1 + 3 - 2*t)", False, "0.98"),
+    ("plant", "-x1 + u1 + 0.1*log(u1 + 3 - 2*t)", True, "1.0"),
+    ("cost", "x1**2 + u1**2 + 1e308*(u1 - 1)*(u1 - 1)", False, None),
+    ("cost", "x1**2 + u1**2 + 1e308*(u1 - 1)*(u1 - 1)", True, None),
+])
+def test_minimization_abort_names_the_expression_and_node(
+        block, expression, quadratic, node_time):
+    # characterization: each expression is finite at the initial control
+    # u = 0 and fails on part of the box, so the bounded search or the
+    # quadratic rule probes it there; the abort is the one node-by-node
+    # evaluation raised: the failing expression at the first node that
+    # fails alone, or (an overflow, no math error) the minimizer's own
+    # check.  solve and the audit of the initial trajectory abort alike
+    parsed = build_problem(_box_doc(block, expression, quadratic))
+    message = ("non-finite Hamiltonian during minimization"
+               if node_time is None else
+               f"cannot evaluate {expression!r} at t = {node_time}: "
+               "math domain error")
+    with pytest.raises(SweepAbort) as info:
+        solve(parsed.problem, parsed.config)
+    assert str(info.value) == message
+    x, _ = forward_sweep(parsed.problem, 0.0, parsed.config)
+    with pytest.raises(SweepAbort) as info:
+        sweep.audit_residuals(parsed.problem, x, 0.0, parsed.config)
+    assert str(info.value) == message
 
 
 _MISMATCHED_SETTINGS = [
