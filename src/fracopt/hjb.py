@@ -18,21 +18,30 @@ no longer depend on each other.  Each node is frozen into one row of a
 NodeTable beside the plan's rows: its state and its memory correction.
 The Hamiltonian is then evaluated over all rows at once
 (node_hamiltonian), and so is every probe of its minimizer: the quadratic
-rule's three probes and vertex, or Brent's bounded search run in lockstep,
-one search per row.  A row is never evaluated at a control its own
-minimization would not probe: a row with nothing left to probe in a batch
-is evaluated again at its latest probe.  A batched stage that aborts runs
-again node by node (first_failing_node), so that the abort names the node
-that node-by-node evaluation named.  On a problem file's compiled
-expressions a Hamiltonian is evaluated unchecked, and only a non-finite
-one is evaluated again by the checked path that names the failing
-expression.  The cost of a batch is call overhead, not row count: on
-perfbench/lq_bounded.yaml (101 nodes, about 29 lockstep rounds per
-evaluation) a round is one Hamiltonian probe of about 20 us and about 90
-numpy calls of the search's own logic, about 60 us (a shared 2-core
-x86-64 machine, numpy 2.4).  The table is the one record of the
-evaluation: the backward sweep stores its costate and Hamiltonian on it
-too, and a solve stores the cost-to-go on its final table.
+rule's three probes and vertex, or Brent's bounded search, one search per
+row, each round of which probes every row once.  A row is never evaluated
+at a control its own minimization would not probe: a row that the
+quadratic rule does not probe at the endpoints is evaluated again at its
+latest probe, and a row whose bounded search has stopped at its best
+point.  A batched stage that aborts runs again node by node
+(first_failing_node), so that the abort names the node that node-by-node
+evaluation named.  On a problem file's compiled expressions a
+Hamiltonian is evaluated unchecked, and only a non-finite one is
+evaluated again by the checked path that names the failing expression.
+The table is the one record of the evaluation: the backward sweep stores
+its costate and Hamiltonian on it too, and a solve stores the
+cost-to-go on its final table.
+
+The cost of a batch is call overhead, not row count.  On
+perfbench/lq_bounded.yaml (101 nodes, about 29 rounds of the bounded
+search per evaluation) a Hamiltonian probe costs about 20 us, and a round
+of the search's own logic in lockstep about 90 numpy calls, 55-60 us,
+however few rows still search; a row that searches alone in plain floats
+costs 1-1.5 us a round.  So the searches run in lockstep while more than
+_HANDOVER_ROWS = 40 rows search, and the rows left go on alone (a shared
+2-core x86-64 machine, numpy 2.4).  On lq_bounded.yaml about 80 of the
+101 rows stop within 9 rounds and about 20 search to the last rounds,
+which the rows alone take at about half the cost.
 
 Endpoint conventions (both endpoints of the grid host singular factors):
 at the final node the running weights of every order are evaluated at
@@ -68,6 +77,10 @@ _COORD_SWEEPS = 60
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 _SQRT_EPS = math.sqrt(2.2e-16)
 _MAX_EVALS = 500
+#: minimize_scalar runs its searches in lockstep while more rows than
+#: this search: a lockstep round costs 55-60 us however few rows still
+#: search, a row searching alone 1-1.5 us a round
+_HANDOVER_ROWS = 40
 _FLOAT = np.dtype(float)
 
 
@@ -210,7 +223,8 @@ def _unchecked_hamiltonian(table: NodeTable, u: np.ndarray,
     return h + (v_x[:, None, :] @ field[:, :, None])[:, 0, 0]
 
 
-def node_hamiltonian(table: NodeTable, u, v_x: np.ndarray) -> np.ndarray:
+def node_hamiltonian(table: NodeTable, u, v_x: np.ndarray,
+                     probe: bool = False) -> np.ndarray:
     """Weighted running cost plus V_x . field at every row of a node
     table, for controls u and costates v_x with one row per node (u may
     also be one control vector, or anything that broadcasts to the rows).
@@ -221,23 +235,39 @@ def node_hamiltonian(table: NodeTable, u, v_x: np.ndarray) -> np.ndarray:
     once.  Only a non-finite H, or a problem with a Python callable,
     takes the checked path, whose evaluators name a failing expression,
     and whose abort names the first node that fails
-    (first_failing_node); it returns the same bits."""
+    (first_failing_node); it returns the same bits.
+
+    probe=True is a probe of the minimizer (minimize_node_hamiltonian):
+    u is a float array of the rows' shape, the caller holds
+    np.errstate(all="ignore"), and a non-finite H from the checked path
+    raises SweepAbort, so that each H is checked once."""
+    if probe:
+        return _hamiltonian(table, u, v_x, probe)
     shape = (len(table), table.prob.plant.n_controls)
     if not (type(u) is np.ndarray and u.dtype == _FLOAT
             and u.shape == shape):
         u = np.broadcast_to(np.asarray(u, dtype=float), shape)
+    with np.errstate(all="ignore"):
+        return _hamiltonian(table, u, v_x, probe)
+
+
+def _hamiltonian(table: NodeTable, u: np.ndarray, v_x: np.ndarray,
+                 probe: bool) -> np.ndarray:
+    """node_hamiltonian on controls of the rows' shape, under the
+    caller's np.errstate(all="ignore")."""
     if table.forms is not None:
-        with np.errstate(all="ignore"):
-            h = _unchecked_hamiltonian(table, u, v_x)
-            if _all_finite(h):
-                return h
+        h = _unchecked_hamiltonian(table, u, v_x)
+        if _all_finite(h):
+            return h
 
     def hamiltonian(rows):
         part, u_rows, v_rows = table[rows], u[rows], v_x[rows]
-        with np.errstate(all="ignore"):
-            return part.running(u_rows) + (
-                v_rows[:, None, :] @ part.field(u_rows)[:, :, None])[:, 0, 0]
-    return first_failing_node(hamiltonian, len(table))
+        return part.running(u_rows) + (
+            v_rows[:, None, :] @ part.field(u_rows)[:, :, None])[:, 0, 0]
+    h = first_failing_node(hamiltonian, len(table))
+    if probe and not _all_finite(h):
+        raise SweepAbort("non-finite Hamiltonian during minimization")
+    return h
 
 
 def _parabola_min(axis: Callable, c: np.ndarray, lo: float,
@@ -264,20 +294,25 @@ def _parabola_min(axis: Callable, c: np.ndarray, lo: float,
 def minimize_scalar(func: Callable[[np.ndarray], np.ndarray], lo, hi,
                     xatol) -> np.ndarray:
     """Minimizers of func over [lo, hi] by Brent's bounded search, one
-    search per row, run in lockstep: golden sections and parabolic steps
-    until the bracket is within xatol (plus a relative sqrt(eps)) of the
-    best point, or after 500 evaluations.
+    search per row: golden sections and parabolic steps until the
+    bracket is within xatol (plus a relative sqrt(eps)) of the best
+    point, or after 500 evaluations.
 
     lo, hi and xatol are per row (or one value for every row), and func
     maps one point per row to one value per row.  Each round evaluates
-    every row: a row whose search has stopped is evaluated again at its
-    best point.  Each row's minimizer is that of a plain-float
-    transcription of scipy's minimize_scalar(method="bounded") on that
-    row alone.
+    every row once: a row whose search has stopped is evaluated again at
+    its best point.  Each row's minimizer is that of scipy's
+    minimize_scalar(method="bounded") on that row alone, bit for bit.
 
-    The state is updated in place under masks, over every row: a
+    While more than _HANDOVER_ROWS rows search, the searches run in
+    lockstep, their state updated in place under masks over every row: a
     stopped row's bracket and second and third points may change, but
-    never its best point, the one output, and it never resumes.
+    never its best point, the one output, and it never resumes.  A
+    lockstep round is about 90 numpy calls, 55-60 us on 101 rows, however
+    few rows still search.  Once _HANDOVER_ROWS or fewer do, each goes on
+    from the state the lockstep left as a plain-float search of its own
+    (_bounded_search), 1-1.5 us a row a round; a round is still one func
+    call over every row.
     """
     lo, hi = np.broadcast_arrays(np.array(lo, dtype=float, ndmin=1),
                                  np.array(hi, dtype=float, ndmin=1))
@@ -300,7 +335,7 @@ def minimize_scalar(func: Callable[[np.ndarray], np.ndarray], lo, hi,
     tol2 = 2.0 * tol1
     active = np.abs(xf - xm) > tol2 - 0.5 * (b - a)
     with np.errstate(all="ignore"):
-        while np.count_nonzero(active):
+        while np.count_nonzero(active) > _HANDOVER_ROWS:
             # parabola through the three best points, where the step
             # before last was longer than tol1
             to_nfc, to_fulc = xf - nfc, xf - fulc
@@ -352,13 +387,87 @@ def minimize_scalar(func: Callable[[np.ndarray], np.ndarray], lo, hi,
             tol1 = _SQRT_EPS * np.abs(xf) + xatol_3
             tol2 = 2.0 * tol1
             if num >= _MAX_EVALS:
-                break
+                return xf
             active &= np.abs(xf - xm) > tol2 - 0.5 * (b - a)
+        # the rows still searching go on alone, one func call a round
+        rows = np.flatnonzero(active).tolist()
+        state = np.vstack([bracket, points.reshape(6, -1), e, rat,
+                           np.broadcast_to(xatol_3, xf.shape)])
+        searches = {k: _bounded_search(*row, num)
+                    for k, row in zip(rows, state[:, rows].T.tolist())}
+        x[...] = xf
+        for k, search in searches.items():
+            x[k] = next(search)
+        while searches:
+            rows = list(searches)
+            for k, fu in zip(rows, func(x)[rows].tolist()):
+                try:
+                    x[k] = searches[k].send(fu)
+                except StopIteration as stop:
+                    x[k] = xf[k] = stop.value
+                    del searches[k]
+    return xf
+
+
+def _bounded_search(a, b, xf, fx, nfc, fnfc, fulc, ffulc, e, rat, xatol_3,
+                    num):
+    """The rest of one row's bounded search from its state, in plain
+    floats: scipy's _minimize_scalar_bounded loop, which yields each
+    probe x, is sent func(x) and returns the best point."""
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol_3
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+        step = max(abs(rat), tol1)
+        x = xf - step if rat < 0 else xf + step
+        fu = yield x
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol_3
+        tol2 = 2.0 * tol1
+        if num >= _MAX_EVALS:
+            break
     return xf
 
 
 def _minimize_box(h: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
-                  hi: np.ndarray, quadratic: bool, rows: int = 1):
+                  hi: np.ndarray, quadratic: bool, rows: int = 1,
+                  checked: bool = False):
     """Box-constrained minimizers of a function of the control at rows
     independent rows, by coordinate sweeps from the clipped origin; h
     maps controls (rows, m) to values (rows,).  A degenerate axis is set
@@ -372,7 +481,8 @@ def _minimize_box(h: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
     A row that needs no probe in a call of h (it has stopped, or is not
     probed at the endpoints) is evaluated at its latest probe, never at
     a control its own minimization would not probe.  A non-finite value
-    raises SweepAbort.
+    raises SweepAbort: h raises it itself when checked is True, and its
+    values are not checked again.
     """
     m = lo.shape[0]
     u = np.tile(np.clip(np.zeros(m), lo, hi), (rows, 1))
@@ -385,7 +495,7 @@ def _minimize_box(h: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
             np.copyto(latest, u, where=live[:, None])
         np.copyto(latest[:, j], val, where=live)
         values = h(latest)
-        if not _all_finite(values):
+        if not (checked or _all_finite(values)):
             raise SweepAbort("non-finite Hamiltonian during minimization")
         return values
 
@@ -422,9 +532,10 @@ def minimize_node_hamiltonian(table: NodeTable, v_x: np.ndarray) -> np.ndarray:
     not evaluated at them here)."""
     def minimize(rows):
         part, v_rows = table[rows], v_x[rows]
-        return _minimize_box(lambda u: node_hamiltonian(part, u, v_rows),
-                             part.prob.u_lower, part.prob.u_upper,
-                             part.prob.quadratic_control, len(part))
+        return _minimize_box(
+            lambda u: node_hamiltonian(part, u, v_rows, probe=True),
+            part.prob.u_lower, part.prob.u_upper,
+            part.prob.quadratic_control, len(part), checked=True)
     return first_failing_node(minimize, len(table))
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.optimize as sopt
 import scipy.special as sps
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fracopt as fo
@@ -342,6 +342,98 @@ def test_lockstep_rows_are_scipy_bounded_searches_bit_for_bit(rows):
         assert x.tobytes() == np.float64(ref.x).tobytes()
         evaluations.append(ref.nfev)
     assert len(calls) == max(evaluations)
+
+
+def _scipy_probes(f, lo, hi, xatol):
+    """scipy's bounded search of f alone: its minimizer and the points
+    it evaluates, in order."""
+    probes = []
+
+    def g(v):
+        probes.append(v)
+        return f(v)
+    res = sopt.minimize_scalar(g, bounds=(lo, hi), method="bounded",
+                               options={"xatol": xatol})
+    return res.x, probes
+
+
+def _probed_search(fns, los, his, tols, fail=None):
+    """hjb.minimize_scalar over rows with their own functions, and the
+    probes each row received, one list per row; fail(call, row, v) may
+    raise."""
+    received = [[] for _ in fns]
+
+    def batch(v):
+        for k, x in enumerate(v.tolist()):
+            received[k].append(x)
+            if fail is not None:
+                fail(len(received[0]), k, x)
+        return np.array([f(x) for f, x in zip(fns, v.tolist())])
+
+    return hjb.minimize_scalar(batch, np.array(los), np.array(his),
+                               np.array(tols)), received
+
+
+def _assert_scipy_searches(fns, los, his, tols) -> list:
+    """Search the rows with hjb.minimize_scalar: each row receives
+    scipy's own evaluation points for it, then its minimizer until the
+    last row stops, and the minimizer has scipy's bytes.  Returns how
+    many points scipy evaluates for each row."""
+    got, received = _probed_search(fns, los, his, tols)
+    runs = []
+    for f, lo, hi, xatol, x, probes in zip(fns, los, his, tols, got,
+                                           received):
+        ref, want = _scipy_probes(f, lo, hi, xatol)
+        assert x.tobytes() == np.float64(ref).tobytes()
+        assert probes == want + [ref] * (len(probes) - len(want))
+        runs.append(len(want))
+    assert len(received[0]) == max(runs)
+    return runs
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(rows=st.lists(_SEARCH_ROW, min_size=33, max_size=150))
+def test_rows_on_both_sides_of_the_handover_are_scipy_searches(rows):
+    # more rows than hjb._HANDOVER_ROWS search in lockstep, fewer go on
+    # alone, and rows stop in different rounds on either side
+    _assert_scipy_searches(*zip(*(_search_row(*row) for row in rows)))
+
+
+def _handover_rows():
+    """(fns, los, his, tols): 60 quadratic rows at xatol = 1e-3, which
+    stop after 6 evaluations, and 30 quartic rows at xatol = 1e-10,
+    which run long."""
+    fns = ([lambda v, c=c: (v - c) * (v - c) for c in
+            np.linspace(-1.0, 1.0, 60).tolist()]
+           + [lambda v, c=c: ((v - c) * (v - c)) ** 2 for c in
+              np.linspace(-0.9, 0.7, 30).tolist()])
+    return fns, [-2.0] * 90, [3.0] * 90, [1e-3] * 60 + [1e-10] * 30
+
+
+def test_searches_hand_over_from_lockstep_to_rows_alone():
+    # 90 rows search in lockstep for 5 rounds; the 30 quartic rows then
+    # go on alone from the state the lockstep left
+    runs = _assert_scipy_searches(*_handover_rows())
+    assert set(runs[:60]) == {6}
+    assert (0 < sum(n > 6 for n in runs) <= hjb._HANDOVER_ROWS
+            < sum(n > 1 for n in runs))
+
+
+def test_a_probe_that_raises_after_the_handover_surfaces_in_its_round():
+    # func raises when row 75, a quartic row that goes on alone after
+    # round 6, first receives scipy's 20th evaluation point for it
+    fns, los, his, tols = _handover_rows()
+    _, want = _scipy_probes(fns[75], los[75], his[75], tols[75])
+    assert len(want) > 20
+
+    def fail(call, row, v):
+        if row == 75 and v == want[19]:
+            raise ValueError(f"row 75 probed at call {call}")
+
+    with pytest.raises(ValueError, match="row 75 probed at call 20$"):
+        _probed_search(fns, los, his, tols, fail)
 
 
 def test_minimize_box_one_control_takes_one_search(monkeypatch):
