@@ -58,11 +58,13 @@ WORKLOAD = " and ".join(PROBLEMS) + " solved by fracopt.sweep.solve"
 
 #: (row name, solver settings, rounds, warm-up rounds) on each problem;
 #: the warm-up round of a problem's first row also warms the process for
-#: the rows after it
+#: the rows after it.  The finer rows take 10 and 8 rounds (about 4 s and
+#: 2.5 s a problem): with 3 and 2, their quartile spread was 15-40 % of
+#: the median even pooled over 20 runs on a shared 2-core host
 GRID_ROWS = [
     ("solve dt=0.01", {"dt": 0.01}, 7, 1),
-    ("solve dt=0.001", {"dt": 0.001}, 3, 0),
-    ("one evaluation dt=1e-4", {"dt": 0.0001, "max_iters": 0}, 2, 0),
+    ("solve dt=0.001", {"dt": 0.001}, 10, 0),
+    ("one evaluation dt=1e-4", {"dt": 0.0001, "max_iters": 0}, 8, 0),
 ]
 #: (row name labelled with its problem, problem, solver settings, rounds,
 #: warm-up rounds)

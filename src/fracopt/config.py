@@ -233,9 +233,11 @@ def _node_evaluator(fns: Sequence, scalar, stacked: bool):
     x (N, n) and u (N, m), with scalar's value at each row.  Where a row
     is not finite, scalar evaluates that row again, lowest row first, so
     a math error there aborts the sweep as it does at one node.  The
-    function's forms attribute is fns themselves, unchecked: each takes
-    the columns t, x1..xn, u1..um by position and gives nan or inf where
-    a math error would abort."""
+    function's forms(n_states) are fns themselves, unchecked, with
+    stacked each paired with its column of the value: each takes the
+    columns t, x1..xn, u1..um by position and gives nan or inf where a
+    math error would abort (expansion.as_evaluator's forms need n_states
+    to split the columns)."""
     def evaluate(t, x, u):
         n = t.shape[0]
         args = (t, *x.T, *u.T)
@@ -247,7 +249,8 @@ def _node_evaluator(fns: Sequence, scalar, stacked: bool):
                     ~np.isfinite(out.reshape(n, -1)).all(axis=1)):
                 scalar(t[k], x[k], u[k])
         return out
-    evaluate.forms = tuple(fns)
+    forms = tuple(enumerate(fns)) if stacked else tuple(fns)
+    evaluate.forms = lambda n_states: forms
     return evaluate
 
 
@@ -292,11 +295,11 @@ def build_problem(doc: Dict) -> ParsedProblem:
     dyn_vars = ["t"] + state_names + control_names
     try:
         dyn_fns, dyn_nodes = (
-            [compile_expression(src, dyn_vars, over_nodes)
-             for src in dynamics_src] for over_nodes in (False, True))
+            [compile_expression(src, dyn_vars, on_nodes)
+             for src in dynamics_src] for on_nodes in (False, True))
         jac_fns, jac_nodes = (
-            [compile_gradient(src, dyn_vars, state_names, over_nodes)
-             for src in dynamics_src] for over_nodes in (False, True))
+            [compile_gradient(src, dyn_vars, state_names, on_nodes)
+             for src in dynamics_src] for on_nodes in (False, True))
     except ConfigError as exc:
         raise ConfigError(f"plant.dynamics: {exc}")
 
@@ -318,10 +321,10 @@ def build_problem(doc: Dict) -> ParsedProblem:
         # running operands are also evaluated over node arrays
         forms = (False,) if v == 0.0 else (False, True)
         try:
-            fns = [compile_expression(src, variables, over_nodes)
-                   for over_nodes in forms]
-            grads = [compile_gradient(src, variables, state_names, over_nodes)
-                     for over_nodes in forms]
+            fns = [compile_expression(src, variables, on_nodes)
+                   for on_nodes in forms]
+            grads = [compile_gradient(src, variables, state_names, on_nodes)
+                     for on_nodes in forms]
         except ConfigError as exc:
             raise ConfigError(f"{where}.operand: {exc}")
         kind = "terminal" if v == 0.0 else "running"

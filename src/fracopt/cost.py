@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, SingularTimeError
-from .expansion import central_difference, over_nodes
+from .expansion import as_evaluator, central_difference
 from .grid import TimeGrid
 from .operators import (gamma, kernel_cell_weights,
                         singular_kernel_weights)
@@ -38,9 +38,10 @@ class CostTerm:
 
     Zero-order terms carry a terminal operand g(tf, x) only; nonzero-order
     terms carry a running operand g(t, x, u) only.  gradient, when given,
-    is the operand's x-gradient, with the operand's arguments.  Over node
-    arrays, running_nodes and gradient_nodes apply them at every row
-    (expansion.over_nodes).
+    is the operand's x-gradient, with the operand's arguments.  A running
+    operand and its gradient are wrapped once, here
+    (expansion.as_evaluator): over node arrays, running.nodes and
+    gradient.nodes apply them at every row.
     """
 
     v: float
@@ -59,14 +60,10 @@ class CostTerm:
             if self.running is None or self.terminal is not None:
                 raise DomainError(
                     "a nonzero-order term carries a running operand only")
-
-    @cached_property
-    def running_nodes(self) -> Callable:
-        return over_nodes(self.running)
-
-    @cached_property
-    def gradient_nodes(self) -> Callable:
-        return over_nodes(self.gradient)
+            object.__setattr__(self, "running", as_evaluator(self.running))
+            if self.gradient is not None:
+                object.__setattr__(self, "gradient",
+                                   as_evaluator(self.gradient))
 
 
 @dataclass(frozen=True)
@@ -92,7 +89,7 @@ class PerformanceIndex:
         every row of node arrays (weights: one row per node)."""
         total = 0.0
         for w, term in zip(weights.T, self.running_terms):
-            total += w * term.running_nodes(t, x, u)
+            total += w * term.running.nodes(t, x, u)
         return total
 
     def running_gradient(self, weights: np.ndarray, t: np.ndarray,
@@ -106,7 +103,7 @@ class PerformanceIndex:
                 lambda xv: self.weighted_running(weights, t, xv, u), x)
         grad = np.zeros(x.shape)
         for w, term in zip(weights.T, terms):
-            grad += w[:, None] * term.gradient_nodes(t, x, u)
+            grad += w[:, None] * term.gradient.nodes(t, x, u)
         return grad
 
     def terminal_gradient(self, tf: float, x_tf: np.ndarray) -> np.ndarray:
@@ -159,7 +156,7 @@ def evaluate(pi: PerformanceIndex, grid: TimeGrid, x: np.ndarray,
     """Cost-to-go of a sampled trajectory pair from a grid node.
 
     Each nonzero-order term's operand is sampled over the node arrays
-    (CostTerm.running_nodes) and integrated over [t_from, tf] with the
+    (CostTerm.running.nodes) and integrated over [t_from, tf] with the
     singularity-safe product quadrature; zero-order terms add their
     terminal operands.  Trajectories are node-sampled arrays of shape
     (n_nodes, n_states) and (n_nodes, n_controls).
@@ -175,7 +172,7 @@ def evaluate(pi: PerformanceIndex, grid: TimeGrid, x: np.ndarray,
     k = from_node
     for term in pi.running_terms:
         w = singular_kernel_weights(grid, term.v, k, grid.n_steps, "upper")
-        samples = term.running_nodes(times[k:], x[k:], u[k:])
+        samples = term.running.nodes(times[k:], x[k:], u[k:])
         total += float(w[k:] @ samples)
     return total
 
@@ -194,7 +191,7 @@ def cost_to_go(pi: PerformanceIndex, grid: TimeGrid, x: np.ndarray,
     n = grid.n_steps
     cells = np.zeros(n)
     for term in pi.running_terms:
-        g = term.running_nodes(times, x, u)
+        g = term.running.nodes(times, x, u)
         far_w, near_w, far, near = kernel_cell_weights(grid, term.v, 0, n,
                                                        "upper")
         with np.errstate(all="ignore"):

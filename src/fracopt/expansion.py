@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -61,7 +62,7 @@ __all__ = [
     "moment_factors",
     "advance_moments",
     "central_difference",
-    "over_nodes",
+    "as_evaluator",
     "TransformedField",
 ]
 
@@ -258,20 +259,46 @@ def central_difference(fn, x: np.ndarray) -> np.ndarray:
     return np.stack(columns, axis=-1)
 
 
-def over_nodes(fn):
-    """fn, a function of (t, x, u) at one node, as a function of node
-    arrays t (N,), x (N, n) and u (N, m) with one value per row: fn's
-    own nodes attribute when it has one (a compiled problem-file
-    expression does), otherwise fn called row by row."""
-    nodes = getattr(fn, "nodes", None)
-    if nodes is not None:
-        return nodes
+def as_evaluator(fn, n_states: int = None):
+    """fn, a Python callable of (t, x, u) at one node, with the interface
+    of a compiled problem-file evaluator (config._evaluator), or fn
+    itself when it has one (a nodes attribute): wrapping is idempotent.
+    The wrapper calls fn.  Its nodes calls fn row by row over node arrays
+    t (N,), x (N, n) and u (N, m), and nodes.forms(n) is nodes over the
+    columns t, x1..xn, u1..um by position, unchecked: nan at every row
+    when fn raises at one.  With n_states, fn is a plant's rhs: its form
+    fills every column of the field, and floats takes t, x and u as
+    Python floats and sequences of them and returns the rates as Python
+    floats, fn's value (a list, an int array or one rate for every
+    component) converted or broadcast as numpy arithmetic on it would.
+    """
+    if hasattr(fn, "nodes"):
+        return fn
+    evaluate = partial(fn)    # fn itself, carrying the attributes below
+    shape = () if n_states is None else (n_states,)
 
-    def by_row(t, x, u):
+    def nodes(t, x, u):
         return np.array([fn(t_k, x_k, u_k)
                          for t_k, x_k, u_k in zip(t.tolist(), x, u)],
                         dtype=float)
-    return by_row
+
+    def unchecked(n, t, *columns):
+        try:
+            return nodes(t, np.stack(columns[:n], 1),
+                         np.stack(columns[n:], 1))
+        except Exception:    # the checked path, nodes, raises it again
+            return np.full(t.shape + shape, math.nan)
+
+    nodes.forms = lambda n: ((partial(unchecked, n),) if n_states is None
+                             else ((slice(None), partial(unchecked, n)),))
+    evaluate.nodes = nodes
+    if n_states is not None:
+        def floats(t, x, u):
+            rates = np.asarray(fn(t, np.array(x), np.array(u)), dtype=float)
+            return (rates if rates.shape == shape
+                    else np.broadcast_to(rates, shape)).tolist()
+        evaluate.floats = floats
+    return evaluate
 
 
 class TransformedField:

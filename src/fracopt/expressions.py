@@ -10,7 +10,7 @@ overflows instead of running on.
 
 Each expression compiles from its validated tree in two forms: a
 function of Python floats on the scalar ``math`` functions, which raises
-on a math error, and (over_nodes=True) the same function over arrays of
+on a math error, and (on_nodes=True) the same function over arrays of
 node values on numpy ufuncs, which gives nan or inf there instead.  The
 array form raises a to the power b by ``numpy.float_power``, which gives
 the bits of the scalar form's ``**``.
@@ -109,13 +109,13 @@ def _parse(text: str, variables: Sequence[str]) -> ast.expr:
 
 
 def _lambda(body: ast.expr, variables: Sequence[str], text: str,
-            over_nodes: bool):
+            on_nodes: bool):
     """body compiled into a function of variables, by position, that runs
     with no builtins: its globals hold only the allowed functions and
     constants and the helpers below, whose underscore names no validated
-    text can reach.  over_nodes: on numpy ufuncs, with every a**b a call
+    text can reach.  on_nodes: on numpy ufuncs, with every a**b a call
     of _pow."""
-    if over_nodes:
+    if on_nodes:
         body = _PowerCalls().visit(body)
     params = ast.arguments(posonlyargs=[],
                            args=[ast.arg(arg=name) for name in variables],
@@ -123,7 +123,7 @@ def _lambda(body: ast.expr, variables: Sequence[str], text: str,
     lam = ast.fix_missing_locations(
         ast.Expression(body=ast.Lambda(args=params, body=body)))
     evaluate = eval(compile(lam, filename="<expression>", mode="eval"),
-                    dict(_NODE_SCOPE if over_nodes else _SCOPE))
+                    dict(_NODE_SCOPE if on_nodes else _SCOPE))
     evaluate.source = text
     return evaluate
 
@@ -134,7 +134,7 @@ def _as_float(node: ast.expr) -> ast.expr:
 
 
 def compile_expression(text: str, variables: Sequence[str],
-                       over_nodes: bool = False) -> Callable[..., float]:
+                       on_nodes: bool = False) -> Callable[..., float]:
     """Compile an arithmetic expression into a function of its variables.
 
     variables lists, in order, the names the expression may reference
@@ -142,27 +142,27 @@ def compile_expression(text: str, variables: Sequence[str],
     position in that order and returns a float.  It runs with no
     builtins: its globals hold only the allowed functions and constants,
     and float under the name _float, which no validated text can reach.
-    With over_nodes it takes arrays of node values and returns an array,
+    With on_nodes it takes arrays of node values and returns an array,
     or a float where the expression reads no variable.
     """
     return _lambda(_as_float(_parse(text, variables)), variables, text,
-                   over_nodes)
+                   on_nodes)
 
 
 def compile_gradient(text: str, variables: Sequence[str],
                      wrt: Sequence[str],
-                     over_nodes: bool = False) -> Callable[..., tuple]:
+                     on_nodes: bool = False) -> Callable[..., tuple]:
     """Compile the partial derivatives of an expression in the names wrt.
 
     The returned function takes the values of variables by position, as
     compile_expression's does, and returns the tuple of floats
     (d text/d wrt[0], d text/d wrt[1], ...), differentiated symbolically
-    by derivative; with over_nodes, a tuple of arrays or floats.
+    by derivative; with on_nodes, a tuple of arrays or floats.
     """
     body = _parse(text, variables)
     return _lambda(ast.Tuple(elts=[_as_float(derivative(body, name))
                                    for name in wrt], ctx=ast.Load()),
-                   variables, text, over_nodes)
+                   variables, text, on_nodes)
 
 
 # ------------------------------------------------------------ derivatives

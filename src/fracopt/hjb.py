@@ -25,9 +25,9 @@ quadratic rule does not probe at the endpoints is evaluated again at its
 latest probe, and a row whose bounded search has stopped at its best
 point.  A batched stage that aborts runs again node by node
 (first_failing_node), so that the abort names the node that node-by-node
-evaluation named.  On a problem file's compiled expressions a
-Hamiltonian is evaluated unchecked, and only a non-finite one is
-evaluated again by the checked path that names the failing expression.
+evaluation named.  A Hamiltonian is evaluated unchecked, and only a
+non-finite one is evaluated again by the checked path that names the
+failing expression, or raises what a Python callable raises.
 The table is the one record of the evaluation: the backward sweep stores
 its costate and Hamiltonian on it too, and a solve stores the
 cost-to-go on its final table.
@@ -91,20 +91,6 @@ def _running_cost(prob: HJBProblem, t: float) -> list:
             for term in prob.index.running_terms]
 
 
-def _node_forms(prob: HJBProblem):
-    """(running, rhs): the compiled node-array forms of prob's running
-    operands, one per running term, and of its rhs components, unchecked
-    (config._node_evaluator's forms); None when an operand or the rhs is
-    a Python callable, which has none."""
-    def forms(fn):
-        return getattr(getattr(fn, "nodes", None), "forms", None)
-    running = [forms(term.running) for term in prob.index.running_terms]
-    rhs = forms(prob.plant.rhs)
-    if rhs is None or None in running:
-        return None
-    return tuple(f for f, in running), rhs
-
-
 class GridPlan:
     """The factors of a sweep evaluation that depend on the grid alone,
     read-only, for prob's field on grid.  Per node: t_run and t_field
@@ -112,7 +98,9 @@ class GridPlan:
     endpoint substitutions), the running weights at t_run (one column
     per running term) and the field's denominator at t_field.  Per step:
     the moment step's decay and fac (expansion.moment_factors).  And
-    forms, the compiled node forms of the Hamiltonian (_node_forms)."""
+    forms, (running, rhs): the unchecked node forms of the running
+    operands, one per running term, and the rhs's, each paired with the
+    columns of the field it fills."""
 
     def __init__(self, prob: HJBProblem, grid: TimeGrid):
         if prob.field is None:
@@ -128,7 +116,10 @@ class GridPlan:
         self.denominator = prob.field.denominator(self.t_field)
         self.decay, self.fac = moment_factors(
             grid, prob.field.coeffs[0].p_max - 1)
-        self.forms = _node_forms(prob)
+        n = prob.plant.n_states
+        self.forms = (tuple(form for term in prob.index.running_terms
+                            for form in term.running.nodes.forms(n)),
+                      prob.plant.rhs.nodes.forms(n))
         for arr in (self.t_run, self.t_field, self.weights):
             arr.flags.writeable = False
 
@@ -193,7 +184,7 @@ class NodeTable:
     def field(self, u: np.ndarray) -> np.ndarray:
         """The transformed field at every row, for controls u (one row
         per node)."""
-        return (self.prob.plant.rhs_nodes(self.t_field, self.x, u)
+        return (self.prob.plant.rhs.nodes(self.t_field, self.x, u)
                 - self.correction) / self.denominator
 
 
@@ -205,9 +196,9 @@ def _all_finite(values: np.ndarray) -> bool:
 
 def _unchecked_hamiltonian(table: NodeTable, u: np.ndarray,
                            v_x: np.ndarray) -> np.ndarray:
-    """node_hamiltonian on the table's compiled node forms, each called
-    once on the columns of every row, with no check: nan or inf where an
-    expression fails.  The same operations as NodeTable.running and
+    """node_hamiltonian on the table's node forms, each called once on
+    the columns of every row, with no check: nan or inf where an
+    evaluator fails.  The same operations as NodeTable.running and
     NodeTable.field, so the same bits."""
     running, rhs = table.forms
     args = (table.t_run, *table.x_columns, *u.T)
@@ -216,8 +207,8 @@ def _unchecked_hamiltonian(table: NodeTable, u: np.ndarray,
         h += w * g(*args)
     args = (table.t_field, *args[1:])
     field = np.empty(table.x.shape)
-    for i, f in enumerate(rhs):
-        field[:, i] = f(*args)
+    for columns, f in rhs:
+        field[:, columns] = f(*args)
     field -= table.correction
     field /= table.denominator
     return h + (v_x[:, None, :] @ field[:, :, None])[:, 0, 0]
@@ -230,12 +221,12 @@ def node_hamiltonian(table: NodeTable, u, v_x: np.ndarray,
     also be one control vector, or anything that broadcasts to the rows).
     V_x . field is the matrix product of each row, as np.dot takes it.
 
-    Batched first, checked on failure: on a problem file's compiled
-    forms H is evaluated unchecked (_unchecked_hamiltonian) and checked
-    once.  Only a non-finite H, or a problem with a Python callable,
-    takes the checked path, whose evaluators name a failing expression,
-    and whose abort names the first node that fails
-    (first_failing_node); it returns the same bits.
+    Batched first, checked on failure: H is evaluated unchecked on the
+    table's node forms (_unchecked_hamiltonian) and checked once.  Only
+    a non-finite H takes the checked path, whose evaluators name a
+    failing expression or raise what a Python callable raises, and
+    whose abort names the first node that fails (first_failing_node);
+    it returns the same bits.
 
     probe=True is a probe of the minimizer (minimize_node_hamiltonian):
     u is a float array of the rows' shape, the caller holds
@@ -255,10 +246,9 @@ def _hamiltonian(table: NodeTable, u: np.ndarray, v_x: np.ndarray,
                  probe: bool) -> np.ndarray:
     """node_hamiltonian on controls of the rows' shape, under the
     caller's np.errstate(all="ignore")."""
-    if table.forms is not None:
-        h = _unchecked_hamiltonian(table, u, v_x)
-        if _all_finite(h):
-            return h
+    h = _unchecked_hamiltonian(table, u, v_x)
+    if _all_finite(h):
+        return h
 
     def hamiltonian(rows):
         part, u_rows, v_rows = table[rows], u[rows], v_x[rows]

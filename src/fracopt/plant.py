@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DomainError
-from .expansion import central_difference, over_nodes
+from .expansion import as_evaluator, central_difference
 
 
 @dataclass(frozen=True)
@@ -21,8 +20,8 @@ class FractionalPlant:
     initial time and the memory anchor of every fractional operator.
     rhs_jacobian maps (t, x, u) to d rhs/dx, row i holding the partials of
     rhs component i; without it, rhs_x takes central differences of rhs.
-    Over node arrays, rhs_nodes and rhs_x apply them at every row
-    (expansion.over_nodes).
+    Python callables are wrapped once, here (expansion.as_evaluator):
+    over node arrays, rhs.nodes and rhs_x apply them at every row.
     """
 
     orders: tuple
@@ -45,23 +44,18 @@ class FractionalPlant:
         object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "t0", float(self.t0))
+        object.__setattr__(self, "rhs", as_evaluator(self.rhs, len(orders)))
+        if self.rhs_jacobian is not None:
+            object.__setattr__(self, "rhs_jacobian",
+                               as_evaluator(self.rhs_jacobian))
 
     @property
     def n_states(self) -> int:
         return len(self.orders)
 
-    @cached_property
-    def rhs_nodes(self) -> Callable:
-        """rhs at every row of node arrays t (N,), x (N, n), u (N, m)."""
-        return over_nodes(self.rhs)
-
-    @cached_property
-    def _jacobian_nodes(self) -> Callable:
-        return over_nodes(self.rhs_jacobian)
-
     def rhs_x(self, t: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """d rhs/dx at every row of node arrays t, x and u: shape
         (N, n, n)."""
         if self.rhs_jacobian is None:
-            return central_difference(lambda xv: self.rhs_nodes(t, xv, u), x)
-        return self._jacobian_nodes(t, x, u)
+            return central_difference(lambda xv: self.rhs.nodes(t, xv, u), x)
+        return self.rhs_jacobian.nodes(t, x, u)

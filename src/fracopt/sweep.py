@@ -174,16 +174,6 @@ def _finite_per_node(what: str, values) -> np.ndarray:
     return values
 
 
-def _rates(value, shape: tuple) -> list:
-    """A value of the plant's rhs as Python floats, one per state
-    component: a list or an int array is converted, and a scalar
-    broadcast, as numpy arithmetic on the value would."""
-    rates = np.asarray(value, dtype=float)
-    if rates.shape != shape:
-        rates = np.broadcast_to(rates, shape)
-    return rates.tolist()
-
-
 def forward_sweep(prob: HJBProblem, u, cfg: SweepConfig, plan=None):
     """Integrate states and moments forward under a control trajectory.
 
@@ -207,9 +197,8 @@ def forward_sweep(prob: HJBProblem, u, cfg: SweepConfig, plan=None):
     the same order, as the array form (rhs - correction) / denominator
     of a row and the step on it, so states and rows match that form bit
     for bit.  It reads Python floats only: the state as the step left
-    it, the correction's list, and a compiled rhs's floats (config's
-    evaluators); a Python-callable rhs gets arrays, and its value is
-    converted (_rates).
+    it, the correction's list, and the rhs's floats
+    (expansion.as_evaluator).
     """
     if plan is None:
         plan = _plan_for(prob, cfg)
@@ -221,18 +210,11 @@ def forward_sweep(prob: HJBProblem, u, cfg: SweepConfig, plan=None):
     heun = cfg.stepper == "heun"
     nodes = NodeTable(plan)
     x, corr = nodes.x, nodes.correction
-    shape = x.shape[1:]
     t_field, denominator = plan.t_field.tolist(), plan.denominator.tolist()
     decay, fac = plan.decay, plan.fac
-    m = np.zeros((decay.shape[1],) + shape)
+    m = np.zeros((decay.shape[1],) + x.shape[1:])
     isfinite = math.isfinite
-    rhs = prob.plant.rhs
-    if hasattr(rhs, "floats"):
-        rates, u_rows = rhs.floats, u.tolist()
-    else:
-        def rates(t, x_k, u_k):
-            return _rates(rhs(t, np.array(x_k), u_k), shape)
-        u_rows = u
+    rates, u_rows = prob.plant.rhs.floats, u.tolist()
 
     def field_row(k: int, x_k: list, c_k: list) -> list:
         """The transformed field at row k, state x_k and correction c_k,

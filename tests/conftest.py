@@ -1,3 +1,5 @@
+import dataclasses
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -66,6 +68,22 @@ def two_state_problem():
                          u_lower=np.array([-10.0]),
                          u_upper=np.array([10.0]),
                          quadratic_control=True)
+
+
+def as_python_callables(prob):
+    """prob rebuilt with each of its evaluators (a problem file's
+    compiled ones, say) behind a plain Python callable that calls it, so
+    that the plant and the cost terms wrap them as Python callables."""
+    def plain(fn):
+        return None if fn is None else (lambda *args: fn(*args))
+    plant = dataclasses.replace(prob.plant, rhs=plain(prob.plant.rhs),
+                                rhs_jacobian=plain(prob.plant.rhs_jacobian))
+    terms = tuple(fo.CostTerm(v=term.v, running=plain(term.running),
+                              terminal=plain(term.terminal),
+                              gradient=plain(term.gradient))
+                  for term in prob.index.terms)
+    return dataclasses.replace(prob, plant=plant,
+                               index=fo.PerformanceIndex(terms))
 
 
 def two_state_config(**kw):

@@ -168,7 +168,7 @@ def cell_scale(pi, grid, x, u):
     times = grid.times()
     total = abs(terminal_value(pi, grid.tf, x[-1]))
     for term in pi.running_terms:
-        g = np.abs(term.running_nodes(times, x, u))
+        g = np.abs(term.running.nodes(times, x, u))
         far_w, near_w, far, near = kernel_cell_weights(
             grid, term.v, 0, grid.n_steps, "upper")
         total += np.sum(np.abs(far_w) * g[far]

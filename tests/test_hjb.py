@@ -16,8 +16,9 @@ from fracopt.config import build_problem, load_raw
 from fracopt.hjb import _minimize_box
 from fracopt.sweep import audit_residuals
 
-from conftest import (EXAMPLE_FILE, frozen_table, moment_trajectory,
-                      two_state_config, two_state_problem)
+from conftest import (EXAMPLE_FILE, as_python_callables, frozen_table,
+                      moment_trajectory, two_state_config,
+                      two_state_problem)
 
 
 def small_field_problem():
@@ -174,20 +175,48 @@ def test_unchecked_hamiltonian_has_the_bits_of_the_checked_path(operand,
                                                                 dynamics):
     # a problem file's Hamiltonian is evaluated on its compiled forms,
     # unchecked; the checked evaluators' running cost and field give the
-    # same bytes, also where a form reads no variable and returns a float
+    # same bytes, also where a form reads no variable and returns a float.
+    # So do the evaluators behind plain lambdas, on the unchecked forms
+    # of Python callables: one row loop per operand and one for the rhs
     doc = load_raw(EXAMPLE_FILE)
     doc["cost"]["terms"][1]["operand"] = operand
     doc["plant"]["dynamics"][1] = dynamics
-    prob = build_problem(doc).problem.with_field(10 ** 5, 10 ** 5, 40)
+    parsed = build_problem(doc).problem
     grid = fo.TimeGrid(0.0, 1.0, 100)
-    rng = np.random.default_rng(14)
-    table = random_table(prob, grid, rng, m_scale=2.0)
-    assert table.forms is not None
-    us = rng.uniform(-2.0, 2.0, (101, 1))
-    lams = rng.uniform(-1, 1, (101, 2))
-    checked = table.running(us) + (
-        lams[:, None, :] @ table.field(us)[:, :, None])[:, 0, 0]
-    assert node_hamiltonian(table, us, lams).tobytes() == checked.tobytes()
+    for prob in (parsed, as_python_callables(parsed)):
+        rng = np.random.default_rng(14)
+        table = random_table(prob.with_field(10 ** 5, 10 ** 5, 40), grid,
+                             rng, m_scale=2.0)
+        assert table.forms is not None
+        us = rng.uniform(-2.0, 2.0, (101, 1))
+        lams = rng.uniform(-1, 1, (101, 2))
+        checked = table.running(us) + (
+            lams[:, None, :] @ table.field(us)[:, :, None])[:, 0, 0]
+        assert node_hamiltonian(table, us, lams).tobytes() == \
+            checked.tobytes()
+
+
+@pytest.mark.parametrize("n_states, shape", [(None, (5,)), (2, (5, 2))])
+def test_python_callable_forms_give_nan_where_nodes_raise(n_states, shape):
+    # unchecked: nan at every row when the callable raises at one, which
+    # sends the Hamiltonian to the checked path, nodes, to raise it
+    def fn(t, x, u):
+        if t == 3.0:
+            raise ZeroDivisionError("at t = 3")
+        return x * u[0] if n_states else x[0] * u[0]
+    wrapped = fo.expansion.as_evaluator(fn, n_states)
+    t, x, u = np.arange(5.0), np.ones((5, 2)), np.full((5, 1), 2.0)
+    form, = wrapped.nodes.forms(2)
+    if n_states:    # paired with the columns it fills, every one
+        columns, form = form
+        assert columns == slice(None)
+    values = form(t, *x.T, *u.T)
+    assert values.shape == shape and np.isnan(values).all()
+    with pytest.raises(ZeroDivisionError, match="^at t = 3$"):
+        wrapped.nodes(t, x, u)
+    values = form(t[:3], *x[:3].T, *u[:3].T)
+    assert values.tolist() == wrapped.nodes(t[:3], x[:3], u[:3]).tolist()
+    assert np.all(values == 2.0)
 
 
 # ---------------------------------------------------------- minimizers

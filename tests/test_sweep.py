@@ -17,8 +17,8 @@ from fracopt import (SweepAbort, SweepConfig, backward_sweep, forward_sweep,
                      hjb, solve, sweep)
 from fracopt.config import build_problem, parse_problem
 
-from conftest import (frozen_table, moment_trajectory, two_state_config,
-                      two_state_problem)
+from conftest import (as_python_callables, frozen_table, moment_trajectory,
+                      two_state_config, two_state_problem)
 
 
 def lq_problem(a=-1.0, b=1.0, cx=1.0, cu=1.0, sf=0.5):
@@ -666,19 +666,92 @@ def test_minimization_abort_names_the_expression_and_node(
     # quadratic rule probes it there; the abort is the one node-by-node
     # evaluation raised: the failing expression at the first node that
     # fails alone, or (an overflow, no math error) the minimizer's own
-    # check.  solve and the audit of the initial trajectory abort alike
+    # check.  solve and the audit of the initial trajectory abort alike,
+    # and so do the evaluators behind plain lambdas, which raise their
+    # abort as Python callables
     parsed = build_problem(_box_doc(block, expression, quadratic))
     message = ("non-finite Hamiltonian during minimization"
                if node_time is None else
                f"cannot evaluate {expression!r} at t = {node_time}: "
                "math domain error")
-    with pytest.raises(SweepAbort) as info:
-        solve(parsed.problem, parsed.config)
-    assert str(info.value) == message
-    x, _ = forward_sweep(parsed.problem, 0.0, parsed.config)
-    with pytest.raises(SweepAbort) as info:
-        sweep.audit_residuals(parsed.problem, x, 0.0, parsed.config)
-    assert str(info.value) == message
+    for prob in (parsed.problem, as_python_callables(parsed.problem)):
+        with pytest.raises(SweepAbort) as info:
+            solve(prob, parsed.config)
+        assert str(info.value) == message
+        x, _ = forward_sweep(prob, 0.0, parsed.config)
+        with pytest.raises(SweepAbort) as info:
+            sweep.audit_residuals(prob, x, 0.0, parsed.config)
+        assert str(info.value) == message
+
+
+# ------------------------------------------------ Python-callable problems
+
+@pytest.mark.parametrize("problem", ["problems/example.yaml",
+                                     "perfbench/lq_bounded.yaml"])
+def test_python_callables_solve_a_bundled_problem_to_the_same_bytes(problem):
+    # every compiled evaluator behind a plain lambda: the forward step
+    # on the wrapper's floats, the Hamiltonian on its unchecked forms
+    # and the cost on its row loops give the compiled forms' bits
+    parsed = parse_problem(problem)
+    got, ref = (solve(prob, parsed.config) for prob in (
+        as_python_callables(parsed.problem), parsed.problem))
+    assert got.iteration == ref.iteration > 0
+    for name in ("x", "u", "u_star", "residuals", "error_history",
+                 "j_star"):
+        assert np.array(getattr(got, name)).tobytes() == \
+            np.array(getattr(ref, name)).tobytes()
+    assert got.value.v.tobytes() == ref.value.v.tobytes()
+
+
+class _OperandFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("error", [ZeroDivisionError, _OperandFailure])
+@pytest.mark.parametrize("where, u_failing", [("sweep", 0.0),
+                                              ("minimization", 1.0)])
+def test_an_exception_of_a_python_callable_propagates_from_solve(
+        where, u_failing, error):
+    # the running operand raises at node 40 alone: along the sweep (at
+    # the control u = 0) or at the quadratic rule's probe u = 1.  Its
+    # gradient is given, so the Hamiltonian is the first to call it: the
+    # unchecked forms must not swallow the error, and the checked path
+    # raises it again, unchanged
+    bad = fo.TimeGrid(0.0, 1.0, 100).times()[40].item()
+
+    def running(t, x, u):
+        if t == bad and (where == "sweep" or u[0] == 1.0):
+            raise error(f"operand fails at t = {t!r}, u = {float(u[0])!r}")
+        return x[0] ** 2 + u[0] ** 2
+    plant = fo.FractionalPlant(
+        orders=(0.5,), rhs=lambda t, x, u: np.array([-x[0] + u[0]]),
+        x0=np.ones(1), n_controls=1)
+    pi = fo.PerformanceIndex((fo.CostTerm(
+        v=1.0, running=running,
+        gradient=lambda t, x, u: np.array([2.0 * x[0]])),))
+    prob = fo.HJBProblem(plant=plant, index=pi, tf=1.0,
+                         u_lower=np.array([-2.0]), u_upper=np.array([2.0]),
+                         quadratic_control=True)
+    cfg = SweepConfig(dt=0.01, n_a=20, n_b=20, p_max=5)
+    with pytest.raises(error, match=re.escape(
+            f"operand fails at t = {bad!r}, u = {u_failing!r}") + "$"):
+        solve(prob, cfg)
+
+
+def test_python_callables_are_wrapped_once():
+    # wrapping is idempotent, so a rebuilt plant or term keeps its
+    # wrappers and a problem keeps its plant (the attached field is
+    # reused only for the same plant)
+    prob = two_state_problem()
+    plant, term = prob.plant, prob.index.terms[0]
+    assert fo.expansion.as_evaluator(plant.rhs) is plant.rhs
+    assert dataclasses.replace(plant).rhs is plant.rhs
+    assert dataclasses.replace(term).running is term.running
+    with_field = prob.with_field(4, 4, 4)
+    assert with_field.plant is plant
+    plan = hjb.GridPlan(with_field, fo.TimeGrid(0.0, 1.0, 10))
+    running, rhs = plan.forms
+    assert len(running) == 2 and len(rhs) == 1
 
 
 _MISMATCHED_SETTINGS = [
