@@ -27,7 +27,8 @@ their problem file).  Runs on one machine
 with the source tree of each commit on PYTHONPATH, alternating between
 the two, give a before/after table; delete the file to start a new one.
 Each row pools the rounds of every run of its side and holds the median,
-the quartiles, (Q3 - Q1) / median, and the solve's J*, Error and
+the quartiles, (Q3 - Q1) / median, each run's median with the median
+and quartiles of those (bench_file), and the solve's J*, Error and
 iteration count, which must agree between sides whose outputs are meant
 to be identical.  It also holds peak_rss_mb, the median over the runs of
 the process's peak resident memory once the row has run (getrusage

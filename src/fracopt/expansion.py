@@ -269,8 +269,9 @@ def as_evaluator(fn, n_states: int = None):
     when fn raises at one.  With n_states, fn is a plant's rhs: its form
     fills every column of the field, and floats takes t, x and u as
     Python floats and sequences of them and returns the rates as Python
-    floats, fn's value (a list, an int array or one rate for every
-    component) converted or broadcast as numpy arithmetic on it would.
+    floats.  Both nodes and floats take fn's value (a list, an int array
+    or one rate for every component) converted or broadcast to
+    (n_states,) as numpy arithmetic on it would.
     """
     if hasattr(fn, "nodes"):
         return fn
@@ -278,7 +279,8 @@ def as_evaluator(fn, n_states: int = None):
     shape = () if n_states is None else (n_states,)
 
     def nodes(t, x, u):
-        return np.array([fn(t_k, x_k, u_k)
+        return np.array([fn(t_k, x_k, u_k) if n_states is None
+                         else np.broadcast_to(fn(t_k, x_k, u_k), shape)
                          for t_k, x_k, u_k in zip(t.tolist(), x, u)],
                         dtype=float)
 

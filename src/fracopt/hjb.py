@@ -27,7 +27,9 @@ point.  A batched stage that aborts runs again node by node
 (first_failing_node), so that the abort names the node that node-by-node
 evaluation named.  A Hamiltonian is evaluated unchecked, and only a
 non-finite one is evaluated again by the checked path that names the
-failing expression, or raises what a Python callable raises.
+failing expression, or raises what a Python callable raises.  The
+minimizer aborts on a non-finite H that its probe still returns (an
+overflow, with every expression finite).
 The table is the one record of the evaluation: the backward sweep stores
 its costate and Hamiltonian on it too, and a solve stores the
 cost-to-go on its final table.
@@ -133,8 +135,7 @@ class NodeTable:
     the Hamiltonian at the sweep's own control, and v, the cost-to-go
     from each node (cost.cost_to_go, v[-1] the terminal value), which
     solve and audit_residuals store on their final table alone (None on
-    every other).  x_columns are the columns of x, views taken once, and
-    forms the plan's.
+    every other).  forms are the plan's.
 
     H at row k is sum_j weights[k, j] g_j(t_run[k], x[k], u)
     + V_x . (rhs(t_field[k], x[k], u) - correction[k]) / denominator[k].
@@ -146,7 +147,6 @@ class NodeTable:
         self.weights, self.denominator = plan.weights, plan.denominator
         self.forms = plan.forms
         self.x = np.empty((len(self), plan.prob.plant.n_states))
-        self.x_columns = tuple(self.x.T)
         self.correction = np.empty_like(self.x)
         self.v = self.v_x = self.h = None
 
@@ -165,7 +165,6 @@ class NodeTable:
         for name in ("t_run", "t_field", "x", "weights", "correction",
                      "denominator"):
             setattr(part, name, getattr(self, name)[rows])
-        part.x_columns = tuple(part.x.T)
         return part
 
     def freeze(self, k: int, x: np.ndarray, m_node: np.ndarray) -> None:
@@ -201,7 +200,7 @@ def _unchecked_hamiltonian(table: NodeTable, u: np.ndarray,
     evaluator fails.  The same operations as NodeTable.running and
     NodeTable.field, so the same bits."""
     running, rhs = table.forms
-    args = (table.t_run, *table.x_columns, *u.T)
+    args = (table.t_run, *table.x.T, *u.T)
     h = 0.0
     for w, g in zip(table.weights.T, running):
         h += w * g(*args)
@@ -214,8 +213,7 @@ def _unchecked_hamiltonian(table: NodeTable, u: np.ndarray,
     return h + (v_x[:, None, :] @ field[:, :, None])[:, 0, 0]
 
 
-def node_hamiltonian(table: NodeTable, u, v_x: np.ndarray,
-                     probe: bool = False) -> np.ndarray:
+def node_hamiltonian(table: NodeTable, u, v_x: np.ndarray) -> np.ndarray:
     """Weighted running cost plus V_x . field at every row of a node
     table, for controls u and costates v_x with one row per node (u may
     also be one control vector, or anything that broadcasts to the rows).
@@ -226,38 +224,21 @@ def node_hamiltonian(table: NodeTable, u, v_x: np.ndarray,
     a non-finite H takes the checked path, whose evaluators name a
     failing expression or raise what a Python callable raises, and
     whose abort names the first node that fails (first_failing_node);
-    it returns the same bits.
-
-    probe=True is a probe of the minimizer (minimize_node_hamiltonian):
-    u is a float array of the rows' shape, the caller holds
-    np.errstate(all="ignore"), and a non-finite H from the checked path
-    raises SweepAbort, so that each H is checked once."""
-    if probe:
-        return _hamiltonian(table, u, v_x, probe)
+    it returns the same bits."""
     shape = (len(table), table.prob.plant.n_controls)
     if not (type(u) is np.ndarray and u.dtype == _FLOAT
             and u.shape == shape):
         u = np.broadcast_to(np.asarray(u, dtype=float), shape)
     with np.errstate(all="ignore"):
-        return _hamiltonian(table, u, v_x, probe)
+        h = _unchecked_hamiltonian(table, u, v_x)
+        if _all_finite(h):
+            return h
 
-
-def _hamiltonian(table: NodeTable, u: np.ndarray, v_x: np.ndarray,
-                 probe: bool) -> np.ndarray:
-    """node_hamiltonian on controls of the rows' shape, under the
-    caller's np.errstate(all="ignore")."""
-    h = _unchecked_hamiltonian(table, u, v_x)
-    if _all_finite(h):
-        return h
-
-    def hamiltonian(rows):
-        part, u_rows, v_rows = table[rows], u[rows], v_x[rows]
-        return part.running(u_rows) + (
-            v_rows[:, None, :] @ part.field(u_rows)[:, :, None])[:, 0, 0]
-    h = first_failing_node(hamiltonian, len(table))
-    if probe and not _all_finite(h):
-        raise SweepAbort("non-finite Hamiltonian during minimization")
-    return h
+        def hamiltonian(rows):
+            part, u_rows, v_rows = table[rows], u[rows], v_x[rows]
+            return part.running(u_rows) + (
+                v_rows[:, None, :] @ part.field(u_rows)[:, :, None])[:, 0, 0]
+        return first_failing_node(hamiltonian, len(table))
 
 
 def _parabola_min(axis: Callable, c: np.ndarray, lo: float,
@@ -456,8 +437,7 @@ def _bounded_search(a, b, xf, fx, nfc, fnfc, fulc, ffulc, e, rat, xatol_3,
 
 
 def _minimize_box(h: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
-                  hi: np.ndarray, quadratic: bool, rows: int = 1,
-                  checked: bool = False):
+                  hi: np.ndarray, quadratic: bool, rows: int = 1):
     """Box-constrained minimizers of a function of the control at rows
     independent rows, by coordinate sweeps from the clipped origin; h
     maps controls (rows, m) to values (rows,).  A degenerate axis is set
@@ -471,8 +451,7 @@ def _minimize_box(h: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
     A row that needs no probe in a call of h (it has stopped, or is not
     probed at the endpoints) is evaluated at its latest probe, never at
     a control its own minimization would not probe.  A non-finite value
-    raises SweepAbort: h raises it itself when checked is True, and its
-    values are not checked again.
+    raises SweepAbort.
     """
     m = lo.shape[0]
     u = np.tile(np.clip(np.zeros(m), lo, hi), (rows, 1))
@@ -485,7 +464,7 @@ def _minimize_box(h: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
             np.copyto(latest, u, where=live[:, None])
         np.copyto(latest[:, j], val, where=live)
         values = h(latest)
-        if not (checked or _all_finite(values)):
+        if not _all_finite(values):
             raise SweepAbort("non-finite Hamiltonian during minimization")
         return values
 
@@ -523,9 +502,9 @@ def minimize_node_hamiltonian(table: NodeTable, v_x: np.ndarray) -> np.ndarray:
     def minimize(rows):
         part, v_rows = table[rows], v_x[rows]
         return _minimize_box(
-            lambda u: node_hamiltonian(part, u, v_rows, probe=True),
+            lambda u: node_hamiltonian(part, u, v_rows),
             part.prob.u_lower, part.prob.u_upper,
-            part.prob.quadratic_control, len(part), checked=True)
+            part.prob.quadratic_control, len(part))
     return first_failing_node(minimize, len(table))
 
 

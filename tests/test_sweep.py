@@ -686,6 +686,17 @@ def test_minimization_abort_names_the_expression_and_node(
 
 # ------------------------------------------------ Python-callable problems
 
+def assert_same_solve(got, ref):
+    """Two converged solves with the same iterations and the same bytes
+    in every output."""
+    assert got.iteration == ref.iteration > 0
+    for name in ("x", "u", "u_star", "residuals", "error_history",
+                 "j_star"):
+        assert np.array(getattr(got, name)).tobytes() == \
+            np.array(getattr(ref, name)).tobytes()
+    assert got.value.v.tobytes() == ref.value.v.tobytes()
+
+
 @pytest.mark.parametrize("problem", ["problems/example.yaml",
                                      "perfbench/lq_bounded.yaml"])
 def test_python_callables_solve_a_bundled_problem_to_the_same_bytes(problem):
@@ -695,12 +706,7 @@ def test_python_callables_solve_a_bundled_problem_to_the_same_bytes(problem):
     parsed = parse_problem(problem)
     got, ref = (solve(prob, parsed.config) for prob in (
         as_python_callables(parsed.problem), parsed.problem))
-    assert got.iteration == ref.iteration > 0
-    for name in ("x", "u", "u_star", "residuals", "error_history",
-                 "j_star"):
-        assert np.array(getattr(got, name)).tobytes() == \
-            np.array(getattr(ref, name)).tobytes()
-    assert got.value.v.tobytes() == ref.value.v.tobytes()
+    assert_same_solve(got, ref)
 
 
 class _OperandFailure(Exception):
@@ -752,6 +758,22 @@ def test_python_callables_are_wrapped_once():
     plan = hjb.GridPlan(with_field, fo.TimeGrid(0.0, 1.0, 10))
     running, rhs = plan.forms
     assert len(running) == 2 and len(rhs) == 1
+
+
+def test_an_rhs_giving_one_rate_for_every_state_solves_as_its_broadcast():
+    # one value broadcasts to every state's rate over node arrays as it
+    # does in the forward step, so the Hamiltonian and the central
+    # differences of jacobian_x see the (N, n) field of the full vector
+    prob = two_state_problem()
+
+    def with_rhs(rhs):
+        return dataclasses.replace(
+            prob, plant=dataclasses.replace(prob.plant, rhs=rhs))
+    cfg = two_state_config()
+    got, ref = (solve(with_rhs(rhs), cfg) for rhs in (
+        lambda t, x, u: x[1] + float(u[0]),
+        lambda t, x, u: np.full(2, x[1] + float(u[0]))))
+    assert_same_solve(got, ref)
 
 
 _MISMATCHED_SETTINGS = [
