@@ -3,10 +3,11 @@
     python bench/same_outputs.py OTHER_SRC
 
 Run from anywhere; OTHER_SRC is the ``src`` directory of another checkout
-(for example the parent commit's).  For problems/example.yaml and
-perfbench/lq_bounded.yaml, ``fracopt run`` and then ``fracopt verify`` are
-run once with this checkout's ``src`` and once with OTHER_SRC, each in a
-fresh process and with its outputs in a temporary directory.  The check
+(for example the parent commit's).  For problems/example.yaml,
+problems/manufactured.yaml and perfbench/lq_bounded.yaml, ``fracopt run``
+and then ``fracopt verify`` are run once with this checkout's ``src`` and
+once with OTHER_SRC, each in a fresh process and with its outputs in a
+temporary directory.  The check
 compares, per problem file:
 
 - the trajectory CSVs, byte for byte;
@@ -35,6 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = [ROOT / "problems" / "example.yaml",
+            ROOT / "problems" / "manufactured.yaml",
             ROOT / "perfbench" / "lq_bounded.yaml"]
 _UNCOMPARED = {"wall_time_s", "csv"}
 

@@ -21,11 +21,14 @@ node by the scalar form, so the same math error aborts the sweep.
 
 Unknown keys anywhere are rejected.  Validation errors name the offending
 field; YAML errors name the file or override, with their line/column mark.
+A key given twice in one mapping is an error, and numbers are read as
+YAML 1.2 reads them (_Loader: 1e-2 is a float, not YAML 1.1's text).
 """
 
 from __future__ import annotations
 
 import math
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence
@@ -122,11 +125,36 @@ def _yaml_error(exc: yaml.YAMLError) -> str:
     return f"YAML parse error{loc}: {problem}"
 
 
+class _Loader(yaml.SafeLoader):
+    """The YAML reader of problem files and overrides: a key given twice
+    in one mapping is an error, and 1e-2, 1.5e3 and -.5 are floats."""
+
+    def construct_mapping(self, node, deep=False):
+        # a key merged in (<<) may be given again; the mapping's own may not
+        own = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
+        mapping, keys = super().construct_mapping(node, deep), set()
+        for key_node in own:   # each built (and hashable) by now
+            key = self.constructed_objects[key_node]
+            if key in keys:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"found duplicate key {key!r}",
+                    key_node.start_mark)
+            keys.add(key)
+        return mapping
+
+
+_Loader.add_implicit_resolver(   # tried after YAML 1.1's int and float
+    "tag:yaml.org,2002:float", re.compile(r"^(?![-+]?[0-9]+$)[-+]?"
+                                          r"(\.[0-9]+|[0-9]+(\.[0-9]*)?)"
+                                          r"([eE][-+]?[0-9]+)?$"),
+    list("-+0123456789."))
+
+
 def load_raw(path: str) -> Dict:
     """Read and parse the YAML document, reporting line/column on errors."""
     try:
         with file_errors(path), open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: {_yaml_error(exc)}") from None
     if not isinstance(doc, dict):
@@ -168,7 +196,7 @@ def apply_overrides(doc: Dict, overrides: List[str]) -> Dict:
             elif isinstance(current, str):
                 node[leaf] = text
             else:
-                node[leaf] = yaml.safe_load(text)
+                node[leaf] = yaml.load(text, Loader=_Loader)
         except ValueError:
             raise ConfigError(
                 f"override {dotted!r}: cannot coerce {text!r} to "
@@ -273,6 +301,8 @@ def build_problem(doc: Dict) -> ParsedProblem:
                 f"plant.orders[{i}]: order must lie in (0,1), got {q}")
     x0 = _float_list(_need(plant_block, "initial_state", "plant"),
                      "plant.initial_state")
+    for i, value in enumerate(x0):
+        _finite_number(value, f"plant.initial_state[{i}]")
     if len(x0) != len(orders):
         raise ConfigError("plant.initial_state: length must match plant.orders")
     n_controls = _need(plant_block, "controls", "plant")

@@ -83,24 +83,17 @@ class PerformanceIndex:
     def running_terms(self):
         return tuple(t for t in self.terms if t.v != 0.0)
 
-    def weighted_running(self, weights: np.ndarray, t: np.ndarray,
-                         x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """sum_j weights[:, j] g_j(t, x, u) over the running terms, at
-        every row of node arrays (weights: one row per node)."""
-        total = 0.0
-        for w, term in zip(weights.T, self.running_terms):
-            total += w * term.running.nodes(t, x, u)
-        return total
-
     def running_gradient(self, weights: np.ndarray, t: np.ndarray,
                          x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """d/dx of weighted_running at every row: the weighted sum of the
-        terms' gradients, or its central difference when a term has
-        none."""
+        """d/dx of the weighted running cost sum_j weights[:, j] g_j(t, x,
+        u) at every row of node arrays (weights: one row per node): the
+        weighted sum of the terms' gradients, or the central difference
+        of the cost when a term has none."""
         terms = self.running_terms
         if any(term.gradient is None for term in terms):
-            return central_difference(
-                lambda xv: self.weighted_running(weights, t, xv, u), x)
+            return central_difference(lambda xv: sum(
+                w * term.running.nodes(t, xv, u)
+                for w, term in zip(weights.T, terms)), x)
         grad = np.zeros(x.shape)
         for w, term in zip(weights.T, terms):
             grad += w[:, None] * term.gradient.nodes(t, x, u)

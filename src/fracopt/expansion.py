@@ -288,7 +288,7 @@ def as_evaluator(fn, n_states: int = None):
         try:
             return nodes(t, np.stack(columns[:n], 1),
                          np.stack(columns[n:], 1))
-        except Exception:    # the checked path, nodes, raises it again
+        except Exception:    # the Hamiltonian's replay calls fn again
             return np.full(t.shape + shape, math.nan)
 
     nodes.forms = lambda n: ((partial(unchecked, n),) if n_states is None
@@ -364,8 +364,8 @@ class TransformedField:
         return (self.plant.rhs(t, x, u) - shift) / self.denominator(t)
 
     def at_state(self, t: float, x: np.ndarray, m_node: np.ndarray):
-        """Freeze (t, x, M): the memory corrections, so that the field is
-        (rhs(t, x, u) - correction) / denominator(t) for every u."""
+        """correction under the name the benchmark's tracer binds to (no
+        package code calls it)."""
         return self.correction(t, x, m_node)
 
     def jacobian_x(self, t: np.ndarray, x: np.ndarray,

@@ -16,34 +16,24 @@ What depends on the grid alone is computed once per solve into a GridPlan.
 Within one sweep evaluation x and M are fixed at every node, so the nodes
 no longer depend on each other.  Each node is frozen into one row of a
 NodeTable beside the plan's rows: its state and its memory correction.
-The Hamiltonian is then evaluated over all rows at once
-(node_hamiltonian), and so is every probe of its minimizer: the quadratic
-rule's three probes and vertex, or Brent's bounded search, one search per
-row, each round of which probes every row once.  A row is never evaluated
-at a control its own minimization would not probe: a row that the
-quadratic rule does not probe at the endpoints is evaluated again at its
-latest probe, and a row whose bounded search has stopped at its best
-point.  A batched stage that aborts runs again node by node
-(first_failing_node), so that the abort names the node that node-by-node
-evaluation named.  A Hamiltonian is evaluated unchecked, and only a
-non-finite one is evaluated again by the checked path that names the
-failing expression, or raises what a Python callable raises.  The
-minimizer aborts on a non-finite H that its probe still returns (an
-overflow, with every expression finite).
-The table is the one record of the evaluation: the backward sweep stores
-its costate and Hamiltonian on it too, and a solve stores the
-cost-to-go on its final table.
+H is evaluated once over all rows (node_hamiltonian), unchecked; only
+the rows of a non-finite H are evaluated again, by the scalar
+evaluators, which name the failing expression or raise what a Python
+callable raises.  Every probe of the minimizer is such an evaluation:
+the quadratic rule's three probes and vertex, or a round of Brent's
+bounded search, one search per row, and no row is evaluated at a
+control its own minimization would not probe (_minimize_box).  A
+batched stage that aborts runs again node by node (first_failing_node),
+so that its abort is the one node-by-node evaluation raised; the
+minimizer aborts on a non-finite H its probe still returns (an
+overflow, with every expression finite).  The table is the one record
+of the evaluation: the backward sweep stores its costate and
+Hamiltonian on it too, and a solve stores the cost-to-go on its final
+table.
 
-The cost of a batch is call overhead, not row count.  On
-perfbench/lq_bounded.yaml (101 nodes, about 29 rounds of the bounded
-search per evaluation) a Hamiltonian probe costs about 20 us, and a round
-of the search's own logic in lockstep about 90 numpy calls, 55-60 us,
-however few rows still search; a row that searches alone in plain floats
-costs 1-1.5 us a round.  So the searches run in lockstep while more than
-_HANDOVER_ROWS = 40 rows search, and the rows left go on alone (a shared
-2-core x86-64 machine, numpy 2.4).  On lq_bounded.yaml about 80 of the
-101 rows stop within 9 rounds and about 20 search to the last rounds,
-which the rows alone take at about half the cost.
+The cost of a batch is call overhead, not row count: a Hamiltonian probe
+of perfbench/lq_bounded.yaml's 101 nodes costs about 20 us (a shared
+2-core x86-64 machine, numpy 2.4), hence minimize_scalar's lockstep.
 
 Endpoint conventions (both endpoints of the grid host singular factors):
 at the final node the running weights of every order are evaluated at
@@ -130,12 +120,12 @@ class NodeTable:
     """The record of one sweep evaluation, one row per grid node: the
     plan's t_run, t_field, running weights and denominators, the state x
     and the memory correction of the transformed field at the node's
-    state and moments, which freeze fills one row at a time, v_x and h,
-    which the backward sweep stores (None before it): the costate and
-    the Hamiltonian at the sweep's own control, and v, the cost-to-go
-    from each node (cost.cost_to_go, v[-1] the terminal value), which
-    solve and audit_residuals store on their final table alone (None on
-    every other).  forms are the plan's.
+    state and moments, which the forward sweep (or the audit) writes row
+    by row, v_x and h, which the backward sweep stores (None before it):
+    the costate and the Hamiltonian at the sweep's own control, and v,
+    the cost-to-go from each node (cost.cost_to_go, v[-1] the terminal
+    value), which solve and audit_residuals store on their final table
+    alone (None on every other).  forms are the plan's.
 
     H at row k is sum_j weights[k, j] g_j(t_run[k], x[k], u)
     + V_x . (rhs(t_field[k], x[k], u) - correction[k]) / denominator[k].
@@ -167,25 +157,6 @@ class NodeTable:
             setattr(part, name, getattr(self, name)[rows])
         return part
 
-    def freeze(self, k: int, x: np.ndarray, m_node: np.ndarray) -> None:
-        """Freeze grid node k at state x and moments m_node into row k:
-        one memory correction, at t_field[k]."""
-        self.x[k] = x
-        self.correction[k] = self.prob.field.at_state(
-            float(self.t_field[k]), x, m_node)
-
-    def running(self, u: np.ndarray) -> np.ndarray:
-        """The weighted running cost at every row, for controls u (one
-        row per node)."""
-        return self.prob.index.weighted_running(self.weights, self.t_run,
-                                                self.x, u)
-
-    def field(self, u: np.ndarray) -> np.ndarray:
-        """The transformed field at every row, for controls u (one row
-        per node)."""
-        return (self.prob.plant.rhs.nodes(self.t_field, self.x, u)
-                - self.correction) / self.denominator
-
 
 def _all_finite(values: np.ndarray) -> bool:
     # a finite sum has finite terms; finite terms may overflow it (call
@@ -197,8 +168,9 @@ def _unchecked_hamiltonian(table: NodeTable, u: np.ndarray,
                            v_x: np.ndarray) -> np.ndarray:
     """node_hamiltonian on the table's node forms, each called once on
     the columns of every row, with no check: nan or inf where an
-    evaluator fails.  The same operations as NodeTable.running and
-    NodeTable.field, so the same bits."""
+    evaluator fails.  The same operations as the scalar evaluators node
+    by node, sum_j w_j g_j from 0.0 and the row product of V_x with
+    (rhs - correction) / denominator, so the same bits."""
     running, rhs = table.forms
     args = (table.t_run, *table.x.T, *u.T)
     h = 0.0
@@ -213,32 +185,36 @@ def _unchecked_hamiltonian(table: NodeTable, u: np.ndarray,
     return h + (v_x[:, None, :] @ field[:, :, None])[:, 0, 0]
 
 
+def _replay_rows(table: NodeTable, u: np.ndarray, h: np.ndarray) -> None:
+    """Evaluate each row where h is not finite again, lowest first, by
+    the scalar evaluators, each running operand and then the rhs, with
+    the times as Python floats: the first that fails raises."""
+    terms, rhs = table.prob.index.running_terms, table.prob.plant.rhs
+    for k in np.flatnonzero(~np.isfinite(h)).tolist():
+        for term in terms:
+            term.running(float(table.t_run[k]), table.x[k], u[k])
+        rhs(float(table.t_field[k]), table.x[k], u[k])
+
+
 def node_hamiltonian(table: NodeTable, u, v_x: np.ndarray) -> np.ndarray:
     """Weighted running cost plus V_x . field at every row of a node
     table, for controls u and costates v_x with one row per node (u may
     also be one control vector, or anything that broadcasts to the rows).
     V_x . field is the matrix product of each row, as np.dot takes it.
 
-    Batched first, checked on failure: H is evaluated unchecked on the
-    table's node forms (_unchecked_hamiltonian) and checked once.  Only
-    a non-finite H takes the checked path, whose evaluators name a
-    failing expression or raise what a Python callable raises, and
-    whose abort names the first node that fails (first_failing_node);
-    it returns the same bits."""
+    H is evaluated once, on the table's node forms
+    (_unchecked_hamiltonian).  A non-finite H is located by the scalar
+    evaluators (_replay_rows), which raise the abort node-by-node
+    evaluation raises; one that none of them fails at is returned."""
     shape = (len(table), table.prob.plant.n_controls)
     if not (type(u) is np.ndarray and u.dtype == _FLOAT
             and u.shape == shape):
         u = np.broadcast_to(np.asarray(u, dtype=float), shape)
     with np.errstate(all="ignore"):
         h = _unchecked_hamiltonian(table, u, v_x)
-        if _all_finite(h):
-            return h
-
-        def hamiltonian(rows):
-            part, u_rows, v_rows = table[rows], u[rows], v_x[rows]
-            return part.running(u_rows) + (
-                v_rows[:, None, :] @ part.field(u_rows)[:, :, None])[:, 0, 0]
-        return first_failing_node(hamiltonian, len(table))
+        if not _all_finite(h):
+            _replay_rows(table, u, h)
+    return h
 
 
 def _parabola_min(axis: Callable, c: np.ndarray, lo: float,

@@ -39,6 +39,8 @@ class FractionalPlant:
         x0 = np.asarray(self.x0, dtype=float).reshape(-1)
         if x0.shape[0] != len(orders):
             raise DomainError("one initial value per state component required")
+        if not np.isfinite(x0).all():
+            raise DomainError(f"initial state must be finite, got {x0}")
         if self.n_controls < 1:
             raise DomainError("plant needs at least one control input")
         object.__setattr__(self, "orders", orders)

@@ -9,11 +9,10 @@ backward on the table alone and store it, with the Hamiltonian, on it
 (the table is the one record of the evaluation), minimize the
 Hamiltonian pointwise, and score the iterate by the root-sum-square
 residual of the dynamic-programming equation.  Node by node run only
-the state, moment and costate recursions, where a forward node costs
-only what depends on x (the memory correction, the in-place moment
-update, the rhs and the step on Python floats), and two loops kept while
-the benchmark's tracer binds to them by name: GridPlan's running weights
-and _weighted_running_gradient's.  The rest, the cost quadrature's
+the state, moment and costate recursions (a forward node costs only
+what depends on x: forward_sweep), and two loops the benchmark's tracer
+binds to by name: GridPlan's running weights and
+_weighted_running_gradient's.  The rest, the cost quadrature's
 operand samples included, is array operations over all nodes.  The
 control update is relaxed and accepted only when the aggregate residual
 does not increase; on rejection the relaxation factor is halved and the
@@ -158,11 +157,6 @@ def _ensure_field(prob: HJBProblem, cfg: SweepConfig) -> HJBProblem:
             for c in attached.coeffs):
         return prob
     return prob.with_field(cfg.n_a, cfg.n_b, cfg.p_max, cfg.b_series)
-
-
-def _check_finite(arr: np.ndarray, what: str, k: int) -> None:
-    if not np.isfinite(arr).all():
-        raise SweepAbort(f"non-finite {what} at node {k}")
 
 
 def _finite_per_node(what: str, values) -> np.ndarray:
@@ -352,7 +346,8 @@ def _store_cost_to_go(nodes: NodeTable, u: np.ndarray) -> None:
     non-finite V at the latest node the backward sum reached."""
     n = nodes.grid.n_steps
     v = cost_mod.cost_to_go(nodes.prob.index, nodes.grid, nodes.x, u)
-    _check_finite(v[n], "terminal value", n)
+    if not np.isfinite(v[n]):
+        raise SweepAbort(f"non-finite terminal value at node {n}")
     bad = np.flatnonzero(~np.isfinite(v))
     if bad.size:
         raise SweepAbort(f"non-finite value at node {bad[-1]}")
@@ -378,8 +373,9 @@ def audit_residuals(prob: HJBProblem, x: np.ndarray, u,
     """Recompute residuals and value data from stored trajectories alone.
 
     Steps the moment states over the node samples of x on its own
-    GridPlan, freezing each node into a node table as forward_sweep
-    does, reruns the backward sweep on that table under the supplied
+    GridPlan, writing each node's state and memory correction into a
+    node table as forward_sweep does (the correction on Python-float
+    states), reruns the backward sweep on that table under the supplied
     control, evaluates the residuals at the pointwise minimizers and
     sums the cost-to-go: the audit path behind the command-line verify.
     Returns (residuals, nodes): the table carries v, v_x and h.
@@ -391,8 +387,10 @@ def audit_residuals(prob: HJBProblem, x: np.ndarray, u,
     u = _control_array(prob, grid, u)
     m = np.zeros((plan.decay.shape[1], prob.plant.n_states))
     nodes = NodeTable(plan)
-    for k in range(grid.n_nodes):
-        nodes.freeze(k, x[k], m)
+    nodes.x[:] = x
+    correction, t_field = prob.field.correction, plan.t_field.tolist()
+    for k, x_k in enumerate(x.tolist()):
+        nodes.correction[k] = correction(t_field[k], x_k, m)
         if k < grid.n_steps:
             advance_moments(m, x[k], plan.decay[k], plan.fac[k], out=m)
     backward_sweep(nodes, u, cfg)

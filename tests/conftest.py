@@ -36,10 +36,12 @@ def moment_trajectory(grid, p_max, xs):
 
 def frozen_table(prob, grid, xs, m_nodes):
     """The NodeTable of grid with node k frozen at state xs[k] and moments
-    m_nodes[k], as the forward sweep freezes it."""
+    m_nodes[k]: its row holds xs[k] and the memory correction there, as
+    the forward sweep writes it."""
     table = fo.NodeTable(fo.GridPlan(prob, grid))
-    for k in range(grid.n_nodes):
-        table.freeze(k, xs[k], m_nodes[k])
+    table.x[:] = xs
+    for k, t in enumerate(table.t_field.tolist()):
+        table.correction[k] = prob.field.correction(t, xs[k], m_nodes[k])
     return table
 
 

@@ -161,6 +161,50 @@ def test_unparsable_override_exits_one(tmp_path, capsys, monkeypatch,
         f"error: override 'plant.dynamics': {message}\n"
 
 
+def _example_with(tmp_path, old, new):
+    """problems/example.yaml with the text old replaced by new, written
+    to tmp_path, without its output block's paths."""
+    text = Path(EXAMPLE_FILE).read_text()
+    assert old in text
+    prob = tmp_path / "edited.yaml"
+    prob.write_text(text.replace(old, new).split("output:")[0])
+    return prob
+
+
+def test_exponent_step_solves_as_its_decimal(tmp_path):
+    # dt: 1e-2 was read as text, and rejected as not a number
+    csvs = []
+    for text in ("0.01", "1e-2"):
+        prob = _example_with(tmp_path, "  dt: 0.01\n", f"  dt: {text}\n")
+        csv = tmp_path / f"{text}.csv"
+        assert run_cli("run", str(prob), *CHEAP, "--csv", str(csv),
+                       "--report", str(tmp_path / "r.json")) == 0
+        csvs.append(csv.read_bytes())
+    assert csvs[0] == csvs[1]
+
+
+def test_key_given_twice_exits_one(tmp_path, capsys, monkeypatch):
+    _refuse_to_solve(monkeypatch)
+    prob = _example_with(tmp_path, "  dt: 0.01\n", "  dt: 0.01\n  dt: 0.02\n")
+    line = prob.read_text().splitlines().index("  dt: 0.02") + 1
+    assert run_cli("run", str(prob), "--csv", str(tmp_path / "t.csv"),
+                   "--report", str(tmp_path / "r.json")) == 1
+    assert capsys.readouterr().err == (
+        f"error: {prob}: YAML parse error at line {line}, column 3: found "
+        "duplicate key 'dt'\n")
+
+
+def test_non_finite_initial_state_exits_one(tmp_path, capsys, monkeypatch):
+    # it was a solver abort at node 1, a non-finite moment state
+    _refuse_to_solve(monkeypatch)
+    prob = _example_with(tmp_path, "initial_state: [1.0, 0.5]",
+                         "initial_state: [1.0, .nan]")
+    assert run_cli("run", str(prob), "--csv", str(tmp_path / "t.csv"),
+                   "--report", str(tmp_path / "r.json")) == 1
+    assert capsys.readouterr().err == (
+        "error: plant.initial_state[1]: expected a finite number, got nan\n")
+
+
 def _refuse_to_solve(monkeypatch):
     def solve_(*args):
         raise AssertionError("solved before the output paths were checked")

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,6 +140,97 @@ def test_yaml_error_reports_location(tmp_path):
 def test_missing_file():
     with pytest.raises(ConfigError, match="not found"):
         load_raw("no_such_problem.yaml")
+
+
+def test_key_given_twice_rejected_naming_key_and_place(tmp_path):
+    text = Path(EXAMPLE_FILE).read_text().replace(
+        "  dt: 0.01\n", "  dt: 0.01\n  dt: 0.02\n")
+    path = tmp_path / "twice.yaml"
+    path.write_text(text)
+    line = text.splitlines().index("  dt: 0.02") + 1
+    with pytest.raises(ConfigError) as info:
+        load_raw(str(path))
+    assert str(info.value) == (f"{path}: YAML parse error at line {line}, "
+                               "column 3: found duplicate key 'dt'")
+
+
+def test_key_given_twice_in_a_flow_mapping_rejected(tmp_path):
+    path = tmp_path / "twice.yaml"
+    path.write_text("plant: {orders: [0.5], orders: [0.6]}\n")
+    with pytest.raises(ConfigError, match="line 1, column 24: found "
+                                          "duplicate key 'orders'$"):
+        load_raw(str(path))
+
+
+def test_merged_key_may_be_given_again(tmp_path):
+    # a merge key is no duplicate: the mapping's own value wins
+    path = tmp_path / "merge.yaml"
+    path.write_text("base: &b {dt: 0.01, p_max: 5}\n"
+                    "solver: {<<: *b, dt: 0.02}\n")
+    assert load_raw(str(path))["solver"] == {"dt": 0.02, "p_max": 5}
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1e-2", 0.01), ("1E5", 1e5), ("-2e+1", -20.0), ("1.5e3", 1500.0),
+    ("-.5", -0.5), ("+.5e1", 5.0), ("1.0e-8", 1e-8), ("0.01", 0.01)])
+def test_numbers_are_read_as_yaml_1_2_reads_them(tmp_path, text, value):
+    text_doc = Path(EXAMPLE_FILE).read_text().replace(
+        "  u_init: 5.0\n", f"  u_init: {text}\n")
+    path = tmp_path / "number.yaml"
+    path.write_text(text_doc)
+    raw = load_raw(str(path))
+    assert type(raw["solver"]["u_init"]) is float
+    assert parse_problem(str(path)).config.u_init == value
+
+
+@pytest.mark.parametrize("text, value", [
+    ("12", 12), ("-7", -7), ("0x1f", 31), ("09", "09"), ("1e", "1e"),
+    ("e5", "e5"), ("1.2.3", "1.2.3"), (".inf", float("inf"))])
+def test_integers_and_text_are_not_read_as_yaml_1_2_floats(tmp_path, text,
+                                                           value):
+    path = tmp_path / "value.yaml"
+    path.write_text(f"value: {text}\n")
+    got = load_raw(str(path))["value"]
+    assert type(got) is type(value) and got == value
+
+
+def test_unquoted_exponent_operand_is_a_number(tmp_path):
+    # as 0 and 2.5 already were: an operand must be quoted to be text
+    text = Path(EXAMPLE_FILE).read_text().replace(
+        'operand: "x1**2 + u1**2"', "operand: 1e3")
+    path = tmp_path / "operand.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=r"^cost\.terms\[1\]\.operand: "
+                                          "expression must be a non-empty "
+                                          "string$"):
+        parse_problem(str(path))
+    path.write_text(text.replace("operand: 1e3", 'operand: "1e3"'))
+    prob = parse_problem(str(path)).problem
+    assert prob.index.terms[1].running(0.5, np.zeros(2), np.zeros(1)) == 1e3
+
+
+def test_override_reads_yaml_1_2_numbers_and_rejects_a_key_twice(doc):
+    out = apply_overrides(copy.deepcopy(doc),
+                          ["plant.initial_state=[1e-2, -.5]"])
+    assert out["plant"]["initial_state"] == [0.01, -0.5]
+    doc["output"]["csv"] = None
+    with pytest.raises(ConfigError, match="^override 'output.csv': YAML "
+                                          "parse error at line 1, column "
+                                          "8: found duplicate key 'a'$"):
+        apply_overrides(doc, ["output.csv={a: 1, a: 2}"])
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")])
+def test_non_finite_initial_state_rejected(doc, value):
+    doc["plant"]["initial_state"] = [1.0, value]
+    with pytest.raises(ConfigError, match=r"^plant\.initial_state\[1\]: "
+                                          "expected a finite number"):
+        build_problem(doc)
+    with pytest.raises(fo.DomainError, match="initial state must be finite"):
+        fo.FractionalPlant(orders=(0.5, 0.5),
+                           rhs=lambda t, x, u: x, x0=[1.0, value],
+                           n_controls=1)
 
 
 def test_overrides_type_coercion(doc):

@@ -165,19 +165,23 @@ def test_node_arrays_give_the_scalar_bits_of_a_problem_file(operand):
             table.t_field[k], table.x[k], us[k]))
 
 
-@pytest.mark.parametrize("operand, dynamics", [
-    ("x1**2 + u1**2", "-x1"),
-    ("2.5", "0.25"),
-    ("t*u1", "-x1 + t"),
-    ("exp(x2)*u1 - log(1 + x1**2)", "sin(x1)*u1"),
+@pytest.mark.parametrize("operand, dynamics, rounds_apart", [
+    ("x1**2 + u1**2", "-x1", False),
+    ("2.5", "0.25", False),
+    ("t*u1", "-x1 + t", False),
+    ("exp(x2)*u1 - log(1 + x1**2)", "sin(x1)*u1", True),
 ], ids=["polynomial", "constants", "time", "transcendental"])
-def test_unchecked_hamiltonian_has_the_bits_of_the_checked_path(operand,
-                                                                dynamics):
+def test_unchecked_hamiltonian_has_the_bits_of_the_checked_path(
+        operand, dynamics, rounds_apart):
     # a problem file's Hamiltonian is evaluated on its compiled forms,
-    # unchecked; the checked evaluators' running cost and field give the
-    # same bytes, also where a form reads no variable and returns a float.
-    # So do the evaluators behind plain lambdas, on the unchecked forms
-    # of Python callables: one row loop per operand and one for the rhs
+    # unchecked; the scalar evaluators called node by node, which locate
+    # a non-finite H, give the same bytes, also where a form reads no
+    # variable and returns a float.  Not where the forms call numpy's
+    # exp, log or sin, which may round a last bit otherwise than math's
+    # (README): there H agrees to 1e-14.  The evaluators behind plain
+    # lambdas, on the unchecked forms of Python callables (one row loop
+    # per operand and one for the rhs), call the scalar forms themselves
+    # and give their bytes
     doc = load_raw(EXAMPLE_FILE)
     doc["cost"]["terms"][1]["operand"] = operand
     doc["plant"]["dynamics"][1] = dynamics
@@ -190,16 +194,24 @@ def test_unchecked_hamiltonian_has_the_bits_of_the_checked_path(operand,
         assert table.forms is not None
         us = rng.uniform(-2.0, 2.0, (101, 1))
         lams = rng.uniform(-1, 1, (101, 2))
-        checked = table.running(us) + (
-            lams[:, None, :] @ table.field(us)[:, :, None])[:, 0, 0]
-        assert node_hamiltonian(table, us, lams).tobytes() == \
-            checked.tobytes()
+        scalar = [sum(w * term.running(table.t_run[k], table.x[k], us[k])
+                      for w, term in zip(table.weights[k].tolist(),
+                                         prob.index.running_terms))
+                  + float(np.dot(lams[k], (prob.plant.rhs(
+                      table.t_field[k], table.x[k], us[k])
+                      - table.correction[k]) / table.denominator[k]))
+                  for k in range(101)]
+        got = node_hamiltonian(table, us, lams)
+        if rounds_apart and prob is parsed:
+            assert got.tolist() == pytest.approx(scalar, rel=1e-14, abs=0)
+        else:
+            assert got.tobytes() == np.array(scalar).tobytes()
 
 
 @pytest.mark.parametrize("n_states, shape", [(None, (5,)), (2, (5, 2))])
 def test_python_callable_forms_give_nan_where_nodes_raise(n_states, shape):
-    # unchecked: nan at every row when the callable raises at one, which
-    # sends the Hamiltonian to the checked path, nodes, to raise it
+    # unchecked: nan at every row when the callable raises at one, so the
+    # Hamiltonian replays its rows, which calls the callable to raise it
     def fn(t, x, u):
         if t == 3.0:
             raise ZeroDivisionError("at t = 3")
@@ -217,6 +229,62 @@ def test_python_callable_forms_give_nan_where_nodes_raise(n_states, shape):
     values = form(t[:3], *x[:3].T, *u[:3].T)
     assert values.tolist() == wrapped.nodes(t[:3], x[:3], u[:3]).tolist()
     assert np.all(values == 2.0)
+
+
+def _replay_problems(dynamics=None, operand=None):
+    """problems/example.yaml with its first dynamics expression and its
+    second running operand replaced where given, and its
+    as_python_callables twin, each with a light transformed field."""
+    doc = load_raw(EXAMPLE_FILE)
+    if dynamics is not None:
+        doc["plant"]["dynamics"][0] = dynamics
+    if operand is not None:
+        doc["cost"]["terms"][1]["operand"] = operand
+    parsed = build_problem(doc).problem
+    return [prob.with_field(10 ** 5, 10 ** 5, 40)
+            for prob in (parsed, as_python_callables(parsed))]
+
+
+@pytest.mark.parametrize("operand, failing", [
+    ("x1**2 + u1**2 + sqrt(0.605 - t)", "dynamics"),
+    ("x1**2 + u1**2 + log(0.305 - t)", "operand"),
+], ids=["dynamics at a lower node", "both at one node"])
+def test_a_non_finite_hamiltonian_names_the_first_row_then_operand(
+        operand, failing):
+    # the dynamics fail from node 31 (t = 0.31) on; a running operand
+    # that fails from node 61 on is not named, one that fails from node
+    # 31 on is: each row replays its running operands before the rhs
+    dynamics = "x2 + u1 + sqrt(0.305 - t)"
+    grid = fo.TimeGrid(0.0, 1.0, 100)
+    named = dynamics if failing == "dynamics" else operand
+    for prob in _replay_problems(dynamics, operand):
+        rng = np.random.default_rng(15)
+        table = random_table(prob, grid, rng, m_scale=2.0)
+        with pytest.raises(SweepAbort) as info:
+            node_hamiltonian(table, rng.uniform(-2.0, 2.0, (101, 1)),
+                             rng.uniform(-1, 1, (101, 2)))
+        assert str(info.value) == (f"cannot evaluate {named!r} at "
+                                   "t = 0.31: math domain error")
+
+
+def test_an_overflowing_hamiltonian_of_finite_expressions_is_returned():
+    # the operand is finite at every node, its weighted value 1e308 w
+    # overflows where the weight exceeds 1.797, from node 91 on: H comes
+    # back with inf there, and the backward sweep names node 91
+    cfg = fo.SweepConfig(dt=0.01, n_a=10 ** 5, n_b=10 ** 5, p_max=40)
+    for prob in _replay_problems(operand="1e308 + x1**2"):
+        _, nodes = fo.forward_sweep(prob, 0.0, cfg)
+        with np.errstate(over="ignore"):
+            overflow = np.isinf(nodes.weights[:, 1] * 1e308)
+        assert np.flatnonzero(overflow)[0] == 91
+        rng = np.random.default_rng(16)
+        h = node_hamiltonian(nodes, 0.0, rng.uniform(-1, 1, (101, 2)))
+        assert np.flatnonzero(~np.isfinite(h)).tolist() == list(
+            range(91, 101))
+        with pytest.raises(SweepAbort, match="^non-finite Hamiltonian "
+                                             "along the sweep, first at "
+                                             "node 91$"):
+            fo.backward_sweep(nodes, 0.0, cfg)
 
 
 # ---------------------------------------------------------- minimizers

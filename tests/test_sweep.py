@@ -89,7 +89,8 @@ def test_forward_zero_dynamics_zero_state():
     cfg = SweepConfig(dt=0.02, n_a=50, n_b=50, p_max=10)
     x, nodes = forward_sweep(prob, 0.0, cfg)
     assert np.all(x == 0.0)
-    assert np.all(nodes.field(np.zeros((len(nodes), 1))) == 0.0)
+    # zero rhs and zero memory correction: a zero field at every row
+    assert np.all(nodes.correction == 0.0)
 
 
 def test_forward_pins_initial_condition():
@@ -375,10 +376,9 @@ def test_forward_records_equal_records_frozen_from_scratch(stepper):
     x, nodes = forward_sweep(prob, np.linspace(-0.5, 0.3, 101), cfg)
     grid = fo.TimeGrid(0.0, 1.0, 100)
     fresh = frozen_table(prob, grid, x, moment_trajectory(grid, cfg.p_max, x))
-    for u in (-2.0, 0.0, 3.5):
-        us = np.full((101, 1), u)
-        assert np.array_equal(nodes.field(us), fresh.field(us))
-        assert np.array_equal(nodes.running(us), fresh.running(us))
+    # the rows hold what H and the field read beside the plan's factors
+    assert nodes.x.tobytes() == fresh.x.tobytes()
+    assert nodes.correction.tobytes() == fresh.correction.tobytes()
 
 
 def test_tables_past_2048_nodes_equal_tables_frozen_from_scratch():
@@ -721,8 +721,8 @@ def test_an_exception_of_a_python_callable_propagates_from_solve(
     # the running operand raises at node 40 alone: along the sweep (at
     # the control u = 0) or at the quadratic rule's probe u = 1.  Its
     # gradient is given, so the Hamiltonian is the first to call it: the
-    # unchecked forms must not swallow the error, and the checked path
-    # raises it again, unchanged
+    # unchecked forms must not swallow the error, and the Hamiltonian's
+    # replay of the failing rows raises it again, unchanged
     bad = fo.TimeGrid(0.0, 1.0, 100).times()[40].item()
 
     def running(t, x, u):
@@ -792,12 +792,10 @@ def test_mismatched_attached_field_is_rebuilt_by_each_sweep(setting):
     results = []
     for prob in (stale, two_state_problem()):
         x, nodes = forward_sweep(prob, u, cfg)
-        results.append((x, nodes.field(np.ones((101, 1))),
-                        backward_sweep(nodes, u, cfg)))
-    (x, fields, value), (x_ref, fields_ref, value_ref) = results
+        results.append((x, backward_sweep(nodes, u, cfg)))
+    (x, value), (x_ref, value_ref) = results
     assert np.array_equal(x, x_ref)
-    assert np.array_equal(fields, fields_ref)
-    for name in ("v", "v_x", "h"):
+    for name in ("correction", "denominator", "v", "v_x", "h"):
         assert np.array_equal(getattr(value, name), getattr(value_ref, name))
 
 
