@@ -21,8 +21,9 @@ node by the scalar form, so the same math error aborts the sweep.
 
 Unknown keys anywhere are rejected.  Validation errors name the offending
 field; YAML errors name the file or override, with their line/column mark.
-A key given twice in one mapping is an error, and numbers are read as
-YAML 1.2 reads them (_Loader: 1e-2 is a float, not YAML 1.1's text).
+A key given twice in one mapping is an error, and booleans and numbers
+are read as YAML 1.2 reads them (_Loader: 1e-2 is a float, 010 is 10,
+and yes, off and 1:30 are text).
 """
 
 from __future__ import annotations
@@ -127,7 +128,8 @@ def _yaml_error(exc: yaml.YAMLError) -> str:
 
 class _Loader(yaml.SafeLoader):
     """The YAML reader of problem files and overrides: a key given twice
-    in one mapping is an error, and 1e-2, 1.5e3 and -.5 are floats."""
+    in one mapping is an error, and booleans and numbers are YAML 1.2's
+    (1e-2 is a float, 010 is 10, yes and 1:30 are text)."""
 
     def construct_mapping(self, node, deep=False):
         # a key merged in (<<) may be given again; the mapping's own may not
@@ -143,11 +145,19 @@ class _Loader(yaml.SafeLoader):
         return mapping
 
 
-_Loader.add_implicit_resolver(   # tried after YAML 1.1's int and float
-    "tag:yaml.org,2002:float", re.compile(r"^(?![-+]?[0-9]+$)[-+]?"
-                                          r"(\.[0-9]+|[0-9]+(\.[0-9]*)?)"
-                                          r"([eE][-+]?[0-9]+)?$"),
-    list("-+0123456789."))
+# YAML 1.2's core schema: true/false, and decimal, 0o and 0x integers,
+# not YAML 1.1's yes/off, octal 010, 1:30 or 1_0 (tried before floats)
+_Loader.yaml_implicit_resolvers = {
+    first: [r for r in resolvers if not r[0].endswith((":bool", ":int"))]
+    for first, resolvers in yaml.SafeLoader.yaml_implicit_resolvers.items()}
+for _tag, _rx in (("bool", r"true|True|TRUE|false|False|FALSE"),
+                  ("int", r"[-+]?[0-9]+|0o[0-7]+|0x[0-9a-fA-F]+"),
+                  ("float", r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)"
+                            r"([eE][-+]?[0-9]+)?")):
+    _Loader.add_implicit_resolver(f"tag:yaml.org,2002:{_tag}",
+                                  re.compile(f"^(?:{_rx})$"), None)
+_Loader.add_constructor("tag:yaml.org,2002:int", lambda loader, node: int(
+    node.value, 0 if node.value[:2] in ("0o", "0x") else 10))
 
 
 def load_raw(path: str) -> Dict:

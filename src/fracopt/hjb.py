@@ -20,9 +20,9 @@ H is evaluated once over all rows (node_hamiltonian), unchecked; only
 the rows of a non-finite H are evaluated again, by the scalar
 evaluators, which name the failing expression or raise what a Python
 callable raises.  Every probe of the minimizer is such an evaluation:
-the quadratic rule's three probes and vertex, or a round of Brent's
-bounded search, one search per row, and no row is evaluated at a
-control its own minimization would not probe (_minimize_box).  A
+a round of its bracketed Newton search (the whole quadratic rule), one
+search per row, and no row is evaluated at a control its own
+minimization would not probe (_minimize_box).  A
 batched stage that aborts runs again node by node (first_failing_node),
 so that its abort is the one node-by-node evaluation raised; the
 minimizer aborts on a non-finite H its probe still returns (an
@@ -33,7 +33,8 @@ table.
 
 The cost of a batch is call overhead, not row count: a Hamiltonian probe
 of perfbench/lq_bounded.yaml's 101 nodes costs about 20 us (a shared
-2-core x86-64 machine, numpy 2.4), hence minimize_scalar's lockstep.
+2-core x86-64 machine, numpy 2.4), hence one batched search for all
+rows, in few rounds: 11 probes per search on that file.
 
 Endpoint conventions (both endpoints of the grid host singular factors):
 at the final node the running weights of every order are evaluated at
@@ -66,13 +67,9 @@ __all__ = [
 
 _COORD_TOL = 1e-10
 _COORD_SWEEPS = 60
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 _SQRT_EPS = math.sqrt(2.2e-16)
+_CBRT_EPS = 2.2e-16 ** (1.0 / 3.0)
 _MAX_EVALS = 500
-#: minimize_scalar runs its searches in lockstep while more rows than
-#: this search: a lockstep round costs 55-60 us however few rows still
-#: search, a row searching alone 1-1.5 us a round
-_HANDOVER_ROWS = 40
 _FLOAT = np.dtype(float)
 
 
@@ -217,199 +214,87 @@ def node_hamiltonian(table: NodeTable, u, v_x: np.ndarray) -> np.ndarray:
     return h
 
 
-def _parabola_min(axis: Callable, c: np.ndarray, lo: float,
-                  hi: float) -> np.ndarray:
-    """Minimizers over [lo, hi] of a function quadratic along one axis,
-    one per row, from probes at c and c +- step: the parabola's vertex
-    clipped to the interval where it curves upward, otherwise the better
-    endpoint, probed on those rows only.  axis(val, live) evaluates the
-    rows live at val."""
-    every = np.ones(c.shape[0], dtype=bool)
-    step = max(1.0, 1e-3 * (hi - lo))
-    h0, hp, hm = axis(c, every), axis(c + step, every), axis(c - step, every)
-    curv = (hp + hm - 2.0 * h0) / (2.0 * step * step)
-    slope = (hp - hm) / (2.0 * step)
-    new = np.minimum(np.maximum(c - slope / (2.0 * curv), lo), hi)
-    flat = ~(curv > 0.0)
-    if flat.any():
-        # no interior minimum along this axis: best endpoint
-        at_lo, at_hi = axis(lo, flat), axis(hi, flat)
-        new = np.where(flat, np.where(at_lo <= at_hi, lo, hi), new)
-    return new
+def _newton_round(func: Callable[[np.ndarray], np.ndarray], u, h, lo, hi):
+    """One round of the search, one row per search: ((func(u), func(u +
+    h), func(u - h)), the vertex of their parabola clipped to [lo, hi]),
+    the vertex nan where the parabola does not curve upward."""
+    h0, hp, hm = func(u), func(u + h), func(u - h)
+    curv = (hp + hm - 2.0 * h0) / (2.0 * h * h)
+    slope = (hp - hm) / (2.0 * h)
+    new = np.minimum(np.maximum(u - slope / (2.0 * curv), lo), hi)
+    return (h0, hp, hm), np.where(curv > 0.0, new, np.nan)
 
 
 def minimize_scalar(func: Callable[[np.ndarray], np.ndarray], lo, hi,
-                    xatol) -> np.ndarray:
-    """Minimizers of func over [lo, hi] by Brent's bounded search, one
-    search per row: golden sections and parabolic steps until the
-    bracket is within xatol (plus a relative sqrt(eps)) of the best
-    point, or after 500 evaluations.
+                    xatol, start=None) -> np.ndarray:
+    """Minimizers of func over [lo, hi] by a bracketed Newton search, one
+    search per row, from start (the middle of the box if None).
 
-    lo, hi and xatol are per row (or one value for every row), and func
-    maps one point per row to one value per row.  Each round evaluates
-    every row once: a row whose search has stopped is evaluated again at
-    its best point.  Each row's minimizer is that of scipy's
-    minimize_scalar(method="bounded") on that row alone, bit for bit.
-
-    While more than _HANDOVER_ROWS rows search, the searches run in
-    lockstep, their state updated in place under masks over every row: a
-    stopped row's bracket and second and third points may change, but
-    never its best point, the one output, and it never resumes.  A
-    lockstep round is about 90 numpy calls, 55-60 us on 101 rows, however
-    few rows still search.  Once _HANDOVER_ROWS or fewer do, each goes on
-    from the state the lockstep left as a plain-float search of its own
-    (_bounded_search), 1-1.5 us a row a round; a round is still one func
-    call over every row.
+    Each round probes func at c and c +- h inside the box
+    (_newton_round; c is u, moved off a box end u is on), narrows the
+    bracket [a, b] by those probes as Brent's search does (_narrow), and
+    steps to the probes' vertex, clipped to the box (projected Newton),
+    or to the middle of the bracket where the vertex is not in it.  h
+    starts at the quadratic rule's max(1, 1e-3 (hi - lo)), at most half
+    the box, then follows half the step down to cbrt(eps) (1 + |start|).
+    A row stops when h is that low and its step is within xatol plus a
+    relative sqrt(eps), Brent's tolerance, or after 500 evaluations; it
+    returns its best probe, or the better box end where that is no
+    higher.  lo, hi, xatol and start are per row (or one for every row);
+    func maps one point per row to one value per row, and evaluates a
+    row whose search has stopped at its last c.
     """
     lo, hi = np.broadcast_arrays(np.array(lo, dtype=float, ndmin=1),
                                  np.array(hi, dtype=float, ndmin=1))
-    # bracket = [a, b] brackets the minimum; points[i] is the best
-    # (xf, fx), second best (nfc, fnfc) and third best (fulc, ffulc)
-    # point so far with its value, and trial the latest probe (x, fu)
-    bracket = np.stack([lo, hi])
-    a, b = bracket
-    points = np.empty((3,) + bracket.shape)
-    (xf, fx), (nfc, fnfc), (fulc, ffulc) = points
-    trial = np.empty_like(bracket)
-    x, fu = trial
-    points[:, 0] = a + _GOLDEN * (b - a)
-    points[:, 1] = func(xf)
-    num = 1
-    rat = e = np.zeros_like(xf)
-    xatol_3 = xatol / 3.0
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * np.abs(xf) + xatol_3
-    tol2 = 2.0 * tol1
-    active = np.abs(xf - xm) > tol2 - 0.5 * (b - a)
+    a, b = lo.copy(), hi.copy()
+    u = np.array(np.broadcast_to(0.5 * (a + b) if start is None else start,
+                                 a.shape), dtype=float)
+    c = u.copy()
+    h = np.minimum(np.maximum(1.0, 1e-3 * (hi - lo)), 0.5 * (hi - lo))
+    floor = np.minimum(_CBRT_EPS * (1.0 + np.abs(u)), h)
+    active, f_best = hi - lo > _SQRT_EPS * np.abs(u) + xatol, None
     with np.errstate(all="ignore"):
-        while np.count_nonzero(active) > _HANDOVER_ROWS:
-            # parabola through the three best points, where the step
-            # before last was longer than tol1
-            to_nfc, to_fulc = xf - nfc, xf - fulc
-            r = to_nfc * (fx - ffulc)
-            q = to_fulc * (fx - fnfc)
-            p = to_fulc * q - to_nfc * r
-            q = 2.0 * (q - r)
-            np.negative(p, out=p, where=q > 0.0)
-            np.abs(q, out=q)
-            to_ends = bracket - xf          # a - xf, b - xf
-            q_ends = q * to_ends
-            parabolic = ((np.abs(e) > tol1) & (np.abs(p) < np.abs(0.5 * q * e))
-                         & (q_ends[0] < p) & (p < q_ends[1]))
-            step = p / q
-            x_par = xf + step
-            near_end = (x_par - a < tol2) | (b - x_par < tol2)
-            np.copyto(step, tol1, where=near_end)
-            np.negative(step, out=step, where=near_end & (xm < xf))
-            # otherwise a golden section of the larger part
-            e_new = np.where(xf >= xm, to_ends[0], to_ends[1])
-            rat_new = _GOLDEN * e_new
-            np.copyto(e_new, rat, where=parabolic)
-            np.copyto(rat_new, step, where=parabolic)
-            e, rat = e_new, rat_new
-            # a step of at least tol1; a stopped row stays at xf
-            np.maximum(np.abs(rat), tol1, out=x)
-            np.negative(x, out=x, where=rat < 0)
-            x += xf
-            np.copyto(x, xf, where=~active)
-            fu[...] = func(x)
-            num += 1
-            improved = fu <= fx
-            # a better x moves the end opposite it to xf, a worse x
-            # becomes the end on its side
-            end = np.where(improved, xf, x)
-            lower = improved == (x >= xf)
-            np.copyto(a, end, where=lower)
-            np.copyto(b, end, where=~lower)
-            worse = ~improved
-            second = worse & ((fu <= fnfc) | (nfc == xf))
-            third = worse & ~second & ((fu <= ffulc) | (fulc == xf)
-                                       | (fulc == nfc))
-            np.copyto(points[2], points[1], where=improved | second)
-            np.copyto(points[2], trial, where=third)
-            np.copyto(points[1], points[0], where=improved)
-            np.copyto(points[1], trial, where=second)
-            np.copyto(points[0], trial, where=improved)
-            xm = 0.5 * (a + b)
-            tol1 = _SQRT_EPS * np.abs(xf) + xatol_3
-            tol2 = 2.0 * tol1
-            if num >= _MAX_EVALS:
-                return xf
-            active &= np.abs(xf - xm) > tol2 - 0.5 * (b - a)
-        # the rows still searching go on alone, one func call a round
-        rows = np.flatnonzero(active).tolist()
-        state = np.vstack([bracket, points.reshape(6, -1), e, rat,
-                           np.broadcast_to(xatol_3, xf.shape)])
-        searches = {k: _bounded_search(*row, num)
-                    for k, row in zip(rows, state[:, rows].T.tolist())}
-        x[...] = xf
-        for k, search in searches.items():
-            x[k] = next(search)
-        while searches:
-            rows = list(searches)
-            for k, fu in zip(rows, func(x)[rows].tolist()):
-                try:
-                    x[k] = searches[k].send(fu)
-                except StopIteration as stop:
-                    x[k] = xf[k] = stop.value
-                    del searches[k]
-    return xf
+        for _ in range((_MAX_EVALS - 2) // 3):
+            hu = np.minimum(h, np.minimum(u - lo, hi - u))
+            hu = np.where(active, np.where(hu > 0.0, hu, h), 0.0)
+            np.copyto(c, np.minimum(np.maximum(u, lo + hu), hi - hu),
+                      where=active)
+            (fc, fp, fm), x = _newton_round(func, c, hu, lo, hi)
+            if f_best is None:
+                best, f_best = c.copy(), fc.copy()
+            for point, value in ((c, fc), (c + hu, fp), (c - hu, fm)):
+                _narrow(a, b, best, f_best, point, value)
+            # a vertex off the bracket by rounding alone is clipped to it
+            tol = _SQRT_EPS * np.abs(u) + xatol
+            np.copyto(x, np.where((a - tol <= x) & (x <= b + tol),
+                                  np.minimum(np.maximum(x, a), b),
+                                  0.5 * (a + b)))
+            step = np.abs(x - u)
+            # (a wide parabola misplaces a non-quadratic vertex by O(h^2))
+            active &= (step > tol) | (h > floor)
+            if not active.any():
+                break
+            h = np.minimum(np.minimum(h, np.maximum(0.5 * step, floor)),
+                           0.5 * (b - a))
+            np.copyto(u, x, where=active)
+        f_lo, f_hi = func(lo), func(hi)
+    end = np.where(f_lo <= f_hi, lo, hi)
+    return np.where(np.minimum(f_lo, f_hi) <= f_best, end, best)
 
 
-def _bounded_search(a, b, xf, fx, nfc, fnfc, fulc, ffulc, e, rat, xatol_3,
-                    num):
-    """The rest of one row's bounded search from its state, in plain
-    floats: scipy's _minimize_scalar_bounded loop, which yields each
-    probe x, is sent func(x) and returns the best point."""
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + xatol_3
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:
-            # parabola through the three best points
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                golden = False
-                rat = p / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 if xm >= xf else -tol1
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = _GOLDEN * e
-        step = max(abs(rat), tol1)
-        x = xf - step if rat < 0 else xf + step
-        fu = yield x
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol_3
-        tol2 = 2.0 * tol1
-        if num >= _MAX_EVALS:
-            break
-    return xf
+def _narrow(a, b, best, f_best, p, fp) -> None:
+    """Brent's bracket update, in place, by a probe p with value fp in
+    [a, b]: a lower p than best replaces it, and best becomes the end
+    beyond it; any other p becomes the end on its side."""
+    inside, below = (a <= p) & (p <= b), p < best
+    lower = inside & (fp < f_best)
+    higher = inside & ~lower
+    np.copyto(b, best, where=lower & below)
+    np.copyto(a, best, where=lower & ~below)
+    np.copyto(best, p, where=lower)
+    np.copyto(f_best, fp, where=lower)
+    np.copyto(a, p, where=higher & below)
+    np.copyto(b, p, where=higher & (p > best))
 
 
 def _minimize_box(h: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
@@ -417,12 +302,11 @@ def _minimize_box(h: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
     """Box-constrained minimizers of a function of the control at rows
     independent rows, by coordinate sweeps from the clipped origin; h
     maps controls (rows, m) to values (rows,).  A degenerate axis is set
-    to lo; otherwise _parabola_min (quadratic=True: exact for
-    Hamiltonians quadratic and separable in the control) or the bounded
-    scalar search minimizes along it.  Sweeps repeat until a row's
-    iterate stops moving, but one is final in quadratic mode and with one
-    control (the bounded search ignores its start point, so a second
-    sweep would repeat it).
+    to lo; otherwise the search minimizes along it from the current
+    point: with quadratic=True its first round alone (_newton_round, exact
+    for H quadratic and separable in u), else minimize_scalar.  Sweeps
+    repeat until a row's iterate stops moving, but one is final in
+    quadratic mode and with one control (it has one axis to search).
 
     A row that needs no probe in a call of h (it has stopped, or is not
     probed at the endpoints) is evaluated at its latest probe, never at
@@ -452,16 +336,22 @@ def _minimize_box(h: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
                 if hi[j] - lo[j] <= _COORD_TOL:
                     new = np.full(rows, lo[j])
                 elif quadratic:
-                    new = _parabola_min(
-                        lambda val, live, j=j: probe(j, val, live),
-                        u[:, j], lo[j], hi[j])
+                    _, new = _newton_round(
+                        lambda val, j=j: probe(j, val, moving), u[:, j],
+                        max(1.0, 1e-3 * (hi[j] - lo[j])), lo[j], hi[j])
+                    flat = np.isnan(new)
+                    if flat.any():   # no vertex: the better end
+                        at_lo = probe(j, lo[j], flat)
+                        lower = at_lo <= probe(j, hi[j], flat)
+                        new[flat] = np.where(lower, lo[j], hi[j])[flat]
                 else:
                     # a row that has stopped gets the one-point bracket
                     # of its control, which ends its search at once
                     new = minimize_scalar(
                         lambda val, j=j: probe(j, val, moving),
                         np.where(moving, lo[j], u[:, j]),
-                        np.where(moving, hi[j], u[:, j]), _COORD_TOL)
+                        np.where(moving, hi[j], u[:, j]), _COORD_TOL,
+                        u[:, j])
                 new = np.where(moving, new, u[:, j])
                 moved = np.maximum(moved, np.abs(new - u[:, j]))
                 u[:, j] = new

@@ -184,7 +184,37 @@ def test_numbers_are_read_as_yaml_1_2_reads_them(tmp_path, text, value):
 
 
 @pytest.mark.parametrize("text, value", [
-    ("12", 12), ("-7", -7), ("0x1f", 31), ("09", "09"), ("1e", "1e"),
+    ("010", 10), ("0o17", 15), ("+3", 3), ("1:30", "1:30"), ("1_0", "1_0"),
+    ("0b11", "0b11"), ("yes", "yes"), ("off", "off"), ("On", "On"),
+    ("True", True), ("FALSE", False), ("false", False)])
+def test_integers_and_booleans_are_read_as_yaml_1_2_reads_them(tmp_path,
+                                                                text, value):
+    # YAML 1.1's octal 010, sexagesimal 1:30, 1_0, 0b11 and yes/off are
+    # not YAML 1.2's: 010 is 10 and the others are text
+    path = tmp_path / "value.yaml"
+    path.write_text(f"value: {text}\n")
+    got = load_raw(str(path))["value"]
+    assert type(got) is type(value) and got == value
+
+
+@pytest.mark.parametrize("text", ["yes", "on", "y"])
+def test_yaml_1_1_booleans_are_rejected_as_a_flag(tmp_path, text):
+    path = tmp_path / "flag.yaml"
+    path.write_text(Path(EXAMPLE_FILE).read_text().replace(
+        "quadratic_control: true", f"quadratic_control: {text}"))
+    with pytest.raises(ConfigError, match="quadratic_control"):
+        parse_problem(str(path))
+
+
+def test_a_leading_zero_is_a_decimal_count(tmp_path):
+    path = tmp_path / "count.yaml"
+    path.write_text(Path(EXAMPLE_FILE).read_text().replace(
+        "max_iters: 200", "max_iters: 010"))
+    assert parse_problem(str(path)).config.max_iters == 10
+
+
+@pytest.mark.parametrize("text, value", [
+    ("12", 12), ("-7", -7), ("0x1f", 31), ("09", 9), ("1e", "1e"),
     ("e5", "e5"), ("1.2.3", "1.2.3"), (".inf", float("inf"))])
 def test_integers_and_text_are_not_read_as_yaml_1_2_floats(tmp_path, text,
                                                            value):

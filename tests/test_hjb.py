@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.optimize as sopt
 import scipy.special as sps
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracopt as fo
@@ -306,47 +306,107 @@ def _scipy_bounded(func, lo, hi, xatol=1e-10):
                                 options={"xatol": xatol}).x
 
 
-def _one_node_search(f, lo, hi, xatol=1e-10):
+def _one_node_search(f, lo, hi, xatol=1e-10, start=None):
     """hjb.minimize_scalar as a search of one node, f a scalar function."""
     return hjb.minimize_scalar(lambda v: np.array([f(float(v[0]))]),
-                               lo, hi, xatol)[0]
+                               lo, hi, xatol, start)[0]
+
+
+def _tol(x, xatol=1e-10):
+    """The searches' own tolerance at x: xatol plus a relative sqrt(eps)."""
+    return math.sqrt(2.2e-16) * abs(x) + xatol
 
 
 @settings(max_examples=200, deadline=None)
-@given(c=st.lists(st.floats(-3, 3), min_size=5, max_size=5),
+@given(c=st.lists(st.floats(0.01, 3), min_size=4, max_size=4),
        lo=st.floats(-10, 10), width=st.floats(1e-6, 20))
 def test_scalar_search_matches_scipy_bounded(c, lo, width):
-    # a smooth function with up to several local minima in the box
+    # a smooth convex function, its minimum inside the box or beyond
+    # either end: the search, like scipy's bounded search, finds the
+    # minimizer (the root of the slope by brentq, or the bound it
+    # passes) to its tolerance or to where rounding hides the difference
+    centre, scale = 10.0 * (c[1] - 1.5), c[3] / 10.0
+
     def f(v):
-        return (c[0] * (v - c[1]) ** 2 + c[2] * math.sin(c[3] * v)
-                + 0.01 * c[4] * v ** 3)
+        return c[0] * (v - centre) ** 2 + c[2] * math.exp(scale * v)
+
+    def slope(v):
+        return 2.0 * c[0] * (v - centre) + c[2] * scale * math.exp(scale * v)
 
     hi = lo + width
-    assert _one_node_search(f, lo, hi) == _scipy_bounded(f, lo, hi)
+    if slope(lo) >= 0.0:
+        best = lo
+    elif slope(hi) <= 0.0:
+        best = hi
+    else:
+        best = sopt.brentq(slope, lo, hi, xtol=1e-15, rtol=1e-15)
+    def near(v, tolerances):
+        # within the tolerances, or as low as rounding can tell
+        return (abs(v - best) <= tolerances * _tol(best)
+                or f(v) - f(best) <= 4.0 * 2.2e-16 * abs(f(best)))
+
+    assert near(_one_node_search(f, lo, hi), 1.0)
+    # scipy's search stops up to two of its tolerances short of a bound
+    assert near(_scipy_bounded(f, lo, hi), 2.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tilt=st.floats(-0.5, 0.5), lo=st.floats(-3, -0.1),
+       hi=st.floats(0.1, 3), start=st.floats(-1, 1))
+def test_scalar_search_with_two_local_minima(tilt, lo, hi, start):
+    # (v^2 - 1)^2 + tilt v has a local minimum near -1 and one near 1: the
+    # result is a local minimizer (or a box end) no worse than either
+    # box end
+    def f(v):
+        return (v * v - 1.0) ** 2 + tilt * v
+
+    def slope(v):
+        return 4.0 * v * (v * v - 1.0) + tilt
+
+    start = min(max(start, lo), hi)
+    x = _one_node_search(f, lo, hi, start=start)
+    assert f(x) <= min(f(lo), f(hi))
+    assert x in (lo, hi) or (abs(slope(x)) < 1e-6
+                             and 12.0 * x * x - 4.0 > 0.0)
 
 
 def test_scalar_search_minimum_at_a_bound():
-    # increasing on the box: the search closes in on lo, but never probes
-    # nearer to it than its step floor sqrt(eps) |x| + xatol / 3
-    f = math.exp
-    x = _one_node_search(f, -1.0, 2.0)
-    assert x == _scipy_bounded(f, -1.0, 2.0)
-    assert -1.0 < x < -1.0 + 3e-8
+    # increasing on the box: the search lands on lo exactly
+    assert _one_node_search(math.exp, -1.0, 2.0) == -1.0
 
 
-def test_scalar_search_stops_at_the_evaluation_cap():
-    # sqrt|v| has a cusp at 0 and xatol is below every step the search
-    # can take there, so only the cap of 500 evaluations stops it
+def test_scalar_search_bisects_to_a_cusp():
+    # sqrt|v| has no vertex: its parabolas curve downward, so the search
+    # bisects its bracket down to the cusp at 0
     calls = []
 
     def f(v):
         calls.append(v)
         return math.sqrt(abs(v))
 
-    x = _one_node_search(f, -1.0, 1.0, 1e-300)
+    x = _one_node_search(f, -1.0, 1.5)
+    assert abs(x) <= 2.0 * _tol(0.0)
+    assert len(calls) < 200
+
+
+def test_scalar_search_stops_at_the_evaluation_cap():
+    # with a negative xatol no step is within the tolerance, so only the
+    # cap of 500 evaluations stops the search; it still returns the best
+    # point it probed
+    calls = []
+
+    def f(v):
+        calls.append(v)
+        return (v - 0.3) ** 2
+
+    x = _one_node_search(f, -1.0, 1.5, -1.0)
     assert len(calls) == 500
-    assert x == _scipy_bounded(lambda v: math.sqrt(abs(v)), -1.0, 1.0,
-                               1e-300)
+    assert abs(x - 0.3) < 1e-10
+
+
+def _node_function(ck):
+    return lambda v: (ck[0] * (v - ck[1]) ** 2 + ck[2] * math.sin(ck[3] * v)
+                      + 0.01 * ck[4] * v ** 3)
 
 
 @settings(max_examples=30, deadline=None)
@@ -356,19 +416,14 @@ def test_scalar_search_stops_at_the_evaluation_cap():
        width=st.lists(st.floats(1e-6, 20), min_size=6, max_size=6))
 def test_lockstep_search_equals_one_search_per_node(c, lo, width):
     # nodes with their own functions and brackets stop in different
-    # rounds; the last node is the cusp sqrt|v| at xatol = 1e-300, which
-    # only the cap of 500 evaluations stops (at xatol = 1e-10 no search
-    # comes near it), so the others are evaluated at their best points
-    # for hundreds of rounds after they stop
-    def node_function(ck):
-        return lambda v: (ck[0] * (v - ck[1]) ** 2
-                          + ck[2] * math.sin(ck[3] * v)
-                          + 0.01 * ck[4] * v ** 3)
-
-    fns = [node_function(ck) for ck in c] + [lambda v: math.sqrt(abs(v))]
+    # rounds; the last node is the cusp sqrt|v| at a negative xatol,
+    # which only the cap of 500 evaluations stops, so the others are
+    # evaluated at their last points for many rounds after they stop:
+    # each row's result has the bytes of its search alone
+    fns = [_node_function(ck) for ck in c] + [lambda v: math.sqrt(abs(v))]
     los = np.array(lo[:len(c)] + [-1.0])
-    his = los + np.array(width[:len(c)] + [2.0])
-    xatol = np.array([1e-10] * len(c) + [1e-300])
+    his = los + np.array(width[:len(c)] + [2.5])
+    xatol = np.array([1e-10] * len(c) + [-1.0])
     rounds = []
 
     def batch(v):
@@ -378,11 +433,12 @@ def test_lockstep_search_equals_one_search_per_node(c, lo, width):
     got = hjb.minimize_scalar(batch, los, his, xatol)
     assert len(rounds) == 500
     for f, a, b, tol, x in zip(fns, los, his, xatol, got):
-        assert x == _scipy_bounded(f, a, b, tol)
+        assert x.tobytes() == np.float64(
+            _one_node_search(f, a, b, tol)).tobytes()
 
 
-#: one node of a lockstep search: the kind of its function, its
-#: curvature, where its minimum lies, the box and the tolerance
+#: one node of a search: the kind of its function, its curvature, where
+#: its minimum lies, the box and the tolerance
 _SEARCH_ROW = st.tuples(
     st.sampled_from(["quadratic", "quartic", "flat"]),
     st.floats(0.01, 5.0),
@@ -396,9 +452,9 @@ _SEARCH_ROW = st.tuples(
 
 
 def _search_row(kind, curvature, where, position, lo, width, xatol):
-    """(f, lo, hi, xatol) of one node: f a quadratic or quartic with its
-    minimum at where, or flat, on the box [lo, lo + width] (one point
-    when width is 0)."""
+    """(f, lo, hi, xatol, minimizer) of one node: f a quadratic or quartic
+    with its minimum at where, or flat, on the box [lo, lo + width] (one
+    point when width is 0), and its minimizer over the box."""
     hi = lo + width
     centre = {"inside": lo + position * width, "at lo": lo, "at hi": hi,
               "near lo": lo + 1e-7, "near hi": hi - 1e-7,
@@ -411,126 +467,46 @@ def _search_row(kind, curvature, where, position, lo, width, xatol):
         if kind == "quadratic":
             return curvature * square
         return curvature * square * square
-    return f, lo, hi, xatol
+    return f, lo, hi, xatol, min(max(centre, lo), hi)
 
 
 @settings(max_examples=60, deadline=None)
 @given(rows=st.lists(_SEARCH_ROW, min_size=1, max_size=8))
-def test_lockstep_rows_are_scipy_bounded_searches_bit_for_bit(rows):
+def test_search_rows_reach_their_minimum(rows):
     # quadratics, quartics and flat rows, minima inside, at, near or
     # beyond either bound, one-point brackets, and tolerances and widths
-    # that stop the rows in different rounds: each row's minimizer has
-    # the bytes of scipy's search of that row alone, and func is called
-    # once per round until the last row stops, as often as scipy calls
-    # the row that runs longest
-    fns, los, his, tols = zip(*(_search_row(*row) for row in rows))
+    # that stop the rows in different rounds: each row's result is its
+    # minimizer to the tolerance, a quadratic's bound exactly (in a box
+    # wider than xatol); a flat row may take any point of its box
+    fns, los, his, tols, minimizers = zip(*(_search_row(*row)
+                                            for row in rows))
+    got = hjb.minimize_scalar(
+        lambda v: np.array([f(x) for f, x in zip(fns, v.tolist())]),
+        np.array(los), np.array(his), np.array(tols))
+    for (kind, *_), f, lo, hi, xatol, best, x in zip(
+            rows, fns, los, his, tols, minimizers, got):
+        assert lo <= x <= hi
+        if kind != "flat":
+            assert abs(x - best) <= 4.0 * _tol(best, xatol)
+        if kind == "quadratic" and best in (lo, hi) and hi - lo > xatol:
+            assert x == best
+
+
+def test_a_probe_that_raises_surfaces_in_its_round():
+    # func raises at the third round of one row's search: the search
+    # stops there and the exception propagates
     calls = []
 
     def batch(v):
         calls.append(1)
-        return np.array([f(x) for f, x in zip(fns, v.tolist())])
+        if len(calls) == 7:
+            raise ValueError("probed in round 3")
+        return (v - 0.3) ** 4
 
-    got = hjb.minimize_scalar(batch, np.array(los), np.array(his),
-                              np.array(tols))
-    evaluations = []
-    for f, lo, hi, xatol, x in zip(fns, los, his, tols, got):
-        ref = sopt.minimize_scalar(f, bounds=(lo, hi), method="bounded",
-                                   options={"xatol": xatol})
-        assert x.tobytes() == np.float64(ref.x).tobytes()
-        evaluations.append(ref.nfev)
-    assert len(calls) == max(evaluations)
-
-
-def _scipy_probes(f, lo, hi, xatol):
-    """scipy's bounded search of f alone: its minimizer and the points
-    it evaluates, in order."""
-    probes = []
-
-    def g(v):
-        probes.append(v)
-        return f(v)
-    res = sopt.minimize_scalar(g, bounds=(lo, hi), method="bounded",
-                               options={"xatol": xatol})
-    return res.x, probes
-
-
-def _probed_search(fns, los, his, tols, fail=None):
-    """hjb.minimize_scalar over rows with their own functions, and the
-    probes each row received, one list per row; fail(call, row, v) may
-    raise."""
-    received = [[] for _ in fns]
-
-    def batch(v):
-        for k, x in enumerate(v.tolist()):
-            received[k].append(x)
-            if fail is not None:
-                fail(len(received[0]), k, x)
-        return np.array([f(x) for f, x in zip(fns, v.tolist())])
-
-    return hjb.minimize_scalar(batch, np.array(los), np.array(his),
-                               np.array(tols)), received
-
-
-def _assert_scipy_searches(fns, los, his, tols) -> list:
-    """Search the rows with hjb.minimize_scalar: each row receives
-    scipy's own evaluation points for it, then its minimizer until the
-    last row stops, and the minimizer has scipy's bytes.  Returns how
-    many points scipy evaluates for each row."""
-    got, received = _probed_search(fns, los, his, tols)
-    runs = []
-    for f, lo, hi, xatol, x, probes in zip(fns, los, his, tols, got,
-                                           received):
-        ref, want = _scipy_probes(f, lo, hi, xatol)
-        assert x.tobytes() == np.float64(ref).tobytes()
-        assert probes == want + [ref] * (len(probes) - len(want))
-        runs.append(len(want))
-    assert len(received[0]) == max(runs)
-    return runs
-
-
-@settings(max_examples=40, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow,
-                                 HealthCheck.data_too_large])
-@given(rows=st.lists(_SEARCH_ROW, min_size=33, max_size=150))
-def test_rows_on_both_sides_of_the_handover_are_scipy_searches(rows):
-    # more rows than hjb._HANDOVER_ROWS search in lockstep, fewer go on
-    # alone, and rows stop in different rounds on either side
-    _assert_scipy_searches(*zip(*(_search_row(*row) for row in rows)))
-
-
-def _handover_rows():
-    """(fns, los, his, tols): 60 quadratic rows at xatol = 1e-3, which
-    stop after 6 evaluations, and 30 quartic rows at xatol = 1e-10,
-    which run long."""
-    fns = ([lambda v, c=c: (v - c) * (v - c) for c in
-            np.linspace(-1.0, 1.0, 60).tolist()]
-           + [lambda v, c=c: ((v - c) * (v - c)) ** 2 for c in
-              np.linspace(-0.9, 0.7, 30).tolist()])
-    return fns, [-2.0] * 90, [3.0] * 90, [1e-3] * 60 + [1e-10] * 30
-
-
-def test_searches_hand_over_from_lockstep_to_rows_alone():
-    # 90 rows search in lockstep for 5 rounds; the 30 quartic rows then
-    # go on alone from the state the lockstep left
-    runs = _assert_scipy_searches(*_handover_rows())
-    assert set(runs[:60]) == {6}
-    assert (0 < sum(n > 6 for n in runs) <= hjb._HANDOVER_ROWS
-            < sum(n > 1 for n in runs))
-
-
-def test_a_probe_that_raises_after_the_handover_surfaces_in_its_round():
-    # func raises when row 75, a quartic row that goes on alone after
-    # round 6, first receives scipy's 20th evaluation point for it
-    fns, los, his, tols = _handover_rows()
-    _, want = _scipy_probes(fns[75], los[75], his[75], tols[75])
-    assert len(want) > 20
-
-    def fail(call, row, v):
-        if row == 75 and v == want[19]:
-            raise ValueError(f"row 75 probed at call {call}")
-
-    with pytest.raises(ValueError, match="row 75 probed at call 20$"):
-        _probed_search(fns, los, his, tols, fail)
+    with pytest.raises(ValueError, match="^probed in round 3$"):
+        hjb.minimize_scalar(batch, np.array([-2.0, -1.0]),
+                            np.array([3.0, 1.0]), 1e-10)
+    assert len(calls) == 7
 
 
 def test_minimize_box_one_control_takes_one_search(monkeypatch):
@@ -538,17 +514,11 @@ def test_minimize_box_one_control_takes_one_search(monkeypatch):
         return (v - 0.3) ** 4 + math.sin(3.0 * v)
 
     lo, hi = np.array([-2.0]), np.array([2.0])
-    # reference: two full coordinate sweeps of the bounded search
-    ref = np.clip(np.zeros(1), lo, hi)
-    for _ in range(2):
-        res = sopt.minimize_scalar(g, bounds=(lo[0], hi[0]),
-                                   method="bounded",
-                                   options={"xatol": 1e-10})
-        ref[0] = res.x
     calls = _counting_scalar_search(monkeypatch)
     u = _minimize_box(rows(g), lo, hi, False)
     assert len(calls) == 1
-    assert u[0, 0] == ref[0]
+    ref = _scipy_bounded(g, lo[0], hi[0])
+    assert abs(u[0, 0] - ref) <= 4.0 * _tol(ref)
 
 
 def test_minimize_box_several_controls_sweep_until_still(monkeypatch):
@@ -559,6 +529,23 @@ def test_minimize_box_several_controls_sweep_until_still(monkeypatch):
                       False)
     assert len(calls) >= 4 and len(calls) % 2 == 0
     assert np.allclose(u[0], [0.5, 0.5], atol=1e-7)
+
+
+def test_minimize_box_three_controls_reach_a_bound_and_the_minimum():
+    # three coupled controls, one smooth but not quadratic, the first
+    # held at its upper bound: the coordinate sweeps of the search land
+    # on the bound exactly and reach the box minimum of L-BFGS-B
+    def f(a, b, c):
+        return ((a - 2.0) ** 2 + (a - b) ** 2 + (b + c) ** 2 + 0.5 * c * c
+                + 0.1 * math.exp(c))
+
+    lo, hi = np.array([-1.0, -2.0, -2.0]), np.array([0.5, 2.0, 2.0])
+    u = _minimize_box(rows(f), lo, hi, False)
+    ref = sopt.minimize(lambda v: f(*v), np.zeros(3), method="L-BFGS-B",
+                        bounds=list(zip(lo, hi)),
+                        options={"ftol": 1e-15, "gtol": 1e-12}).x
+    assert u[0, 0] == 0.5
+    assert np.allclose(u[0], ref, rtol=0.0, atol=1e-6)
 
 
 def test_minimize_box_quadratic_interior():

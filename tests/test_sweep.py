@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import re
@@ -325,11 +326,11 @@ def test_bounded_evaluation_takes_the_searches_plus_two_per_node(
     searched = []
     real_search = hjb.minimize_scalar
 
-    def counted_search(func, lo, hi, xatol):
+    def counted_search(func, *args):
         def counted(val):
             searched.extend([1] * len(val))
             return func(val)
-        return real_search(counted, lo, hi, xatol)
+        return real_search(counted, *args)
 
     # counted in node rows evaluated
     monkeypatch.setattr(hjb, "minimize_scalar", counted_search)
@@ -651,10 +652,10 @@ def _box_doc(block: str, expression: str, quadratic: bool) -> dict:
     ("cost", "x1**2 + u1**2 + log(u1 + 1)", True, "0.0"),
     ("cost", "x1**2 + u1**2 + sqrt(u1)", False, "0.0"),
     ("cost", "x1**2 + u1**2 + sqrt(u1)", True, "0.0"),
-    ("cost", "x1**2 + log(u1 + 3 - 2*t)", False, "0.51"),
+    ("cost", "x1**2 + log(u1 + 3 - 2*t)", False, "0.5"),
     ("cost", "x1**2 + log(u1 + 3 - 2*t)", True, "0.5"),
-    ("cost", "x1**2 + u1**2 + sqrt(u1 + 3 - 2*t)", False, "0.97"),
-    ("plant", "-x1 + u1 + 0.1*log(u1 + 3 - 2*t)", False, "0.98"),
+    ("cost", "x1**2 + u1**2 + sqrt(u1 + 3 - 2*t)", False, "0.51"),
+    ("plant", "-x1 + u1 + 0.1*log(u1 + 3 - 2*t)", False, "0.5"),
     ("plant", "-x1 + u1 + 0.1*log(u1 + 3 - 2*t)", True, "1.0"),
     ("cost", "x1**2 + u1**2 + 1e308*(u1 - 1)*(u1 - 1)", False, None),
     ("cost", "x1**2 + u1**2 + 1e308*(u1 - 1)*(u1 - 1)", True, None),
@@ -663,7 +664,10 @@ def test_minimization_abort_names_the_expression_and_node(
         block, expression, quadratic, node_time):
     # characterization: each expression is finite at the initial control
     # u = 0 and fails on part of the box, so the bounded search or the
-    # quadratic rule probes it there; the abort is the one node-by-node
+    # quadratic rule probes it there (the bounded search at the box ends
+    # of every node, so at the first node where lo = -2 fails, the
+    # quadratic rule where its probes at +-1 or its endpoint fallback
+    # fail); the abort is the one node-by-node
     # evaluation raised: the failing expression at the first node that
     # fails alone, or (an overflow, no math error) the minimizer's own
     # check.  solve and the audit of the initial trajectory abort alike,
@@ -682,6 +686,27 @@ def test_minimization_abort_names_the_expression_and_node(
         with pytest.raises(SweepAbort) as info:
             sweep.audit_residuals(prob, x, 0.0, parsed.config)
         assert str(info.value) == message
+
+
+def test_bounded_search_lands_exactly_on_an_active_bound():
+    # perfbench/lq_bounded.yaml with its box cut to [-0.2, 50]: where the
+    # Hamiltonian's vertex (the quadratic rule's on the same table, over
+    # the uncut box) lies below -0.2, the search returns -0.2 itself;
+    # elsewhere it returns the vertex to its tolerance
+    doc = yaml.safe_load(Path("perfbench/lq_bounded.yaml").read_text())
+    doc["plant"]["control_lower"] = [-0.2]
+    parsed = build_problem(doc)
+    state = solve(parsed.problem, parsed.config)
+    assert state.converged
+    table = copy.copy(state.value)
+    table.prob = dataclasses.replace(
+        table.prob, u_lower=np.array([-50.0]), quadratic_control=True)
+    vertex = fo.minimize_node_hamiltonian(table, table.v_x)[:, 0]
+    active = vertex < -0.2
+    assert 0 < np.count_nonzero(active) < len(vertex) - 10
+    assert np.all(state.u_star[active, 0] == -0.2)
+    assert np.allclose(state.u_star[~active, 0], vertex[~active],
+                       rtol=0.0, atol=1e-8)
 
 
 # ------------------------------------------------ Python-callable problems
