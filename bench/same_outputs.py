@@ -1,22 +1,30 @@
-"""Check that two source trees of fracopt produce the same outputs.
+"""Run, verify and compare the bundled outputs.
 
-    python bench/same_outputs.py OTHER_SRC
+    python bench/same_outputs.py [OTHER_SRC]
 
-Run from anywhere; OTHER_SRC is the ``src`` directory of another checkout
-(for example the parent commit's).  For problems/example.yaml,
-problems/manufactured.yaml and perfbench/lq_bounded.yaml, ``fracopt run``
-and then ``fracopt verify`` are run once with this checkout's ``src`` and
-once with OTHER_SRC, each in a fresh process and with its outputs in a
-temporary directory.  The check
-compares, per problem file:
+Run from anywhere.  For each configuration in CONFIGS (the three problem
+files as filed, and problems/example.yaml and problems/manufactured.yaml
+again with ``--override solver.quadratic_control=false``, so that the
+bounded search also runs on the example's two states), ``fracopt run``
+and then ``fracopt verify`` are run with this checkout's ``src``, each
+in a fresh process and with its outputs in a temporary directory.  A
+configuration fails when
+
+- its run or its verify exits non-zero, or the run writes no CSV;
+- its verify reports a difference other than 0;
+- its report's |value_at_t0 - j_star| is above 1e-15 (V(0) must be J*).
+
+OTHER_SRC, if given, is the ``src`` directory of another checkout (for
+example the parent commit's).  Each configuration is then run and
+verified with it too, and it also fails on any difference in
 
 - the trajectory CSVs, byte for byte;
 - every field of the JSON report except ``wall_time_s`` and ``csv``;
-- the exit status of both commands;
-- the verify output, which must also report a difference of 0.
+- the exit status of either command;
+- the verify output and the standard error.
 
-It prints one line per problem file and exits 1 on any difference.  Each
-difference follows on its own indented line: for differing CSVs, every
+It prints one line per configuration and exits 1 if any fails.  Each
+failure follows on its own indented line: for differing CSVs, every
 column that differs with its largest absolute difference; for differing
 reports, every field that differs with both values.  A column whose
 field texts differ is listed even when its values are equal (``-0``
@@ -35,10 +43,19 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PROBLEMS = [ROOT / "problems" / "example.yaml",
-            ROOT / "problems" / "manufactured.yaml",
-            ROOT / "perfbench" / "lq_bounded.yaml"]
+_BOUNDED = "solver.quadratic_control=false"
+# each a problem file, relative to ROOT, and its overrides
+CONFIGS = [("problems/example.yaml",), ("problems/manufactured.yaml",),
+           ("perfbench/lq_bounded.yaml",),
+           ("problems/example.yaml", _BOUNDED),
+           ("problems/manufactured.yaml", _BOUNDED)]
+V0_TOL = 1e-15
 _UNCOMPARED = {"wall_time_s", "csv"}
+
+
+def name(config: tuple) -> str:
+    """The configuration as the arguments of ``fracopt run`` give it."""
+    return " --override ".join(config)
 
 
 def _fracopt(src: Path, *argv: str) -> subprocess.CompletedProcess:
@@ -47,13 +64,17 @@ def _fracopt(src: Path, *argv: str) -> subprocess.CompletedProcess:
                           env=env, capture_output=True, text=True)
 
 
-def _outputs(src: Path, problem: Path, out: Path) -> dict:
-    """Run and verify problem with the package at src, outputs under out."""
+def collect(src: Path, config: tuple, out: Path) -> dict:
+    """Run and verify config with the package at src, outputs under out."""
     out.mkdir()
     csv, report = out / "trajectory.csv", out / "report.json"
-    run = _fracopt(src, "run", str(problem), "--csv", str(csv),
+    problem, *overrides = config
+    argv = [str(ROOT / problem)]
+    for override in overrides:
+        argv += ["--override", override]
+    run = _fracopt(src, "run", *argv, "--csv", str(csv),
                    "--report", str(report))
-    verify = _fracopt(src, "verify", str(problem), "--csv", str(csv))
+    verify = _fracopt(src, "verify", *argv, "--csv", str(csv))
     rep = json.loads(report.read_text()) if report.exists() else {}
     return {
         "run status": run.returncode,
@@ -63,6 +84,26 @@ def _outputs(src: Path, problem: Path, out: Path) -> dict:
         "verify output": verify.stdout,
         "stderr": run.stderr + verify.stderr,
     }
+
+
+def v0_gap(outputs: dict) -> float:
+    """|value_at_t0 - j_star| of the report, nan if it has neither."""
+    rep = outputs["report"]
+    return abs(rep.get("value_at_t0", math.nan) - rep.get("j_star", math.nan))
+
+
+def failures(outputs: dict) -> list:
+    """The failures of one configuration's collected outputs alone."""
+    fails = [f"{key} {outputs[key]}" for key in ("run status", "verify status")
+             if outputs[key] != 0]
+    if outputs["csv"] is None:
+        fails.append("no CSV written")
+    if "|difference|     = 0.000e+00" not in outputs["verify output"]:
+        fails.append("verify difference is not 0")
+    if not v0_gap(outputs) <= V0_TOL:
+        fails.append(f"|value_at_t0 - j_star| = {v0_gap(outputs):.1e} "
+                     f"> {V0_TOL:.0e}")
+    return fails
 
 
 def _table(csv: bytes) -> list:
@@ -80,7 +121,7 @@ def _csv_diffs(ours: bytes, theirs: bytes) -> list:
             or any(len(row) != len(a[0]) for row in a + b):
         return ["csv: header, row count or row length differs"]
     diffs = []
-    for i, name in enumerate(a[0]):
+    for i, column in enumerate(a[0]):
         pairs = [(x[i], y[i]) for x, y in zip(a[1:], b[1:]) if x[i] != y[i]]
         if not pairs:
             continue
@@ -88,16 +129,15 @@ def _csv_diffs(ours: bytes, theirs: bytes) -> list:
             size = max((abs(float(x) - float(y)) for x, y in pairs),
                        key=lambda d: math.inf if math.isnan(d) else d)
         except ValueError:
-            diffs.append(f"csv column {name}: unparsable field")
+            diffs.append(f"csv column {column}: unparsable field")
             continue
-        diffs.append(f"csv column {name}: max |difference| = {size:.3e}")
+        diffs.append(f"csv column {column}: max |difference| = {size:.3e}")
     return diffs or ["csv: bytes differ (every field equal)"]
 
 
-def compare(problem: Path, other_src: Path, tmp: Path) -> list:
-    """Differences between this checkout and other_src on one problem."""
-    ours = _outputs(ROOT / "src", problem, tmp / "ours")
-    theirs = _outputs(other_src, problem, tmp / "theirs")
+def compare(ours: dict, theirs: dict) -> list:
+    """Differences between the collected outputs of this checkout and of
+    another on one configuration."""
     diffs = []
     for key in ours:
         if ours[key] == theirs[key]:
@@ -109,32 +149,41 @@ def compare(problem: Path, other_src: Path, tmp: Path) -> list:
                       f"checkout) vs {theirs[key].get(field)!r} (other)"
                       for field in sorted(ours[key].keys() | theirs[key].keys())
                       if ours[key].get(field) != theirs[key].get(field)]
+        elif key.endswith("status"):
+            diffs.append(f"{key}: {ours[key]} (this checkout) vs "
+                         f"{theirs[key]} (other)")
         else:
-            diffs.append(key)
-    if ours["csv"] is None:
-        diffs.append("no CSV written")
-    if "|difference|     = 0.000e+00" not in ours["verify output"]:
-        diffs.append("verify difference is not 0")
+            diffs.append(f"{key} differs")
     return diffs
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 1 or not Path(argv[0], "fracopt").is_dir():
+    if len(argv) > 1 or argv and not Path(argv[0], "fracopt").is_dir():
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         print("OTHER_SRC must be a src directory holding fracopt",
               file=sys.stderr)
         return 2
-    other_src = Path(argv[0]).resolve()
+    other = Path(argv[0]).resolve() if argv else None
     failed = False
-    for problem in PROBLEMS:
+    for config in CONFIGS:
         with tempfile.TemporaryDirectory() as tmp:
-            diffs = compare(problem, other_src, Path(tmp))
-        name = problem.relative_to(ROOT)
-        print(f"{name}: " + ("DIFFERENT" if diffs else "identical"))
-        for diff in diffs:
-            print(f"    {diff}")
-        failed |= bool(diffs)
+            ours = collect(ROOT / "src", config, Path(tmp, "ours"))
+            fails = failures(ours)
+            if other is not None:
+                fails += compare(ours, collect(other, config,
+                                               Path(tmp, "theirs")))
+        verdict = "FAILED" if fails else \
+            "passed" if other is None else "identical"
+        print(f"{name(config)}: {verdict}, "
+              f"|value_at_t0 - j_star| = {v0_gap(ours):.1e}")
+        for fail in fails:
+            print(f"    {fail}")
+        if fails and ours["stderr"]:
+            print("    stderr of this checkout:")
+            for line in ours["stderr"].splitlines():
+                print(f"        {line}")
+        failed |= bool(fails)
     return 1 if failed else 0
 
 

@@ -215,14 +215,20 @@ def node_hamiltonian(table: NodeTable, u, v_x: np.ndarray) -> np.ndarray:
 
 
 def _newton_round(func: Callable[[np.ndarray], np.ndarray], u, h, lo, hi):
-    """One round of the search, one row per search: ((func(u), func(u +
-    h), func(u - h)), the vertex of their parabola clipped to [lo, hi]),
-    the vertex nan where the parabola does not curve upward."""
-    h0, hp, hm = func(u), func(u + h), func(u - h)
-    curv = (hp + hm - 2.0 * h0) / (2.0 * h * h)
-    slope = (hp - hm) / (2.0 * h)
-    new = np.minimum(np.maximum(u - slope / (2.0 * curv), lo), hi)
-    return (h0, hp, hm), np.where(curv > 0.0, new, np.nan)
+    """One round of the search from u with step h, one row per search:
+    (c, s, (func(c), func(c + s), func(c - s)), the vertex of their
+    parabola clipped to [lo, hi]), the vertex nan where the parabola does
+    not curve upward.  The probes are in the box: s is h cut to u's
+    distance from the box ends (at most half the box where u is on one),
+    and c is u moved off a box end it is on."""
+    s = np.minimum(h, np.minimum(u - lo, hi - u))
+    s = np.where(s > 0.0, s, np.minimum(h, 0.5 * (hi - lo)))
+    c = np.minimum(np.maximum(u, lo + s), hi - s)
+    h0, hp, hm = func(c), func(c + s), func(c - s)
+    curv = (hp + hm - 2.0 * h0) / (2.0 * s * s)
+    slope = (hp - hm) / (2.0 * s)
+    new = np.minimum(np.maximum(c - slope / (2.0 * curv), lo), hi)
+    return c, s, (h0, hp, hm), np.where(curv > 0.0, new, np.nan)
 
 
 def minimize_scalar(func: Callable[[np.ndarray], np.ndarray], lo, hi,
@@ -231,7 +237,8 @@ def minimize_scalar(func: Callable[[np.ndarray], np.ndarray], lo, hi,
     search per row, from start (the middle of the box if None).
 
     Each round probes func at c and c +- h inside the box
-    (_newton_round; c is u, moved off a box end u is on), narrows the
+    (_newton_round: h is cut to u's distance from the box ends, and c is
+    u, moved off a box end u is on), narrows the
     bracket [a, b] by those probes as Brent's search does (_narrow), and
     steps to the probes' vertex, clipped to the box (projected Newton),
     or to the middle of the bracket where the vertex is not in it.  h
@@ -255,11 +262,8 @@ def minimize_scalar(func: Callable[[np.ndarray], np.ndarray], lo, hi,
     active, f_best = hi - lo > _SQRT_EPS * np.abs(u) + xatol, None
     with np.errstate(all="ignore"):
         for _ in range((_MAX_EVALS - 2) // 3):
-            hu = np.minimum(h, np.minimum(u - lo, hi - u))
-            hu = np.where(active, np.where(hu > 0.0, hu, h), 0.0)
-            np.copyto(c, np.minimum(np.maximum(u, lo + hu), hi - hu),
-                      where=active)
-            (fc, fp, fm), x = _newton_round(func, c, hu, lo, hi)
+            c, hu, (fc, fp, fm), x = _newton_round(
+                func, np.where(active, u, c), np.where(active, h, 0.0), lo, hi)
             if f_best is None:
                 best, f_best = c.copy(), fc.copy()
             for point, value in ((c, fc), (c + hu, fp), (c - hu, fm)):
@@ -304,7 +308,8 @@ def _minimize_box(h: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
     maps controls (rows, m) to values (rows,).  A degenerate axis is set
     to lo; otherwise the search minimizes along it from the current
     point: with quadratic=True its first round alone (_newton_round, exact
-    for H quadratic and separable in u), else minimize_scalar.  Sweeps
+    for H quadratic and separable in u; its probes are placed in the box
+    as minimize_scalar's are), else minimize_scalar.  Sweeps
     repeat until a row's iterate stops moving, but one is final in
     quadratic mode and with one control (it has one axis to search).
 
@@ -336,7 +341,7 @@ def _minimize_box(h: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
                 if hi[j] - lo[j] <= _COORD_TOL:
                     new = np.full(rows, lo[j])
                 elif quadratic:
-                    _, new = _newton_round(
+                    *_, new = _newton_round(
                         lambda val, j=j: probe(j, val, moving), u[:, j],
                         max(1.0, 1e-3 * (hi[j] - lo[j])), lo[j], hi[j])
                     flat = np.isnan(new)

@@ -688,6 +688,27 @@ def test_minimization_abort_names_the_expression_and_node(
         assert str(info.value) == message
 
 
+def test_quadratic_rule_probes_stay_in_the_box():
+    # perfbench/lq_bounded.yaml with an operand undefined below u = 0 and
+    # the box [0, 2]: the clipped origin is on the lower end, so the
+    # quadratic rule's probes must move off it, not reach u = -1; it then
+    # solves the problem as the bounded search does
+    doc = yaml.safe_load(Path("perfbench/lq_bounded.yaml").read_text())
+    doc["cost"]["terms"][1]["operand"] = "x1**2 + (u1 - 1)**2 + 0*sqrt(u1)"
+    doc["plant"]["control_lower"] = [0.0]
+    doc["plant"]["control_upper"] = [2.0]
+    states = []
+    for quadratic in (True, False):
+        doc["solver"]["quadratic_control"] = quadratic
+        parsed = build_problem(doc)
+        states.append(solve(parsed.problem, parsed.config))
+    got, ref = states
+    assert got.converged and ref.converged
+    assert got.iteration == ref.iteration
+    assert got.j_star == pytest.approx(ref.j_star, rel=1e-15)
+    assert np.all((got.u_star >= 0.0) & (got.u_star <= 2.0))
+
+
 def test_bounded_search_lands_exactly_on_an_active_bound():
     # perfbench/lq_bounded.yaml with its box cut to [-0.2, 50]: where the
     # Hamiltonian's vertex (the quadratic rule's on the same table, over
