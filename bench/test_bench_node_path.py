@@ -23,9 +23,12 @@ BENCH_TOPIC ("node_path" unless set), so that each change measured
 keeps its own file (BENCH_node_cost.json, BENCH_node_batch.json,
 BENCH_grid_plan.json and BENCH_forward_kernel.json were written with
 those topics, on the example's rows alone, which were named without
-their problem file).  Runs on one machine
-with the source tree of each commit on PYTHONPATH, alternating between
-the two, give a before/after table; delete the file to start a new one.
+their problem file; BENCH_problem_protocol.json, BENCH_probe_path.json,
+BENCH_bounded_search.json, BENCH_sparse_search.json,
+BENCH_newton_search.json and BENCH_costate.json on every row).  Runs
+on one machine with the source tree of each commit on PYTHONPATH,
+alternating between the two, give a before/after table; delete the file
+to start a new one.
 Each row pools the rounds of every run of its side and holds the median,
 the quartiles, (Q3 - Q1) / median, each run's median with the median
 and quartiles of those (bench_file), and the solve's J*, Error and

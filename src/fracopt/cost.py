@@ -119,13 +119,17 @@ def terminal_index_set(pi: PerformanceIndex) -> frozenset:
 
 
 def terminal_value(pi: PerformanceIndex, tf: float, x_tf: np.ndarray) -> float:
-    """Boundary value of the value function: sum of terminal operands.
+    """Boundary value of the value function: the terminal operands added
+    left to right as floats, in index order (not by the builtin sum, which
+    compensates float sums from Python 3.12 on).
 
     Zero when the index has no zero-order terms.
     """
     x_tf = np.asarray(x_tf, dtype=float)
-    return float(sum(pi.terms[i].terminal(tf, x_tf)
-                     for i in terminal_index_set(pi)))
+    total = 0.0
+    for i in sorted(terminal_index_set(pi)):
+        total += float(pi.terms[i].terminal(tf, x_tf))
+    return total
 
 
 def running_weight(v: float, t: float, tf: float) -> float:

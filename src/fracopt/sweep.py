@@ -41,8 +41,9 @@ from . import cost as cost_mod
 from .errors import DomainError, SweepAbort
 from .expansion import advance_moments
 from .grid import TimeGrid
-from .hjb import (GridPlan, NodeTable, aggregate_error, first_failing_node,
-                  minimize_node_hamiltonian, node_hamiltonian)
+from .hjb import (GridPlan, NodeTable, _all_finite, aggregate_error,
+                  first_failing_node, minimize_node_hamiltonian,
+                  node_hamiltonian)
 from .problem import HJBProblem
 
 __all__ = ["SweepConfig", "SweepState", "forward_sweep", "backward_sweep",
@@ -222,8 +223,7 @@ def forward_sweep(prob: HJBProblem, u, cfg: SweepConfig, plan=None):
         for k in range(n):
             corr[k] = c_k = correction(t_field[k], x_k, m)
             advance_moments(m, x[k], decay[k], fac[k], out=m)
-            # a finite sum has finite terms; finite terms may overflow it
-            if not isfinite(m.sum()) and not np.isfinite(m).all():
+            if not _all_finite(m):
                 raise SweepAbort(f"non-finite moment state at node {k + 1}")
             slope = field_row(k, x_k, c_k) if k else rates(
                 grid.t0, x_k, u_rows[0])
@@ -251,28 +251,35 @@ def _weighted_running_gradient(prob: HJBProblem, t_run: np.ndarray,
         np.array(weights).reshape(t_run.shape[0], -1), t_run, x, u)
 
 
-def _one_state_costate(grad: list, jac: list, lam_n: float, dt: float,
-                       heun: bool) -> list:
-    """backward_sweep's costate recursion for one state, on Python
-    floats, node by node: grad and jac are the linearizations of nodes
-    0..n (row 0 unused) and lam_n the terminal costate.  jac[k]^T
-    lambda_k is one product, which numpy's matrix product sums from 0.0
-    (a -0.0 product gives 0.0), so it is jac[k] * lambda_k + 0.0 here;
-    every other operation is the array recursion's, in its order, so the
-    costates are its bits (on 101 nodes about 30 us by timeit, against
-    about 600 us for the numpy rows)."""
-    n = len(grad) - 1
-    lam = [0.0] * n + [lam_n]
-    lam_next = lam_n
+def _costate(grad: np.ndarray, jac: np.ndarray, lam_n: np.ndarray,
+             dt: float, heun: bool) -> np.ndarray:
+    """backward_sweep's costate recursion: grad (n + 1, n_states) and jac
+    (n + 1, n_states, n_states) linearize nodes 0..n (row 0 unused) and
+    lam_n is the terminal costate; returns the (n + 1, n_states) costate.
+    One state steps Python floats, where jac[k]^T lambda_k is j * l + 0.0
+    (numpy's one-state matrix product sums from 0.0), and more states step
+    numpy rows by np.matmul on jac[k].T views: jac[k].T @ lambda_k's bits."""
+    n = grad.shape[0] - 1
+    if grad.shape[1] == 1:
+        grad, jac_t = grad[:, 0].tolist(), jac[:, 0, 0].tolist()
+        lam_next = lam_n.item()
+
+        def product(j, lam):
+            return j * lam + 0.0
+    else:
+        jac_t, product, lam_next = jac.transpose(0, 2, 1), np.matmul, lam_n
+    lam = [lam_next] * (n + 1)
     half_dt = 0.5 * dt
     for k in range(n - 1, -1, -1):
-        slope = grad[k + 1] + (jac[k + 1] * lam_next + 0.0)
+        # slope is -lambda'; node 0 has no linearization (the field is
+        # singular at t0): the step into it is Euler
+        slope = grad[k + 1] + product(jac_t[k + 1], lam_next)
         lam_k = lam_next + dt * slope
         if heun and k:
             lam_k = lam_next + half_dt * (
-                slope + (grad[k] + (jac[k] * lam_k + 0.0)))
+                slope + (grad[k] + product(jac_t[k], lam_k)))
         lam[k] = lam_next = lam_k
-    return lam
+    return np.array(lam, dtype=float).reshape(n + 1, -1)
 
 
 def backward_sweep(nodes: NodeTable, u, cfg: SweepConfig) -> NodeTable:
@@ -286,8 +293,8 @@ def backward_sweep(nodes: NodeTable, u, cfg: SweepConfig) -> NodeTable:
     Each node 1..n is linearized once (running-cost gradient and field
     Jacobian at its state and control), and both steppers step on those
     linearizations; the step into node 0, where the field is singular,
-    is Euler.  With one state the steps run on Python floats, with the
-    same bits (_one_state_costate).
+    is Euler.  One recursion steps them (_costate), on Python floats for
+    one state and on numpy rows for more, with the same bits.
 
     nodes is an evaluation's node table (forward_sweep's or
     audit_residuals'): the problem, grid, states and node times are read
@@ -297,7 +304,6 @@ def backward_sweep(nodes: NodeTable, u, cfg: SweepConfig) -> NodeTable:
     prob, grid, x = nodes.prob, nodes.grid, nodes.x
     u = _control_array(prob, grid, u)
     n = grid.n_steps
-    dt = grid.dt
     nx = prob.plant.n_states
     # the costate's linearization at nodes 1..n (row 0 is never used):
     # lambda' = -(grad[k] + jac[k]^T lambda) at node k
@@ -310,25 +316,11 @@ def backward_sweep(nodes: NodeTable, u, cfg: SweepConfig) -> NodeTable:
         grad[1:][rows] = _weighted_running_gradient(prob, t_run, x_rows,
                                                     u_rows)
         jac[1:][rows] = prob.field.jacobian_x(t, x_rows, u_rows)
-    first_failing_node(linearize, grid.n_steps)
+    first_failing_node(linearize, n)
 
-    lam = np.zeros((grid.n_nodes, nx))
-    lam[n] = prob.index.terminal_gradient(prob.tf, x[n])
-    heun = cfg.stepper == "heun"
-    if nx == 1:
-        lam[:, 0] = _one_state_costate(grad[:, 0].tolist(),
-                                       jac[:, 0, 0].tolist(),
-                                       lam[n, 0].item(), dt, heun)
-    else:
-        with np.errstate(all="ignore"):   # no user code: checked below
-            for k in range(n - 1, -1, -1):
-                # slope is -lambda'; node 0 has no linearization (the
-                # field is singular at t0): the step into it is Euler
-                slope = grad[k + 1] + jac[k + 1].T @ lam[k + 1]
-                lam[k] = lam[k + 1] + dt * slope
-                if heun and k:
-                    lam[k] = lam[k + 1] + 0.5 * dt * (
-                        slope + (grad[k] + jac[k].T @ lam[k]))
+    lam_n = prob.index.terminal_gradient(prob.tf, x[n])
+    with np.errstate(all="ignore"):   # no user code: checked below
+        lam = _costate(grad, jac, lam_n, grid.dt, cfg.stepper == "heun")
     bad = np.flatnonzero(~np.isfinite(lam).all(axis=1))
     if bad.size:   # the first non-finite node the recursion reached
         raise SweepAbort(f"non-finite costate at node {bad[-1]}")

@@ -10,7 +10,7 @@ from fracopt import (CostTerm, DomainError, PerformanceIndex,
                      SingularTimeError, TimeGrid, cost_to_go, evaluate, gamma,
                      running_weight, solve, terminal_index_set,
                      terminal_value)
-from fracopt.config import parse_problem
+from fracopt.config import build_problem, load_raw, parse_problem
 from fracopt.operators import kernel_cell_weights, singular_kernel_weights
 
 from conftest import EXAMPLE_FILE
@@ -69,6 +69,16 @@ def test_terminal_value_additive():
     pi = PerformanceIndex((terminal(lambda tf, x: x[0]),
                            terminal(lambda tf, x: 2 * x[0])))
     assert terminal_value(pi, 1.0, np.array([3.0])) == pytest.approx(9.0)
+
+
+def test_terminal_value_adds_left_to_right_in_index_order():
+    # 1e16 + 1.0 rounds to 1e16, so the left-to-right sum is 0.0; the
+    # builtin sum compensates float sums from Python 3.12 on, giving 1.0
+    doc = load_raw("perfbench/lq_bounded.yaml")
+    doc["cost"]["terms"][:1] = [{"order": 0.0, "operand": operand}
+                                for operand in ("1e16", "1.0", "-1e16")]
+    index = build_problem(doc).problem.index
+    assert terminal_value(index, 1.0, np.array([2.0])) == 0.0
 
 
 def test_running_weight_order_one_is_unity():

@@ -11,6 +11,7 @@ import pytest
 import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import solve_ivp
 
 import fracopt as fo
@@ -611,25 +612,35 @@ _COSTATE_VALUE = st.one_of(
                                              1e-300, -1e-300, 1e300]))
 
 
+@st.composite
+def _linearizations(draw):
+    """(grad, jac, lam_n) of one, two or three states on 2 to 40 nodes."""
+    k = draw(st.sampled_from([1, 2, 3]))
+    n_nodes = draw(st.integers(2, 40))
+    return tuple(draw(arrays(np.float64, shape, elements=_COSTATE_VALUE))
+                 for shape in ((n_nodes, k), (n_nodes, k, k), (k,)))
+
+
 @settings(max_examples=100, deadline=None)
-@given(values=st.lists(st.tuples(_COSTATE_VALUE, _COSTATE_VALUE),
-                       min_size=2, max_size=40),
-       lam_n=_COSTATE_VALUE, dt=st.sampled_from([0.01, 0.37, 1e-4]),
+@given(rows=_linearizations(), dt=st.sampled_from([0.01, 0.37, 1e-4]),
        heun=st.booleans())
-@example(values=[(-0.0, 1.0)] * 3, lam_n=-0.0, dt=0.01, heun=False)
-@example(values=[(-0.0, -2.0)] * 3, lam_n=-0.0, dt=0.01, heun=True)
+@example(rows=(np.full((3, 1), -0.0), np.full((3, 1, 1), 1.0),
+               np.array([-0.0])), dt=0.01, heun=False)
+@example(rows=(np.full((3, 1), -0.0), np.full((3, 1, 1), -2.0),
+               np.array([-0.0])), dt=0.01, heun=True)
 def test_one_state_costate_has_the_bits_of_the_array_recursion(
-        values, lam_n, dt, heun):
-    # zeros of either sign, subnormals and overflowing products included:
-    # the matrix product of one state sums from 0.0, as the float
-    # recursion does, and every other operation is the same (the
-    # examples: a -0.0 product beside a -0.0 gradient and costate)
-    grad = np.array([[g] for g, _ in values])
-    jac = np.array([[[j]] for _, j in values])
-    ref = _array_costate(grad, jac, np.array([lam_n]), dt, heun)
-    got = sweep._one_state_costate(grad[:, 0].tolist(),
-                                   jac[:, 0, 0].tolist(), lam_n, dt, heun)
-    assert np.array(got).tobytes() == ref[:, 0].tobytes()
+        rows, dt, heun):
+    # one to three states, zeros of either sign, subnormals and
+    # overflowing products included: one state steps Python floats,
+    # whose product sums from 0.0 as numpy's one-state matrix product
+    # does, and more step numpy rows; every other operation is the
+    # array form's (the examples: a -0.0 product beside a -0.0 gradient
+    # and costate)
+    ref = _array_costate(*rows, dt, heun)
+    with np.errstate(all="ignore"):
+        got = sweep._costate(*rows, dt, heun)
+    assert got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
 
 
 def _box_doc(block: str, expression: str, quadratic: bool) -> dict:
