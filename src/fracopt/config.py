@@ -23,7 +23,9 @@ Unknown keys anywhere are rejected.  Validation errors name the offending
 field; YAML errors name the file or override, with their line/column mark.
 A key given twice in one mapping is an error, and booleans and numbers
 are read as YAML 1.2 reads them (_Loader: 1e-2 is a float, 010 is 10,
-and yes, off and 1:30 are text).
+and yes, off, 1:30 and 1_0.5 are text).  An override's value is read by
+the same loader as the same text in the file, except that a key holding
+a string takes the text as it is; build_problem checks both alike.
 """
 
 from __future__ import annotations
@@ -129,7 +131,8 @@ def _yaml_error(exc: yaml.YAMLError) -> str:
 class _Loader(yaml.SafeLoader):
     """The YAML reader of problem files and overrides: a key given twice
     in one mapping is an error, and booleans and numbers are YAML 1.2's
-    (1e-2 is a float, 010 is 10, yes and 1:30 are text)."""
+    (1e-2 and .inf are floats, 010 is 10, yes, 1:30 and 1_0.5 are
+    text)."""
 
     def construct_mapping(self, node, deep=False):
         # a key merged in (<<) may be given again; the mapping's own may not
@@ -145,15 +148,17 @@ class _Loader(yaml.SafeLoader):
         return mapping
 
 
-# YAML 1.2's core schema: true/false, and decimal, 0o and 0x integers,
-# not YAML 1.1's yes/off, octal 010, 1:30 or 1_0 (tried before floats)
+# YAML 1.2's core schema: null, true/false, decimal, 0o and 0x integers
+# (tried before floats), and floats with .inf and .nan, not YAML 1.1's
+# yes/off, octal 010, 1:30, 1_0, 1_0.5, dates or = (the merge key stays)
 _Loader.yaml_implicit_resolvers = {
-    first: [r for r in resolvers if not r[0].endswith((":bool", ":int"))]
+    first: [r for r in resolvers if r[0].endswith((":null", ":merge"))]
     for first, resolvers in yaml.SafeLoader.yaml_implicit_resolvers.items()}
 for _tag, _rx in (("bool", r"true|True|TRUE|false|False|FALSE"),
                   ("int", r"[-+]?[0-9]+|0o[0-7]+|0x[0-9a-fA-F]+"),
                   ("float", r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)"
-                            r"([eE][-+]?[0-9]+)?")):
+                            r"([eE][-+]?[0-9]+)?"
+                            r"|[-+]?\.(inf|Inf|INF)|\.(nan|NaN|NAN)")):
     _Loader.add_implicit_resolver(f"tag:yaml.org,2002:{_tag}",
                                   re.compile(f"^(?:{_rx})$"), None)
 _Loader.add_constructor("tag:yaml.org,2002:int", lambda loader, node: int(
@@ -173,11 +178,12 @@ def load_raw(path: str) -> Dict:
 
 
 def apply_overrides(doc: Dict, overrides: List[str]) -> Dict:
-    """Apply dotted key=value overrides, coercing to the existing type.
+    """Apply dotted key=value overrides, each value read as the problem
+    file reads the same text (_Loader), but a leaf that holds a string
+    (a stepper, a path) takes the text as it is.
 
     Example: solver.max_iters=0.  Paths must already exist in the
-    document (strict mode).  A number overriding an int is kept as a
-    float when it is not integral, so the schema sees it unchanged.
+    document (strict mode); build_problem checks the values.
     """
     for item in overrides:
         if "=" not in item:
@@ -192,25 +198,9 @@ def apply_overrides(doc: Dict, overrides: List[str]) -> Dict:
         leaf = parts[-1]
         if not isinstance(node, dict) or leaf not in node:
             raise ConfigError(f"override path {dotted!r} does not exist")
-        current = node[leaf]
         try:
-            if isinstance(current, bool):
-                if text.lower() not in ("true", "false"):
-                    raise ValueError
-                node[leaf] = text.lower() == "true"
-            elif isinstance(current, int):
-                value = float(text)
-                node[leaf] = int(value) if value.is_integer() else value
-            elif isinstance(current, float):
-                node[leaf] = float(text)
-            elif isinstance(current, str):
-                node[leaf] = text
-            else:
-                node[leaf] = yaml.load(text, Loader=_Loader)
-        except ValueError:
-            raise ConfigError(
-                f"override {dotted!r}: cannot coerce {text!r} to "
-                f"{type(current).__name__}")
+            node[leaf] = text if isinstance(node[leaf], str) \
+                else yaml.load(text, Loader=_Loader)
         except yaml.YAMLError as exc:
             raise ConfigError(
                 f"override {dotted!r}: {_yaml_error(exc)}") from None

@@ -246,8 +246,10 @@ def minimize_scalar(func: Callable[[np.ndarray], np.ndarray], lo, hi,
     the box, then follows half the step down to cbrt(eps) (1 + |start|).
     A row stops when h is that low and its step is within xatol plus a
     relative sqrt(eps), Brent's tolerance, or after 500 evaluations; it
-    returns its best probe, or the better box end where that is no
-    higher.  lo, hi, xatol and start are per row (or one for every row);
+    returns its best probe, or the better box end (the one of lower
+    value) where that is no higher or the best probe is within Brent's
+    tolerance of it: a minimizer at a bound is returned as that bound
+    exactly.  lo, hi, xatol and start are per row (or one for every row);
     func maps one point per row to one value per row, and evaluates a
     row whose search has stopped at its last c.
     """
@@ -283,7 +285,9 @@ def minimize_scalar(func: Callable[[np.ndarray], np.ndarray], lo, hi,
             np.copyto(u, x, where=active)
         f_lo, f_hi = func(lo), func(hi)
     end = np.where(f_lo <= f_hi, lo, hi)
-    return np.where(np.minimum(f_lo, f_hi) <= f_best, end, best)
+    at_end = (np.minimum(f_lo, f_hi) <= f_best) \
+        | (np.abs(best - end) <= _SQRT_EPS * np.abs(best) + xatol)
+    return np.where(at_end, end, best)
 
 
 def _narrow(a, b, best, f_best, p, fp) -> None:

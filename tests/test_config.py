@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -186,11 +187,12 @@ def test_numbers_are_read_as_yaml_1_2_reads_them(tmp_path, text, value):
 @pytest.mark.parametrize("text, value", [
     ("010", 10), ("0o17", 15), ("+3", 3), ("1:30", "1:30"), ("1_0", "1_0"),
     ("0b11", "0b11"), ("yes", "yes"), ("off", "off"), ("On", "On"),
-    ("True", True), ("FALSE", False), ("false", False)])
+    ("True", True), ("FALSE", False), ("false", False),
+    ("2001-01-01", "2001-01-01"), ("=", "=")])
 def test_integers_and_booleans_are_read_as_yaml_1_2_reads_them(tmp_path,
                                                                 text, value):
-    # YAML 1.1's octal 010, sexagesimal 1:30, 1_0, 0b11 and yes/off are
-    # not YAML 1.2's: 010 is 10 and the others are text
+    # YAML 1.1's octal 010, sexagesimal 1:30, 1_0, 0b11, yes/off, dates
+    # and = are not YAML 1.2's: 010 is 10 and the others are text
     path = tmp_path / "value.yaml"
     path.write_text(f"value: {text}\n")
     got = load_raw(str(path))["value"]
@@ -215,7 +217,8 @@ def test_a_leading_zero_is_a_decimal_count(tmp_path):
 
 @pytest.mark.parametrize("text, value", [
     ("12", 12), ("-7", -7), ("0x1f", 31), ("09", 9), ("1e", "1e"),
-    ("e5", "e5"), ("1.2.3", "1.2.3"), (".inf", float("inf"))])
+    ("e5", "e5"), ("1.2.3", "1.2.3"), (".inf", float("inf")),
+    ("1:30.0", "1:30.0"), ("1_0.5", "1_0.5"), ("1_000.0", "1_000.0")])
 def test_integers_and_text_are_not_read_as_yaml_1_2_floats(tmp_path, text,
                                                            value):
     path = tmp_path / "value.yaml"
@@ -289,6 +292,35 @@ def test_override_non_integral_iteration_count_rejected(doc):
     assert out["solver"]["max_iters"] == 2.7
     with pytest.raises(ConfigError, match="max_iters"):
         build_problem(out)
+
+
+def _outcome(*args):
+    """parse_problem's outcome: the document it accepted, or its error."""
+    try:
+        return repr(parse_problem(*args).raw)
+    except ConfigError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("key, text, file_text", [
+    ("solver.max_iters", "0x10", None), ("solver.u_init", "[0.5]", None),
+    ("solver.max_iters", "1_0", None),
+    ("solver.quadratic_control", "tRuE", None),
+    ("plant.controls", "2.0", None), ("solver.dt", ".inf", None),
+    ("solver.dt", "0.005", None), ("solver.max_iters", "1e3", None),
+    ("solver.stepper", "heun", None), ("output.csv", "a: b", '"a: b"')])
+def test_override_reads_a_value_as_the_file_does(tmp_path, key, text,
+                                                 file_text):
+    # key=text and the file's key: text build alike, or fail alike; a
+    # string key takes the text as it is, which the file must quote
+    leaf = key.split(".")[-1]
+    content, count = re.subn(rf"(?m)^(\s+){leaf}: .*$",
+                             rf"\g<1>{leaf}: {file_text or text}",
+                             Path(EXAMPLE_FILE).read_text())
+    assert count == 1
+    path = tmp_path / "value.yaml"
+    path.write_text(content)
+    assert _outcome(EXAMPLE_FILE, [f"{key}={text}"]) == _outcome(str(path))
 
 
 def test_override_unknown_path_rejected(doc):

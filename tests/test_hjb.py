@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.optimize as sopt
 import scipy.special as sps
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fracopt as fo
@@ -353,6 +353,8 @@ def test_scalar_search_matches_scipy_bounded(c, lo, width):
 @settings(max_examples=100, deadline=None)
 @given(tilt=st.floats(-0.5, 0.5), lo=st.floats(-3, -0.1),
        hi=st.floats(0.1, 3), start=st.floats(-1, 1))
+# f one ulp inside hi rounds below f(hi), although hi is the minimizer
+@example(tilt=0.4140625, lo=-2.0, hi=0.4192161594109149, start=0.0)
 def test_scalar_search_with_two_local_minima(tilt, lo, hi, start):
     # (v^2 - 1)^2 + tilt v has a local minimum near -1 and one near 1: the
     # result is a local minimizer (or a box end) no worse than either
@@ -414,7 +416,7 @@ def _node_function(ck):
                   min_size=1, max_size=6),
        lo=st.lists(st.floats(-10, 10), min_size=6, max_size=6),
        width=st.lists(st.floats(1e-6, 20), min_size=6, max_size=6))
-def test_lockstep_search_equals_one_search_per_node(c, lo, width):
+def test_batched_search_equals_one_search_per_node(c, lo, width):
     # nodes with their own functions and brackets stop in different
     # rounds; the last node is the cusp sqrt|v| at a negative xatol,
     # which only the cap of 500 evaluations stops, so the others are

@@ -628,8 +628,7 @@ def _linearizations(draw):
                np.array([-0.0])), dt=0.01, heun=False)
 @example(rows=(np.full((3, 1), -0.0), np.full((3, 1, 1), -2.0),
                np.array([-0.0])), dt=0.01, heun=True)
-def test_one_state_costate_has_the_bits_of_the_array_recursion(
-        rows, dt, heun):
+def test_costate_has_the_bits_of_the_array_recursion(rows, dt, heun):
     # one to three states, zeros of either sign, subnormals and
     # overflowing products included: one state steps Python floats,
     # whose product sums from 0.0 as numpy's one-state matrix product
