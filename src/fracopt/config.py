@@ -15,9 +15,9 @@ carries the Jacobian of its dynamics and each cost term its gradient, so
 the solver takes no difference quotients of a problem file.  A math
 error in an expression or a derivative aborts the sweep naming it.
 The dynamics, the running operands and their derivatives are also
-compiled over node arrays, for the solver's stages that evaluate every
-grid node at once; a non-finite value there is evaluated again at its
-node by the scalar form, so the same math error aborts the sweep.
+compiled over node arrays, the forms of the node evaluator that Python
+callables share (expansion.node_evaluator); a non-finite row there is
+evaluated again by the scalar form, so the same math error aborts.
 
 Unknown keys anywhere are rejected.  Validation errors name the offending
 field; YAML errors name the file or override, with their line/column mark.
@@ -41,6 +41,7 @@ import yaml
 
 from .cost import CostTerm, PerformanceIndex
 from .errors import ConfigError, SweepAbort
+from .expansion import node_evaluator
 from .expressions import compile_expression, compile_gradient
 from .plant import FractionalPlant
 from .problem import HJBProblem
@@ -165,6 +166,12 @@ _Loader.add_constructor("tag:yaml.org,2002:int", lambda loader, node: int(
     node.value, 0 if node.value[:2] in ("0o", "0x") else 10))
 
 
+class _Dumper(yaml.SafeDumper):
+    """The YAML writer of problem files, by _Loader's resolvers: a string
+    that _Loader reads as another type (1e3, 0o17, .5) is quoted."""
+    yaml_implicit_resolvers = _Loader.yaml_implicit_resolvers
+
+
 def load_raw(path: str) -> Dict:
     """Read and parse the YAML document, reporting line/column on errors."""
     try:
@@ -214,7 +221,7 @@ _NO_CONTROLS = np.empty(0)
 
 
 def _evaluator(fns: Sequence, what: str = "", stacked: bool = False,
-               node_fns: Sequence = None):
+               node_fns: Sequence = ()):
     """The compiled fns as one function of (t, x, u), u empty by default
     for terminal operands.  It returns fns[0]'s value, or with stacked
     the array of every fn's value.  They get Python floats, not numpy
@@ -223,8 +230,8 @@ def _evaluator(fns: Sequence, what: str = "", stacked: bool = False,
     fn that fails there, prefixed by what.  With stacked, the function's
     floats attribute takes t and x and u as Python floats and sequences
     of them, and returns the list of every fn's value, with no array
-    made or read.  node_fns, fns compiled over node arrays, become the
-    function's nodes attribute (_node_evaluator).
+    made or read.  node_fns, fns compiled over node arrays, are the forms
+    of its nodes (expansion.node_evaluator), which it replays a row of.
     """
     def call(args):
         try:
@@ -243,42 +250,10 @@ def _evaluator(fns: Sequence, what: str = "", stacked: bool = False,
         return np.array(value) if stacked else value
     if stacked:
         evaluate.floats = lambda t, x, u: call((t, *x, *u))
-    if node_fns is not None:
-        evaluate.nodes = _node_evaluator(node_fns, evaluate, stacked)
-    return evaluate
-
-
-def _rows(value, n: int) -> np.ndarray:
-    """A node-array form's value with n rows: a gradient's tuple stacked
-    into columns, a float (an expression reading no variable) repeated."""
-    if isinstance(value, tuple):
-        return np.stack([_rows(v, n) for v in value], axis=-1)
-    return value if np.shape(value) == (n,) else np.full(n, value)
-
-
-def _node_evaluator(fns: Sequence, scalar, stacked: bool):
-    """The node-array forms fns as one function of node arrays t (N,),
-    x (N, n) and u (N, m), with scalar's value at each row.  Where a row
-    is not finite, scalar evaluates that row again, lowest row first, so
-    a math error there aborts the sweep as it does at one node.  The
-    function's forms(n_states) are fns themselves, unchecked, with
-    stacked each paired with its column of the value: each takes the
-    columns t, x1..xn, u1..um by position and gives nan or inf where a
-    math error would abort (expansion.as_evaluator's forms need n_states
-    to split the columns)."""
-    def evaluate(t, x, u):
-        n = t.shape[0]
-        args = (t, *x.T, *u.T)
-        with np.errstate(all="ignore"):
-            values = [_rows(fn(*args), n) for fn in fns]
-        out = np.stack(values, axis=1) if stacked else values[0]
-        if not np.isfinite(out).all():
-            for k in np.flatnonzero(
-                    ~np.isfinite(out.reshape(n, -1)).all(axis=1)):
-                scalar(t[k], x[k], u[k])
-        return out
-    forms = tuple(enumerate(fns)) if stacked else tuple(fns)
-    evaluate.forms = lambda n_states: forms
+    if node_fns:
+        forms = tuple(enumerate(node_fns)) if stacked \
+            else ((slice(None), node_fns[0]),)
+        evaluate.nodes = node_evaluator(lambda n_states: forms, evaluate)
     return evaluate
 
 
@@ -359,9 +334,8 @@ def build_problem(doc: Dict) -> ParsedProblem:
             raise ConfigError(f"{where}.operand: {exc}")
         kind = "terminal" if v == 0.0 else "running"
         terms.append(CostTerm(
-            v=v, **{kind: _evaluator(fns[:1], node_fns=fns[1:] or None)},
-            gradient=_evaluator(grads[:1], _DERIVATIVE,
-                                node_fns=grads[1:] or None)))
+            v=v, **{kind: _evaluator(fns[:1], node_fns=fns[1:])},
+            gradient=_evaluator(grads[:1], _DERIVATIVE, node_fns=grads[1:])))
 
     t0 = _finite_number(solver_block.get("t0", 0.0), "solver.t0")
     tf = _finite_number(_need(solver_block, "tf", "solver"), "solver.tf")
@@ -405,6 +379,6 @@ def parse_problem(path: str, overrides: Optional[List[str]] = None) -> ParsedPro
 
 
 def write_problem(parsed: ParsedProblem, path: str) -> None:
-    """Write the normalized document back out (round-trip safe)."""
+    """Write the normalized document back out as load_raw reads it."""
     with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(parsed.raw, fh, sort_keys=False)
+        yaml.dump(parsed.raw, fh, Dumper=_Dumper, sort_keys=False)

@@ -41,7 +41,7 @@ class CostTerm:
     is the operand's x-gradient, with the operand's arguments.  A running
     operand and its gradient are wrapped once, here
     (expansion.as_evaluator): over node arrays, running.nodes and
-    gradient.nodes apply them at every row.
+    gradient.nodes evaluate them row by row (expansion.node_evaluator).
     """
 
     v: float
@@ -83,6 +83,10 @@ class PerformanceIndex:
     def running_terms(self):
         return tuple(t for t in self.terms if t.v != 0.0)
 
+    @cached_property
+    def terminal_terms(self):
+        return tuple(t for t in self.terms if t.v == 0.0)
+
     def running_gradient(self, weights: np.ndarray, t: np.ndarray,
                          x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """d/dx of the weighted running cost sum_j weights[:, j] g_j(t, x,
@@ -101,14 +105,13 @@ class PerformanceIndex:
 
     def terminal_gradient(self, tf: float, x_tf: np.ndarray) -> np.ndarray:
         """d/dx of terminal_value at x_tf: from the terminal terms'
-        gradients when every one has one, by central differences of
-        terminal_value otherwise."""
-        terms = [self.terms[i] for i in terminal_index_set(self)]
-        if any(term.gradient is None for term in terms):
+        gradients, added in index order, when every one has one, by
+        central differences of terminal_value otherwise."""
+        if any(term.gradient is None for term in self.terminal_terms):
             return central_difference(
                 lambda xv: terminal_value(self, tf, xv), x_tf)
         grad = np.zeros(x_tf.shape[0])
-        for term in terms:
+        for term in self.terminal_terms:
             grad += np.asarray(term.gradient(tf, x_tf), dtype=float)
         return grad
 
@@ -127,8 +130,8 @@ def terminal_value(pi: PerformanceIndex, tf: float, x_tf: np.ndarray) -> float:
     """
     x_tf = np.asarray(x_tf, dtype=float)
     total = 0.0
-    for i in sorted(terminal_index_set(pi)):
-        total += float(pi.terms[i].terminal(tf, x_tf))
+    for term in pi.terminal_terms:
+        total += float(term.terminal(tf, x_tf))
     return total
 
 

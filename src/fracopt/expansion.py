@@ -259,47 +259,69 @@ def central_difference(fn, x: np.ndarray) -> np.ndarray:
     return np.stack(columns, axis=-1)
 
 
+def _rows(value, n: int) -> np.ndarray:
+    """A node form's value with n rows: a gradient's tuple stacked into
+    columns, a float (an expression reading no variable) repeated."""
+    if isinstance(value, tuple):
+        return np.stack([_rows(v, n) for v in value], axis=-1)
+    return value if np.shape(value)[:1] == (n,) else np.full(n, value)
+
+
+def node_evaluator(forms, replay):
+    """One function of node arrays t (N,), x (N, n) and u (N, m): each of
+    forms(n), (columns, form) pairs, is called once on the columns t,
+    x1..xn, u1..um, unchecked (nan or inf where an evaluation raises),
+    and fills its columns of the value, all of it for slice(None); then
+    replay evaluates each row that is not finite again, lowest first and
+    with its time as a Python float, so that an error there raises as it
+    does at one node.  The function's forms are forms (hjb.GridPlan)."""
+    def evaluate(t, x, u):
+        n, args, pairs = t.shape[0], (t, *x.T, *u.T), forms(x.shape[1])
+        with np.errstate(all="ignore"):
+            values = [_rows(form(*args), n) for _, form in pairs]
+        out = values[0] if pairs[0][0] == slice(None) else np.stack(values, 1)
+        if not np.isfinite(out).all():
+            for k in np.flatnonzero(~np.isfinite(out.reshape(n, -1)).all(1)):
+                replay(float(t[k]), x[k], u[k])
+        return out
+    evaluate.forms = forms
+    return evaluate
+
+
 def as_evaluator(fn, n_states: int = None):
     """fn, a Python callable of (t, x, u) at one node, with the interface
     of a compiled problem-file evaluator (config._evaluator), or fn
     itself when it has one (a nodes attribute): wrapping is idempotent.
-    The wrapper calls fn.  Its nodes calls fn row by row over node arrays
-    t (N,), x (N, n) and u (N, m), and nodes.forms(n) is nodes over the
-    columns t, x1..xn, u1..um by position, unchecked: nan at every row
-    when fn raises at one.  With n_states, fn is a plant's rhs: its form
-    fills every column of the field, and floats takes t, x and u as
-    Python floats and sequences of them and returns the rates as Python
-    floats.  Both nodes and floats take fn's value (a list, an int array
-    or one rate for every component) converted or broadcast to
-    (n_states,) as numpy arithmetic on it would.
+    The wrapper calls fn.  Its nodes is node_evaluator's with one form,
+    a loop calling fn at every row (nan at every row when fn raises at
+    one) whose values are then made floats, and with fn at one row as the
+    replay.  With n_states (fn is a plant's rhs) each value is broadcast
+    to (n_states,) first, in the loop and in the replay, as numpy
+    arithmetic on it would.  So nodes raises what one checked loop over
+    the rows raises: a value that does not convert raises from the form,
+    and the replay what fn or the broadcast raises at the first row it
+    fails.  With n_states, floats takes and returns Python floats.
     """
     if hasattr(fn, "nodes"):
         return fn
     evaluate = partial(fn)    # fn itself, carrying the attributes below
     shape = () if n_states is None else (n_states,)
+    row = fn if n_states is None else (
+        lambda t, x, u: np.broadcast_to(fn(t, x, u), shape))
 
-    def nodes(t, x, u):
-        return np.array([fn(t_k, x_k, u_k) if n_states is None
-                         else np.broadcast_to(fn(t_k, x_k, u_k), shape)
-                         for t_k, x_k, u_k in zip(t.tolist(), x, u)],
-                        dtype=float)
-
-    def unchecked(n, t, *columns):
+    def rows(n, t, *columns):
         try:
-            return nodes(t, np.stack(columns[:n], 1),
-                         np.stack(columns[n:], 1))
-        except Exception:    # the Hamiltonian's replay calls fn again
+            values = list(map(row, t.tolist(), np.stack(columns[:n], 1),
+                              np.stack(columns[n:], 1)))
+        except Exception:    # the replay calls fn again
             return np.full(t.shape + shape, math.nan)
+        return np.array(values, dtype=float)   # raises as a checked loop
 
-    nodes.forms = lambda n: ((partial(unchecked, n),) if n_states is None
-                             else ((slice(None), partial(unchecked, n)),))
-    evaluate.nodes = nodes
+    evaluate.nodes = node_evaluator(
+        lambda n: ((slice(None), partial(rows, n)),), row)
     if n_states is not None:
-        def floats(t, x, u):
-            rates = np.asarray(fn(t, np.array(x), np.array(u)), dtype=float)
-            return (rates if rates.shape == shape
-                    else np.broadcast_to(rates, shape)).tolist()
-        evaluate.floats = floats
+        evaluate.floats = lambda t, x, u: np.broadcast_to(np.asarray(
+            fn(t, np.array(x), np.array(u)), dtype=float), shape).tolist()
     return evaluate
 
 

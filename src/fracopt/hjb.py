@@ -88,8 +88,8 @@ class GridPlan:
     per running term) and the field's denominator at t_field.  Per step:
     the moment step's decay and fac (expansion.moment_factors).  And
     forms, (running, rhs): the unchecked node forms of the running
-    operands, one per running term, and the rhs's, each paired with the
-    columns of the field it fills."""
+    operands and of the rhs, each paired with the columns of its value
+    it fills (expansion.node_evaluator), a running operand's all of it."""
 
     def __init__(self, prob: HJBProblem, grid: TimeGrid):
         if prob.field is None:
@@ -106,8 +106,8 @@ class GridPlan:
         self.decay, self.fac = moment_factors(
             grid, prob.field.coeffs[0].p_max - 1)
         n = prob.plant.n_states
-        self.forms = (tuple(form for term in prob.index.running_terms
-                            for form in term.running.nodes.forms(n)),
+        self.forms = (tuple(pair for term in prob.index.running_terms
+                            for pair in term.running.nodes.forms(n)),
                       prob.plant.rhs.nodes.forms(n))
         for arr in (self.t_run, self.t_field, self.weights):
             arr.flags.writeable = False
@@ -171,7 +171,7 @@ def _unchecked_hamiltonian(table: NodeTable, u: np.ndarray,
     running, rhs = table.forms
     args = (table.t_run, *table.x.T, *u.T)
     h = 0.0
-    for w, g in zip(table.weights.T, running):
+    for w, (_, g) in zip(table.weights.T, running):
         h += w * g(*args)
     args = (table.t_field, *args[1:])
     field = np.empty(table.x.shape)

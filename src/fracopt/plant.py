@@ -21,7 +21,7 @@ class FractionalPlant:
     rhs_jacobian maps (t, x, u) to d rhs/dx, row i holding the partials of
     rhs component i; without it, rhs_x takes central differences of rhs.
     Python callables are wrapped once, here (expansion.as_evaluator):
-    over node arrays, rhs.nodes and rhs_x apply them at every row.
+    rhs.nodes and rhs_x apply them row by row (expansion.node_evaluator).
     """
 
     orders: tuple

@@ -192,8 +192,8 @@ def forward_sweep(prob: HJBProblem, u, cfg: SweepConfig, plan=None):
     the same order, as the array form (rhs - correction) / denominator
     of a row and the step on it, so states and rows match that form bit
     for bit.  It reads Python floats only: the state as the step left
-    it, the correction's list, and the rhs's floats
-    (expansion.as_evaluator).
+    it, the correction's list, and the rhs's floats (config._evaluator,
+    expansion.as_evaluator).
     """
     if plan is None:
         plan = _plan_for(prob, cfg)

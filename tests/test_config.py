@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import math
 import re
 from pathlib import Path
 
@@ -266,7 +267,7 @@ def test_non_finite_initial_state_rejected(doc, value):
                            n_controls=1)
 
 
-def test_overrides_type_coercion(doc):
+def test_overrides_set_an_int_a_float_a_string_and_a_bool(doc):
     out = apply_overrides(copy.deepcopy(doc), [
         "solver.max_iters=0",
         "solver.dt=0.005",
@@ -348,6 +349,36 @@ def test_round_trip_semantically_identical(tmp_path, example_parsed):
     # identical dynamics on a probe point
     probe = (0.37, np.array([0.2, -1.1]), np.array([0.9]))
     assert np.array_equal(p0.plant.rhs(*probe), p1.plant.rhs(*probe))
+
+
+_WRITTEN_VALUES = [
+    (("cost", "terms", 1, "operand"), "1e3"),
+    (("output", "csv"), "0o17"),
+    (("output", "csv"), ".5"),
+    (("output", "csv"), "yes"),
+    (("output", "csv"), "1:30"),
+    (("solver", "error_tol"), 1e-08),
+    (("solver", "u_init"), math.inf),
+    (("output", "report"), None),
+    (("solver", "n_a"), 10 ** 9),
+]
+
+
+@pytest.mark.parametrize("keys, value", _WRITTEN_VALUES, ids=[
+    f"{keys[-1]}={value!r}" for keys, value in _WRITTEN_VALUES])
+def test_round_trip_reads_back_each_value_as_written(
+        tmp_path, example_parsed, keys, value):
+    # written with the loader's YAML 1.2 resolvers: text that 1.2 reads
+    # as a number (1e3, 0o17, .5) is quoted, and text that only YAML 1.1
+    # reads as a bool or a number (yes, 1:30) needs no quotes
+    raw = copy.deepcopy(example_parsed.raw)
+    node = raw
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    path = tmp_path / "round.yaml"
+    write_problem(dataclasses.replace(example_parsed, raw=raw), str(path))
+    assert repr(load_raw(str(path))) == repr(raw)
 
 
 def test_bolza_form_accepted(tmp_path, doc):

@@ -81,6 +81,22 @@ def test_terminal_value_adds_left_to_right_in_index_order():
     assert terminal_value(index, 1.0, np.array([2.0])) == 0.0
 
 
+def test_terminal_value_and_gradient_add_their_terms_in_index_order():
+    # 1e16 x, -1e16 x and x at indices 2, 3 and 10 give x in index order;
+    # a frozenset iterates {2, 3, 10} as 10, 2, 3, where 1.0 + 1e16
+    # rounds to 1e16 and the gradient to 0.0
+    doc = load_raw("perfbench/lq_bounded.yaml")
+    terms = [doc["cost"]["terms"][1]] * 11
+    for i, operand in ((2, "1e16*x1"), (3, "-1e16*x1"), (10, "1.0*x1")):
+        terms[i] = {"order": 0.0, "operand": operand}
+    doc["cost"]["terms"] = terms
+    index = build_problem(doc).problem.index
+    assert terminal_index_set(index) == {2, 3, 10}
+    x_tf = np.array([1.0])
+    assert terminal_value(index, 1.0, x_tf) == 1.0
+    assert index.terminal_gradient(1.0, x_tf).tolist() == [1.0]
+
+
 def test_running_weight_order_one_is_unity():
     for t in (0.0, 0.4, 1.0):
         assert running_weight(1.0, t, 1.0) == pytest.approx(1.0)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -218,10 +219,8 @@ def test_python_callable_forms_give_nan_where_nodes_raise(n_states, shape):
         return x * u[0] if n_states else x[0] * u[0]
     wrapped = fo.expansion.as_evaluator(fn, n_states)
     t, x, u = np.arange(5.0), np.ones((5, 2)), np.full((5, 1), 2.0)
-    form, = wrapped.nodes.forms(2)
-    if n_states:    # paired with the columns it fills, every one
-        columns, form = form
-        assert columns == slice(None)
+    (columns, form), = wrapped.nodes.forms(2)
+    assert columns == slice(None)    # paired with the columns it fills
     values = form(t, *x.T, *u.T)
     assert values.shape == shape and np.isnan(values).all()
     with pytest.raises(ZeroDivisionError, match="^at t = 3$"):
@@ -229,6 +228,51 @@ def test_python_callable_forms_give_nan_where_nodes_raise(n_states, shape):
     values = form(t[:3], *x[:3].T, *u[:3].T)
     assert values.tolist() == wrapped.nodes(t[:3], x[:3], u[:3]).tolist()
     assert np.all(values == 2.0)
+
+
+def _raised(call):
+    """The type and text of what call() raises."""
+    with pytest.raises(Exception) as info:
+        call()
+    return info.type, str(info.value)
+
+
+@pytest.mark.parametrize("n_states, rows, nodes_error, floats_error", [
+    (2, (np.array([1.0, 2.0, 3.0]),) * 2,
+     "operands could not be broadcast together with remapped shapes "
+     "[original->remapped]: (3,)  and requested shape (2,)", None),
+    (2, (["a", "b"],) * 2, "could not convert string to float: np.str_('a')",
+     "could not convert string to float: 'a'"),
+    (None, ("a", "a"), "could not convert string to float: 'a'", None),
+    (None, (1.0, [1.0, 2.0]), "setting an array element with a sequence. "
+     "The requested array has an inhomogeneous shape after 1 dimensions. "
+     "The detected shape was (2,) + inhomogeneous part.", None),
+], ids=["rhs of three rates for two states", "rhs of text",
+        "running operand of text", "running operand of ragged rows"])
+def test_a_malformed_python_callable_raises_as_a_row_loop_does(
+        n_states, rows, nodes_error, floats_error):
+    # the callable gives rows[k] at node k.  The unchecked form gives nan
+    # where the callable or the broadcast of its value to the rates fails,
+    # and nodes replays those rows; a value that does not convert to
+    # floats raises from the form.  So nodes raises what one checked loop
+    # over the rows raises (numpy 2's texts are given; older numpy words
+    # them otherwise); floats converts one node's rates as numpy
+    # arithmetic on them would
+    wrapped = fo.expansion.as_evaluator(
+        lambda t, x, u: rows[int(t)], n_states)
+    t, x, u = np.arange(2.0), np.ones((2, 2)), np.full((2, 1), 2.0)
+    got = _raised(lambda: wrapped.nodes(t, x, u))
+    assert got == _raised(lambda: np.array(
+        [row if n_states is None else np.broadcast_to(row, (n_states,))
+         for row in rows], dtype=float))
+    if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
+        assert got == (ValueError, nodes_error)
+    if n_states:
+        got = _raised(lambda: wrapped.floats(0.0, [1.0, 1.0], [2.0]))
+        assert got == _raised(lambda: np.broadcast_to(
+            np.asarray(rows[0], dtype=float), (n_states,)))
+        if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
+            assert got == (ValueError, floats_error or nodes_error)
 
 
 def _replay_problems(dynamics=None, operand=None):
